@@ -107,7 +107,7 @@ def _cmd_tame(args) -> int:
     doc = json.loads(cache.read(args.group))
     group, rep = group_from_json(_payload(doc, "tame"))
     scenario = TameScenario(group, rep, args.q)
-    masses = tame_total_masses(scenario, threads=args.threads)
+    masses = tame_total_masses(scenario)
     out = {"mass_v": _mass_json(masses.mass_v), "mass_w": _mass_json(masses.mass_w)}
     code = 0
     if args.check_involution:
@@ -262,10 +262,10 @@ def _parser() -> argparse.ArgumentParser:
             help="also evaluate the masses at q = Q0 (rational), r = R0",
         )
 
-    p = sub.add_parser("tame", help="enumerate a tame scenario from a group file")
+    p = sub.add_parser("tame", help="total masses of a tame scenario from a group file")
     p.add_argument("--group", required=True, help="group+representation JSON, or -")
     p.add_argument("--q", required=True, type=int, help="residue field size")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--check-involution", action="store_true")
     add_report(p)
     add_eval(p)

@@ -148,15 +148,20 @@ TameWeights = namedtuple("TameWeights", ["v", "w", "a"])
 
 
 class FiniteGroup:
-    """A finite permutation group, closed element list plus lookups."""
+    """A finite permutation group, closed element list plus lookups;
+    generators, if given, must generate it."""
 
-    def __init__(self, degree: int, elements: Sequence[Perm]):
+    def __init__(
+        self, degree: int, elements: Sequence[Perm], generators: Optional[Sequence[Perm]] = None
+    ):
         self.degree = degree
         self.elements = tuple(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         if perm_identity(degree) not in self.index:
             raise ValueError("element list must contain the identity")
+        self._generators = None if generators is None else tuple(generators)
         self._classes: Optional[list[list[Perm]]] = None
+        self._class_of: dict[Perm, int] = {}
 
     def __len__(self):
         return len(self.elements)
@@ -174,8 +179,29 @@ class FiniteGroup:
     def inverse(self, g: Perm) -> Perm:
         return perm_inv(g)
 
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        """The given generators, or else the elements that the span of those
+        before them misses; the span grows by whole cosets (Dimino)."""
+        if self._generators is None:
+            gens: list[Perm] = []
+            span = [self.identity]
+            seen = set(span)
+            for g in self.elements:
+                if g not in seen:
+                    gens.append(g)
+                    sub, reps = span[:], [g]
+                    for r in reps:  # left cosets r*sub, closed under s*r
+                        if r not in seen:
+                            coset = [perm_mul(r, h) for h in sub]
+                            span += coset
+                            seen.update(coset)
+                            reps += [perm_mul(s, r) for s in gens]
+            self._generators = tuple(gens)
+        return self._generators
+
     def exponent(self) -> int:
-        return math.lcm(*(perm_order(g) for g in self.elements))
+        return math.lcm(*(perm_order(c[0]) for c in self.conjugacy_classes()))
 
     def power(self, g: Perm, m: int) -> Perm:
         """g^m by square and multiply; m may be any integer."""
@@ -192,17 +218,31 @@ class FiniteGroup:
         return out
 
     def conjugacy_classes(self) -> list[list[Perm]]:
+        """Classes in order of first appearance in the element list, each
+        sorted.  Each class is the orbit of its first element under
+        conjugation by the generators, found breadth-first."""
         if self._classes is None:
-            seen: set[Perm] = set()
-            classes = []
+            # s x s^-1 maps s[i] to s[x[i]], i.e. i to s[x[s^-1[i]]]
+            conj = [(s, perm_inv(s)) for s in self.generators]
+            classes: list[list[Perm]] = []
             for g in self.elements:
-                if g in seen:
-                    continue
-                orbit = {perm_mul(perm_mul(h, g), perm_inv(h)) for h in self.elements}
-                seen |= orbit
-                classes.append(sorted(orbit))
+                if g not in self._class_of:
+                    self._class_of[g] = len(classes)
+                    orbit = [g]
+                    for x in orbit:
+                        for s, s_inv in conj:
+                            y = tuple([s[x[j]] for j in s_inv])
+                            if y not in self._class_of:
+                                self._class_of[y] = len(classes)
+                                orbit.append(y)
+                    classes.append(sorted(orbit))
             self._classes = classes
         return self._classes
+
+    def class_index(self, g: Perm) -> int:
+        """Position in conjugacy_classes() of the class holding g."""
+        self.conjugacy_classes()
+        return self._class_of[g]
 
 
 class MonomialRep:
@@ -289,7 +329,7 @@ def group_closure(
                     matrices[h] = mh
                 nxt.append(h)
         frontier = nxt
-    group = FiniteGroup(degree, elements)
+    group = FiniteGroup(degree, elements, generators)
     rep = None
     if rep_generators is not None:
         rep = MonomialRep(dim, root_order, matrices)

@@ -2,14 +2,15 @@
 
 Two independent engines live here.
 
-Tame enumeration: for a residue field of order q^r coprime to |G|, the
+Tame masses: for a residue field of order q^r coprime to |G|, the
 continuous homomorphisms from the tame Galois group correspond to pairs
-(g, h) in G^2 with h g h^(-1) = g^(q^r).  The total mass against weight v
-is (1/|G|) * sum over pairs of q^(-r*v(g)); against w the exponent is
-+r*w(g).  The condition depends on r only through q^r mod exp(G), so the
-result is a ClassFunction with modulus the multiplicative order of q mod
-exp(G).  Pairs can be counted in full (quadratic in |G|) or conjugacy
-class by conjugacy class; both give bit-identical answers.
+(g, h) in G^2 with h g h^(-1) = g^(q^r), and the total mass against weight
+v is (1/|G|) * sum over pairs of q^(-r*v(g)); against w the exponent is
++r*w(g).  With t = q^r mod exp(G), the number of h for a given g is
+|C_G(g)| when g^t is conjugate to g and 0 otherwise, so each conjugacy
+class C with C^t = C contributes exactly Q^(-v(C)) (resp. Q^(w(C))).  The
+condition depends on r only through t, so the result is a ClassFunction
+with modulus the multiplicative order of q mod exp(G).
 
 Ramification profiles: wild cases enter declaratively, as finitely many
 strata (count, v, w) plus geometric families indexed by a discriminant
@@ -26,20 +27,19 @@ counts tied to them by #Hilb^n(A^2) = mass_v(n) * Q^(2n).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
-from .grouprep import FiniteGroup, MonomialRep, Perm, perm_inv, perm_mul
+from .grouprep import FiniteGroup, MonomialRep, perm_inv
 from .qsym import (
     ClassFunction,
     Infinite,
     cf_geometric_sum,
     frac_str,
+    iroot,
     is_infinite,
 )
 
@@ -71,18 +71,42 @@ class MassPair:
         return cls(dec(obj["mass_v"]), dec(obj["mass_w"]))
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41: exact below 3.3e24
+    (Sorenson-Webster 2015), a strong probable-prime test above."""
+    if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _is_prime_power(q: int) -> bool:
+    """q = p^k for a prime p.  A small prime factor is divided out;
+    otherwise q is an exact l-th power (l prime) of a prime power, or prime."""
     if q < 2:
         return False
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 1
-    return True  # q itself prime
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+    for k in range(2, q.bit_length() // 5 + 1):  # every prime factor exceeds 2^5
+        if _is_prime(k) and iroot(q, k) ** k == q:
+            return _is_prime_power(iroot(q, k))
+    return _is_prime(q)
 
 
 @dataclass(frozen=True)
@@ -103,123 +127,53 @@ class TameScenario:
 
 
 def _multiplicative_order(q: int, e: int) -> int:
-    if e == 1:
-        return 1
-    t = q % e
-    order = 1
-    acc = t
-    while acc != 1:
-        acc = (acc * t) % e
-        order += 1
-    return order
+    """Order of q modulo e (1 when e = 1), for q coprime to e."""
+    return next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
 
 
-def _pair_counts_full(group: FiniteGroup, elements: Sequence[Perm], t: int) -> dict[Perm, int]:
-    """For each g in elements, the number of h with h g h^(-1) = g^t."""
-    out = {}
-    all_elements = group.elements
-    for g in elements:
-        target = group.power(g, t)
-        cnt = 0
-        for h in all_elements:
-            if perm_mul(perm_mul(h, g), perm_inv(h)) == target:
-                cnt += 1
-        out[g] = cnt
-    return out
-
-
-def _pair_counts_by_class(group: FiniteGroup, t: int) -> dict[Perm, int]:
-    """Same counts, computed once per conjugacy class.
-
-    The count of h with h g h^(-1) = g^t is constant on conjugacy classes:
-    conjugating g by k turns each solution h into k h k^(-1).
-    """
-    out = {}
-    for cls_elems in group.conjugacy_classes():
-        rep_g = cls_elems[0]
-        cnt = _pair_counts_full(group, [rep_g], t)[rep_g]
-        for g in cls_elems:
-            out[g] = cnt
-    return out
+def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
+    """For each residue class j = 0..m0-1 of r, the indices of the conjugacy
+    classes C with C^t = C, where t = q^j mod exp(G)."""
+    reps = [c[0] for c in group.conjugacy_classes()]
+    e = group.exponent()
+    return [
+        [i for i, g in enumerate(reps) if group.class_index(group.power(g, pow(q, j, e))) == i]
+        for j in range(_multiplicative_order(q, e))
+    ]
 
 
 def tame_total_masses(
-    scenario: TameScenario,
-    *,
-    threads: int = 1,
-    full_threshold: int = 1000,
+    scenario: TameScenario, *, threads: int = 1, full_threshold: int = 1000
 ) -> MassPair:
     """Total masses of the tame scenario, one residue class of r at a time.
 
-    Uses full pair enumeration for groups of order at most full_threshold
-    and the conjugacy-class shortcut above it; results are identical.
-    With threads > 1 the element list is split into fixed chunks whose
-    partial sums are merged in chunk order, so output does not depend on
-    the worker count.
+    Each Frobenius-stable conjugacy class C contributes Q^(-v(C)) to mass_v
+    and Q^(w(C)) to mass_w; the weights are computed once per class.
+    threads and full_threshold are accepted for compatibility and ignored.
     """
-    group, rep, q = scenario.group, scenario.rep, scenario.q
-    e = group.exponent()
-    m0 = _multiplicative_order(q, e)
-    order = len(group)
-    weights = {g: rep.tame_weights(g) for g in group}
-    class_polys_v = []
-    class_polys_w = []
-    for j in range(m0):
-        t = pow(q, j, e) if e > 1 else 0
-        if order <= full_threshold:
-            if threads > 1:
-                chunks = [
-                    list(group.elements[i::threads]) for i in range(threads)
-                ]
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    parts = list(
-                        pool.map(lambda ch: _pair_counts_full(group, ch, t), chunks)
-                    )
-                counts: dict[Perm, int] = {}
-                for part in parts:
-                    counts.update(part)
-            else:
-                counts = _pair_counts_full(group, group.elements, t)
-        else:
-            counts = _pair_counts_by_class(group, t)
-        poly_v: dict[Fraction, Fraction] = {}
-        poly_w: dict[Fraction, Fraction] = {}
-        for g in group.elements:
-            cnt = counts[g]
-            if not cnt:
-                continue
-            wt = weights[g]
-            share = Fraction(cnt, order)
-            poly_v[-wt.v] = poly_v.get(-wt.v, Fraction(0)) + share
-            poly_w[wt.w] = poly_w.get(wt.w, Fraction(0)) + share
-        class_polys_v.append(poly_v)
-        class_polys_w.append(poly_w)
+    group, rep = scenario.group, scenario.rep
+    weights = [rep.tame_weights(c[0]) for c in group.conjugacy_classes()]
+    stable = _stable_classes(group, scenario.q)
+    m0 = len(stable)
     return MassPair(
-        ClassFunction.from_class_polys(m0, class_polys_v),
-        ClassFunction.from_class_polys(m0, class_polys_w),
+        ClassFunction.from_class_polys(m0, [Counter(-weights[i].v for i in cls) for cls in stable]),
+        ClassFunction.from_class_polys(m0, [Counter(weights[i].w for i in cls) for cls in stable]),
     )
 
 
 def tame_involution_check(scenario: TameScenario) -> bool:
-    """Check that (g, h) -> (g^(-1), h) preserves the solution set of
-    h g h^(-1) = g^(q^r) on every residue class and swaps v and w fibers."""
-    group, rep, q = scenario.group, scenario.rep, scenario.q
-    e = group.exponent()
-    m0 = _multiplicative_order(q, e)
-    for j in range(m0):
-        t = pow(q, j, e) if e > 1 else 0
-        pairs = set()
-        for g in group.elements:
-            target = group.power(g, t)
-            for h in group.elements:
-                if perm_mul(perm_mul(h, g), perm_inv(h)) == target:
-                    pairs.add((g, h))
-        for g, h in pairs:
-            if (perm_inv(g), h) not in pairs:
-                return False
-        v_of_inverses = sorted(rep.tame_weights(perm_inv(g)).v for g, _ in pairs)
-        w_of_elements = sorted(rep.tame_weights(g).w for g, _ in pairs)
-        if v_of_inverses != w_of_elements:
+    """Check on every residue class that C -> C^(-1) maps the stable
+    conjugacy classes to stable classes, and that the sorted v(C^(-1))
+    equal the sorted w(C) over them."""
+    group, rep = scenario.group, scenario.rep
+    classes = group.conjugacy_classes()
+    for stable in _stable_classes(group, scenario.q):
+        inverses = [perm_inv(classes[i][0]) for i in stable]
+        if {group.class_index(g) for g in inverses} != set(stable):
+            return False
+        v_of_inverses = sorted(rep.tame_weights(g).v for g in inverses)
+        w_of_classes = sorted(rep.tame_weights(classes[i][0]).w for i in stable)
+        if v_of_inverses != w_of_classes:
             return False
     return True
 
@@ -408,33 +362,33 @@ def builtin_profile(name: str, n: Optional[int] = None, m: Optional[int] = None)
 # Partition-indexed mass formulas
 
 
-@lru_cache(maxsize=None)
+def _partition_table(n: int) -> list[list[int]]:
+    """P[m][k] = partitions of m into exactly k parts, 0 <= k <= m <= n,
+    row by row: those with a part 1 plus those with all parts >= 2."""
+    table = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            row[k] = table[m - 1][k - 1] + (table[m - k][k] if 2 * k <= m else 0)
+        table.append(row)
+    return table
+
+
 def partition_count(n: int, k: Optional[int] = None) -> int:
     """Partitions of n, or partitions of n into exactly k parts."""
-    if k is None:
-        if n < 0:
-            return 0
-        return sum(partition_count(n, j) for j in range(n + 1)) if n else 1
-    if n < 0 or k < 0:
+    if n < 0 or (k is not None and not 0 <= k <= n):
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    # split off: partitions with a part 1 vs all parts >= 2
-    return partition_count(n - 1, k - 1) + partition_count(n - k, k)
+    row = _partition_table(n)[n]
+    return sum(row) if k is None else row[k]
 
 
 def bhargava_masses(n: int) -> MassPair:
     """Masses of degree-n etale algebras: sums of P(n, n-m) Q^(-+m)."""
     if n < 1:
         raise InvalidParams("n must be a positive integer")
-    mv = {Fraction(-m): Fraction(partition_count(n, n - m)) for m in range(n)}
-    mw = {
-        Fraction(m): Fraction(partition_count(n, n - m))
-        for m in range(n + 1)
-        if partition_count(n, n - m)
-    }
+    row = _partition_table(n)[n]
+    mv = {Fraction(-m): Fraction(row[n - m]) for m in range(n)}
+    mw = {Fraction(m): Fraction(row[n - m]) for m in range(n)}
     return MassPair(ClassFunction.poly(mv), ClassFunction.poly(mw))
 
 
@@ -443,12 +397,13 @@ def kedlaya_masses(n: int) -> MassPair:
     P(j, i) * P(n - j) * Q^(i - n) against v, Q^(n - i) against w."""
     if n < 1:
         raise InvalidParams("n must be a positive integer")
+    table = _partition_table(n)
     mv: dict[Fraction, Fraction] = {}
     mw: dict[Fraction, Fraction] = {}
     for j in range(n + 1):
-        tail = partition_count(n - j)
+        tail = sum(table[n - j])
         for i in range(j + 1):
-            c = partition_count(j, i) * tail
+            c = table[j][i] * tail
             if not c:
                 continue
             ev, ew = Fraction(i - n), Fraction(n - i)
@@ -469,24 +424,13 @@ def hilbert_counts(n: int) -> HilbertCounts:
     """
     if n < 1:
         raise InvalidParams("n must be a positive integer")
+    table = _partition_table(n)
     hilb = ClassFunction.poly(
-        {
-            Fraction(2 * n - m): Fraction(partition_count(n, n - m))
-            for m in range(n + 1)
-        }
+        {Fraction(2 * n - m): Fraction(table[n][n - m]) for m in range(n + 1)}
     )
-    c_strata = [
-        ClassFunction.poly({Fraction(m): Fraction(partition_count(m))})
-        for m in range(n + 1)
-    ]
+    c_strata = [ClassFunction.poly({Fraction(m): Fraction(sum(table[m]))}) for m in range(n + 1)]
     d_strata = [
-        ClassFunction.poly(
-            {
-                Fraction(m - i): Fraction(partition_count(m, i))
-                for i in range(m + 1)
-                if partition_count(m, i)
-            }
-        )
+        ClassFunction.poly({Fraction(m - i): Fraction(c) for i, c in enumerate(table[m]) if c})
         for m in range(n + 1)
     ]
     fiber = ClassFunction.zero()

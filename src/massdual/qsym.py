@@ -407,15 +407,26 @@ def _rational_root_sum(pairs: Sequence[tuple[int, Fraction]], m: int) -> Optiona
     return None
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton iteration."""
+    if n < 2 or k == 1:
+        return n
+    # start just above the root: n >> (s*k) has a root of about 60 bits,
+    # whose float estimate is off by far less than the 2^-40 margin
+    s = max(0, n.bit_length() // k - 60)
+    x = int(2 ** (math.log2(n >> (s * k)) / k))
+    x = (x + (x >> 40) + 2) << s
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of n >= 1, or None."""
-    if n == 1 or k == 1:
-        return n if k >= 1 else None
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**k == n:
-            return cand
-    return None
+    """Exact integer k-th root of n >= 1 (k >= 1), or None."""
+    r = iroot(n, k)
+    return r if r**k == n else None
 
 
 def _divisors(n: int) -> list[int]:

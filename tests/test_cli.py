@@ -280,3 +280,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "mass_v = 1 + Q^-1" in proc.stdout
+
+
+def run_fresh(*argv):
+    """The CLI in a new interpreter, so no cache is warm."""
+    return subprocess.run(
+        [sys.executable, "-m", "massdual.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_bhargava_large_n_in_a_fresh_process():
+    proc = run_fresh("formula", "bhargava", "--n", "500", "--report", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert MassPair.from_json(json.loads(proc.stdout)) == bhargava_masses(500)
+
+
+def test_eval_at_q0_beyond_float_range():
+    q0 = str(2**2001)
+    proc = run_fresh("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", q0, "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

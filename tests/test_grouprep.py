@@ -167,6 +167,48 @@ def test_from_cayley_table_regular_rep():
         from_cayley_table([[1, 0], [0, 1]])
 
 
+def s4_gens():
+    return [perm_from_cycles(4, [[1, 2]]), perm_from_cycles(4, [[1, 2, 3, 4]])]
+
+
+def f21_gens():
+    # x -> x + 1 and x -> 2x on Z/7, points 1..7 standing for 0..6
+    return [perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]), perm_from_cycles(7, [[2, 3, 5], [4, 7, 6]])]
+
+
+@pytest.mark.parametrize(
+    "gens,sizes",
+    [(s4_gens(), [1, 6, 6, 8, 3]), (f21_gens(), [1, 3, 7, 7, 3])],
+    ids=["S4", "F21"],
+)
+def test_classes_agree_however_the_group_is_built(gens, sizes):
+    closed, _ = group_closure(gens)
+    elements = closed.elements
+    listed = FiniteGroup(closed.degree, elements)
+    index = {g: i for i, g in enumerate(elements)}
+    table = [[index[perm_mul(g, h)] for h in elements] for g in elements]
+    regular = from_cayley_table(table)
+
+    classes = closed.conjugacy_classes()
+    assert listed.conjugacy_classes() == classes
+    assert [len(c) for c in classes] == sizes
+    assert sum(sizes) == len(closed)
+    assert all(c == sorted(c) for c in classes)
+    # element i of the regular group is the row permutation h -> g_i * h,
+    # which sends the identity (index 0) to i
+    regular_classes = regular.conjugacy_classes()
+    assert all(c == sorted(c) for c in regular_classes)
+    assert [sorted(p[0] for p in c) for c in regular_classes] == [
+        sorted(index[g] for g in c) for c in classes
+    ]
+    for group in (listed, regular):
+        spanned, _ = group_closure(list(group.generators))
+        assert set(spanned.elements) == set(group.elements)
+        assert len(group.generators) <= 3
+        assert all(group.class_index(g) == k for k, c in enumerate(group.conjugacy_classes()) for g in c)
+    assert closed.exponent() == listed.exponent() == regular.exponent()
+
+
 def test_group_json_roundtrip():
     group, rep = signed2()
     doc = group_to_json(group, rep)

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,10 @@ from massdual import (
     tame_involution_check,
     tame_total_masses,
 )
+from massdual.grouprep import perm_inv, perm_mul, perm_order
+from massdual.massengine import _is_prime_power
 from massdual.qsym import Infinite
+from massdual.verify import tame_catalog
 
 F = Fraction
 
@@ -59,6 +64,14 @@ def test_partition_count_against_enumeration():
         assert partition_count(n) == len(parts)
         for k in range(n + 2):
             assert partition_count(n, k) == sum(1 for p in parts if len(p) == k)
+
+
+def test_partition_count_large_n_in_a_fresh_table():
+    # iterative, so no recursion limit and no dependence on earlier calls
+    assert partition_count(500) == 2300165032574323995027
+    assert partition_count(500, 1) == partition_count(500, 500) == 1
+    assert partition_count(500, 2) == 250
+    assert partition_count(5, 6) == partition_count(5, -1) == 0
 
 
 def test_partition_count_known_values():
@@ -149,6 +162,89 @@ def test_tame_involution():
     group, rep = z3_plane()
     assert tame_involution_check(TameScenario(group, rep, 2))
     assert tame_involution_check(TameScenario(group, rep, 7))
+
+
+def pair_count_oracle(scenario):
+    """Masses and involution verdict by enumerating every pair (g, h) with
+    h g h^(-1) = g^t, t = q^j mod exp(G), one residue class j at a time."""
+    group, rep, q = scenario.group, scenario.rep, scenario.q
+    e = math.lcm(*(perm_order(g) for g in group))
+    m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
+    polys_v, polys_w, involution = [], [], True
+    for j in range(m0):
+        t = pow(q, j, e)
+        pairs = set()
+        for g in group:
+            target = group.identity
+            for _ in range(t):
+                target = perm_mul(target, g)
+            for h in group:
+                if perm_mul(perm_mul(h, g), perm_inv(h)) == target:
+                    pairs.add((g, h))
+        pv, pw = {}, {}
+        for g, _ in pairs:
+            wt = rep.tame_weights(g)
+            pv[-wt.v] = pv.get(-wt.v, 0) + F(1, len(group))
+            pw[wt.w] = pw.get(wt.w, 0) + F(1, len(group))
+        polys_v.append(pv)
+        polys_w.append(pw)
+        involution &= all((perm_inv(g), h) in pairs for g, h in pairs)
+        involution &= sorted(rep.tame_weights(perm_inv(g)).v for g, _ in pairs) == sorted(
+            rep.tame_weights(g).w for g, _ in pairs
+        )
+    masses = MassPair(
+        ClassFunction.from_class_polys(m0, polys_v),
+        ClassFunction.from_class_polys(m0, polys_w),
+    )
+    return masses, involution
+
+
+def symmetric_doubled(n, q):
+    group, _ = group_closure(
+        [perm_from_cycles(n, [[1, 2]]), perm_from_cycles(n, [list(range(1, n + 1))])]
+    )
+    return TameScenario(group, permutation_rep(group, 2), q)
+
+
+def frobenius21(q):
+    """x -> x + 1 and x -> 2x on Z/7.  Squaring swaps its two classes of
+    elements of order 3, while every class of S_n is fixed by every t."""
+    group, _ = group_closure(
+        [perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]), perm_from_cycles(7, [[2, 3, 5], [4, 7, 6]])]
+    )
+    return TameScenario(group, permutation_rep(group), q)
+
+
+ORACLE_SCENARIOS = tame_catalog() + [
+    # exp(S4) = 12: q = 5, 7 give two residue classes, q = 13, 25 one
+    *((f"S4-doubled-q{q}", symmetric_doubled(4, q)) for q in (5, 7, 13, 25)),
+    # exp(S5) = 60: q = 7 gives four residue classes, q = 11 two, q = 61 one
+    *((f"S5-doubled-q{q}", symmetric_doubled(5, q)) for q in (7, 11, 61)),
+    # exp(F21) = 21: q = 2 gives six residue classes
+    ("F21-q2", frobenius21(2)),
+]
+
+
+@pytest.mark.parametrize("name,scenario", ORACLE_SCENARIOS, ids=[n for n, _ in ORACLE_SCENARIOS])
+def test_class_engine_matches_pair_count_oracle(name, scenario):
+    masses, involution = pair_count_oracle(scenario)
+    assert involution
+    assert tame_total_masses(scenario) == masses
+    assert tame_involution_check(scenario) is involution
+
+
+def test_prime_power_test_is_fast_and_exact():
+    start = time.perf_counter()
+    assert _is_prime_power(10**18 + 3)  # prime; trial division did not finish
+    assert not _is_prime_power((10**9 + 7) * (10**9 + 9))
+    assert _is_prime_power((2**61 - 1) ** 3)
+    assert not _is_prime_power((2**61 - 1) * (2**31 - 1))
+    assert _is_prime_power(2**127) and _is_prime_power(3**80)
+    assert not _is_prime_power(10**18) and not _is_prime_power(2**64 + 1)
+    assert time.perf_counter() - start < 5
+    assert [q for q in range(-2, 30) if _is_prime_power(q)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29
+    ]
 
 
 def test_tame_scenario_validation():

@@ -20,6 +20,7 @@ from massdual import (
     cf_geometric_sum,
     cf_ring,
 )
+from massdual.qsym import iroot
 
 F = Fraction
 
@@ -109,6 +110,21 @@ def test_eval_exact_rational_root():
     f = Q + ClassFunction.monomial(F(1, 2))
     assert cf_eval(f, 4, 1) == 6
     assert cf_eval(f, F(9, 4), 1) == F(9, 4) + F(3, 2)
+
+
+def test_eval_exact_root_of_a_huge_square():
+    # the root is taken in integers: a float root misses it past 2^53
+    val = ClassFunction.monomial(F(1, 2)).eval((10**30 + 7) ** 2, 1)
+    assert isinstance(val, Fraction)
+    assert val == 10**30 + 7
+    assert cf_eval(ClassFunction.monomial(F(1, 3)), 3**3000, 1) == 3**1000
+
+
+def test_iroot_is_the_integer_floor_root():
+    for k in range(1, 9):
+        for n in list(range(200)) + [2**300 - 1, 2**300, 10**50 + 1]:
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
 
 
 def test_eval_decimal_fallback_and_precision():
