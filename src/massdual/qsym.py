@@ -22,6 +22,7 @@ forms are equal componentwise, so `==` decides function equality.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -29,8 +30,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
-
-import mpmath
 
 from .errors import (
     DivergentSeries,
@@ -153,11 +152,11 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         data = dict(self.terms)
         for e, c in other.terms.items():
-            acc = data.get(e, Fraction(0)) + c
+            acc = data[e] + c if e in data else c
             if acc:
                 data[e] = acc
             else:
-                data.pop(e, None)
+                del data[e]
         out = LaurentPoly.zero()
         out.terms = data
         return out
@@ -175,11 +174,11 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                acc = data.get(e, Fraction(0)) + c1 * c2
+                acc = data[e] + c1 * c2 if e in data else c1 * c2
                 if acc:
                     data[e] = acc
                 else:
-                    data.pop(e, None)
+                    del data[e]
         out = LaurentPoly.zero()
         out.terms = data
         return out
@@ -227,19 +226,28 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     lb = b.terms[db]
     quo: dict[int, Fraction] = {}
     rem = dict(a.terms)
-    while rem and max(rem) >= db:
-        e = max(rem)
-        c = rem[e] / lb
-        quo[e - db] = quo.get(e - db, Fraction(0)) + c
+    # max-heap of rem's exponents; each step cancels e and adds only exponents
+    # below it, so an exponent popped but no longer in rem is just skipped
+    pending = [-e for e in rem]
+    heapq.heapify(pending)
+    while pending and -pending[0] >= db:
+        e = -heapq.heappop(pending)
+        if e not in rem:
+            continue
+        c = quo[e - db] = rem[e] / lb
         for eb, cb in b.terms.items():
             ne = e - db + eb
-            acc = rem.get(ne, Fraction(0)) - c * cb
+            if ne in rem:
+                acc = rem[ne] - c * cb
+            else:
+                acc = -c * cb
+                heapq.heappush(pending, -ne)
             if acc:
                 rem[ne] = acc
             else:
-                rem.pop(ne, None)
+                del rem[ne]
     q = LaurentPoly.zero()
-    q.terms = {e: c for e, c in quo.items() if c}
+    q.terms = quo
     r = LaurentPoly.zero()
     r.terms = rem
     return q, r
@@ -293,10 +301,12 @@ def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
         return RationalFunctionX(LaurentPoly.zero(), LaurentPoly.one())
     vn, vd = num.min_exp, den.min_exp
     n0, d0 = num.shift(-vn), den.shift(-vd)
-    g = poly_gcd(n0, d0)
-    if g.span > 0:
-        n0 = poly_div_exact(n0, g)
-        d0 = poly_div_exact(d0, g)
+    # a single term is a nonzero constant here, coprime to anything
+    if len(n0.terms) > 1 and len(d0.terms) > 1:
+        g = poly_gcd(n0, d0)
+        if g.span > 0:
+            n0 = poly_div_exact(n0, g)
+            d0 = poly_div_exact(d0, g)
     lc = d0.terms[d0.max_exp]
     if lc != 1:
         n0 = n0.scale(1 / lc)
@@ -323,7 +333,13 @@ def _rf_neg(a: RationalFunctionX) -> RationalFunctionX:
 
 
 def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
-    return ratfun(a.num.mirror(), a.den.mirror())
+    # reversal keeps num and den coprime: only ratfun's shift and scaling remain
+    d = a.den.max_exp
+    num, den = a.num.mirror().shift(d), a.den.mirror().shift(d)
+    lc = a.den.terms[0]
+    if lc != 1:
+        num, den = num.scale(1 / lc), den.scale(1 / lc)
+    return RationalFunctionX(num, den)
 
 
 def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
@@ -449,20 +465,26 @@ class ClassFunction:
     __slots__ = ("modulus", "root_order", "classes")
 
     def __init__(self, modulus: int, root_order: int, classes: Sequence[RationalFunctionX]):
+        self._canonicalize(modulus, root_order, [ratfun(e.num, e.den) for e in classes])
+
+    @classmethod
+    def _from_reduced(cls, modulus: int, root_order: int, entries: list) -> "ClassFunction":
+        """Like the constructor, for entries already in ratfun's normal form."""
+        out = object.__new__(cls)
+        out._canonicalize(modulus, root_order, entries)
+        return out
+
+    def _canonicalize(self, modulus, root_order, entries: list) -> None:
         modulus = int(modulus)
         root_order = int(root_order)
         if modulus < 1 or root_order < 1:
             raise ValueError("modulus and root_order must be positive")
-        entries = [ratfun(e.num, e.den) for e in classes]
         if len(entries) != modulus:
             raise ValueError("need exactly one class entry per residue class")
         # minimal root order: rescale exponents by their gcd with N
         g = root_order
         for e in entries:
-            for exp in e.num.terms:
-                g = math.gcd(g, abs(exp))
-            for exp in e.den.terms:
-                g = math.gcd(g, abs(exp))
+            g = math.gcd(g, *e.num.terms, *e.den.terms)
         if g > 1:
             root_order //= g
             entries = [
@@ -514,7 +536,7 @@ class ClassFunction:
                 {int(_frac(e) * n): _frac(c) for e, c in d.items()}
             )
             entries.append(RationalFunctionX(num, LaurentPoly.one()))
-        return cls(modulus, n, entries)
+        return cls._from_reduced(modulus, n, entries)
 
     # -- structural helpers --------------------------------------------------
 
@@ -556,7 +578,7 @@ class ClassFunction:
     def _binop(self, other, op) -> "ClassFunction":
         other = self._coerce(other)
         m, n, mine, theirs = self._aligned_with(other)
-        return ClassFunction(m, n, [op(a, b) for a, b in zip(mine, theirs)])
+        return ClassFunction._from_reduced(m, n, [op(a, b) for a, b in zip(mine, theirs)])
 
     def __add__(self, other):
         return self._binop(other, _rf_add)
@@ -564,7 +586,7 @@ class ClassFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ClassFunction(
+        return ClassFunction._from_reduced(
             self.modulus, self.root_order, [_rf_neg(e) for e in self.classes]
         )
 
@@ -588,12 +610,12 @@ class ClassFunction:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return ClassFunction.constant(1)
-        base = self if k > 0 else ClassFunction.constant(1) / self
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
+        base = self if k >= 0 else ClassFunction.constant(1) / self
+        out = ClassFunction.constant(1)
+        for bit in bin(abs(k))[2:]:  # repeated squaring, high bit first
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def __eq__(self, other):
@@ -618,7 +640,7 @@ class ClassFunction:
 
     def dual(self) -> "ClassFunction":
         """Substitute q^(-r) for q^r; an involutive ring automorphism."""
-        return ClassFunction(
+        return ClassFunction._from_reduced(
             self.modulus, self.root_order, [_rf_mirror(e) for e in self.classes]
         )
 
@@ -627,14 +649,10 @@ class ClassFunction:
         c = _frac(c)
         n = math.lcm(self.root_order, c.denominator)
         k = int(c * n)
-        entries = [
-            ratfun(
-                _rf_stretch(e, n // self.root_order).num.shift(k),
-                _rf_stretch(e, n // self.root_order).den,
-            )
-            for e in self.classes
-        ]
-        return ClassFunction(self.modulus, n, entries)
+        # x^k is a unit, so shifting the numerator keeps the entry reduced
+        stretched = (_rf_stretch(e, n // self.root_order) for e in self.classes)
+        entries = [RationalFunctionX(e.num.shift(k), e.den) for e in stretched]
+        return ClassFunction._from_reduced(self.modulus, n, entries)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -680,6 +698,8 @@ class ClassFunction:
         return num / den
 
     def _eval_decimal(self, entry, q0: Fraction, r0: int, precision: int) -> Decimal:
+        import mpmath  # only this fallback needs it; keeps `import massdual` light
+
         n = self.root_order
         with mpmath.workdps(precision + 15):
             x = mpmath.mpf(q0.numerator) / mpmath.mpf(q0.denominator)
@@ -860,7 +880,7 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
         else:
             den = LaurentPoly({int(den_exp * n): 1, 0: -1})
         entries.append(ratfun(num, den))
-    return ClassFunction(m, n, entries)
+    return ClassFunction._from_reduced(m, n, entries)
 
 
 def cf_ring(op: str, a: ClassFunction, b: Optional[ClassFunction] = None, exponent=None) -> ClassFunction:
@@ -891,21 +911,26 @@ def cf_eval(f: ClassFunction, q0, r0: int, precision: Optional[int] = None):
 def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFunction:
     """Sum of coeff * Q^(a*i + b) for i from i0 to i1 (i1 = None means infinity).
 
-    Finite ranges are summed term by term.  The infinite sum has closed form
+    A finite range is built directly in reduced form: coefficient 1 at each
+    exponent a*i + b.  The infinite sum has closed form
     coeff * Q^(a*i0 + b) / (1 - Q^a) and converges exactly when a < 0;
     otherwise DivergentSeries is raised (unless coeff is zero).
     """
     a, b = _frac(a), _frac(b)
     coeff = ClassFunction._coerce(coeff)
     if i1 is not None:
-        i1 = int(i1)
-        if i1 < i0:
+        n = int(i1) - i0 + 1
+        if n <= 0:
             return ClassFunction.zero()
-        terms: dict[Fraction, Fraction] = {}
-        for i in range(i0, i1 + 1):
-            e = a * i + b
-            terms[e] = terms.get(e, Fraction(0)) + 1
-        return coeff * ClassFunction.poly(terms)
+        if a == 0:
+            return coeff * ClassFunction.monomial(b, n)
+        head = a * i0 + b
+        root_order = math.lcm(head.denominator, a.denominator)
+        e0, step = int(head * root_order), int(a * root_order)
+        num = LaurentPoly.zero()
+        num.terms = dict.fromkeys(range(e0, e0 + n * step, step), Fraction(1))
+        poly = RationalFunctionX(num, LaurentPoly.one())
+        return coeff * ClassFunction._from_reduced(1, root_order, [poly])
     if coeff.is_zero:
         return ClassFunction.zero()
     if a >= 0:

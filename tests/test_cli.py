@@ -304,3 +304,23 @@ def test_eval_at_q0_beyond_float_range():
     proc = run_fresh("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", q0, "1")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_large_finite_family_in_a_fresh_process():
+    # a finite family of m strata is one geometric sum, linear in m
+    proc = run_fresh(
+        "profile", "--builtin", "quad_char2_upsilon", "--n", "2", "--m", "20000", "--report", "json"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_fraction_exponent_in_json_is_a_usage_error(tmp_path):
+    # exponents are integers in units of 1/root_order, as to_json writes them
+    doc = {"modulus": 1, "root_order": 2, "classes": [{"num": [["1", "1/2"]], "den": [["1", 0]]}]}
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(doc))
+    proc = run_fresh("duality", "--mv", str(path), "--mw", str(path), "--d", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")

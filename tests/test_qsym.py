@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from massdual import (
     cf_geometric_sum,
     cf_ring,
 )
-from massdual.qsym import iroot
+from massdual.qsym import LaurentPoly, _rf_mirror, iroot, poly_divmod, ratfun
 
 F = Fraction
 
@@ -215,6 +217,28 @@ def test_pow_and_rdiv():
     assert (2 / f) * f == ClassFunction.constant(2)
 
 
+def test_pow_by_squaring_matches_repeated_multiplication():
+    f = cf_from_terms([(1, F(1, 2), F(1, 2)), (2, 0, -1), (1, 0, 0)], den_exp=F(1, 2))
+    assert f.modulus > 1 and f.root_order > 1
+    for k in range(-4, 10):
+        base = f if k >= 0 else one / f
+        expected = one
+        for _ in range(abs(k)):
+            expected = expected * base
+        assert f**k == expected
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = (
+        "import sys, massdual\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "massdual.cf_eval(massdual.ClassFunction.monomial('1/2'), 2, 1)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_json_roundtrip_and_hash():
     f = cf_from_terms([(1, F(1, 2), F(3, 2)), (2, 0, -1)], den_exp=F(1, 2))
     assert ClassFunction.from_json(f.to_json()) == f
@@ -297,3 +321,64 @@ def test_canonical_equality_is_evaluation_equality(ta, tb):
         for base in (2, 3, 5):
             q0 = _exact_q0(base, h)
             assert any(cf_eval(h, q0, r0) != 0 for r0 in range(1, bound + 1))
+
+
+@given(term_lists(), term_lists())
+@settings(max_examples=80, deadline=None)
+def test_mirror_needs_no_gcd(ta, tb):
+    f = cf_from_terms(*ta)
+    for e in (f * cf_from_terms(*tb)).classes + f.classes:
+        assert _rf_mirror(e) == ratfun(e.num.mirror(), e.den.mirror())
+
+
+def _check_divmod(a, b):
+    q, r = poly_divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero or (r.min_exp >= 0 and r.max_exp < b.max_exp)
+    return q, r
+
+
+nonzero = st.builds(F, st.integers(-5, 5).filter(bool), st.sampled_from([1, 2, 3]))
+polys = st.dictionaries(st.integers(0, 12), nonzero, max_size=8).map(LaurentPoly)
+
+
+@given(polys, polys.filter(lambda b: not b.is_zero))
+@settings(max_examples=100, deadline=None)
+def test_divmod_is_division_with_remainder(a, b):
+    _check_divmod(a, b)
+
+
+def test_divmod_edge_cases():
+    a = LaurentPoly({0: 1, 3: F(2, 3), 7: -4})
+    # constant and non-monic divisors
+    q, r = _check_divmod(a, LaurentPoly({0: F(-3, 2)}))
+    assert r.is_zero and q == a.scale(F(-2, 3))
+    _check_divmod(a, LaurentPoly({0: 1, 2: 3}))
+    _check_divmod(LaurentPoly(), LaurentPoly({1: 2}))
+    # a sparse dividend whose two terms are 10^6 - 1 apart
+    big = 10**6
+    q, r = _check_divmod(LaurentPoly({big: 1, 1: 1}), LaurentPoly({big: 1}))
+    assert q == LaurentPoly.one() and r == LaurentPoly({1: 1})
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(a, LaurentPoly())
+
+
+@pytest.mark.parametrize("a", [F(-3, 2), -1, 0, F(1, 3), 2])
+def test_finite_geometric_sum_matches_term_by_term(a):
+    coeffs = [Q - 1, 1 / (Q + 1), cf_from_terms([(3, F(1, 2), F(1, 2))])]
+    for b in (F(-1, 2), 0, F(2, 3), 5):
+        for i0 in (-2, 0, 3):
+            for i1 in (i0 - 2, i0 - 1, i0, i0 + 1, i0 + 6):
+                terms = ClassFunction.zero()
+                for i in range(i0, i1 + 1):
+                    terms = terms + ClassFunction.poly({a * i + b: 1})
+                for c in coeffs:
+                    assert cf_geometric_sum(c, a, b, i0, i1) == c * terms
+
+
+def test_long_finite_geometric_sum():
+    s = cf_geometric_sum(1, 1, 0, 1, 10**5)
+    assert s.modulus == 1 and s.root_order == 1
+    (entry,) = s.classes
+    assert entry.is_poly
+    assert entry.num.terms == {e: 1 for e in range(1, 10**5 + 1)}
