@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .duality import duality_report
-from .errors import DivergentSeries, MassdualError
+from .errors import MassdualError
 from .grouprep import group_from_json
 from .massengine import (
     MassPair,
@@ -85,10 +85,6 @@ def _payload(doc: dict, kind: str) -> dict:
     return doc
 
 
-def _mass_json(m) -> object:
-    return "infinite" if is_infinite(m) else m.to_json()
-
-
 def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
     q0 = Fraction(spec[0])
     r0 = int(spec[1])
@@ -108,7 +104,7 @@ def _cmd_tame(args) -> int:
     group, rep = group_from_json(_payload(doc, "tame"))
     scenario = TameScenario(group, rep, args.q)
     masses = tame_total_masses(scenario)
-    out = {"mass_v": _mass_json(masses.mass_v), "mass_w": _mass_json(masses.mass_w)}
+    out = masses.to_json()
     code = 0
     if args.check_involution:
         ok = tame_involution_check(scenario)
@@ -128,13 +124,10 @@ def _cmd_profile(args) -> int:
         profile = profile_from_json(_payload(doc, "profile"))
     else:
         profile = builtin_profile(args.builtin, n=args.n, m=args.m)
-    try:
-        masses = profile_total_masses(profile)
-    except DivergentSeries as exc:
-        return _divergent(args.report, str(exc))
+    masses = profile_total_masses(profile)
     if not masses.is_finite:
         return _divergent(args.report, "a geometric family has ratio exponent >= 0")
-    out = {"mass_v": _mass_json(masses.mass_v), "mass_w": _mass_json(masses.mass_w)}
+    out = masses.to_json()
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -151,11 +144,7 @@ def _cmd_formula(args) -> int:
         _emit(out, args.report)
         return 0
     masses = bhargava_masses(args.n) if args.which == "bhargava" else kedlaya_masses(args.n)
-    out = {
-        "mass_v": _mass_json(masses.mass_v),
-        "mass_w": _mass_json(masses.mass_w),
-        "strong": cf_dual(masses.mass_w) == masses.mass_v,
-    }
+    out = {**masses.to_json(), "strong": cf_dual(masses.mass_w) == masses.mass_v}
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -328,7 +317,7 @@ def run(argv=None) -> int:
     except MassdualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -244,35 +244,24 @@ class RamificationProfile:
         object.__setattr__(self, "families", tuple(self.families))
 
 
+def _profile_side(profile: RamificationProfile, weight: str, sign: int) -> MassValue:
+    """Strata and families against one weight: sign * weight is the Q-exponent."""
+    try:
+        total = ClassFunction.zero()
+        for s in profile.strata:
+            total = total + s.count * ClassFunction.monomial(sign * getattr(s, weight))
+        for fam in profile.families:
+            (ca, cb), (xa, xb) = fam.count_exp, getattr(fam, f"{weight}_exp")
+            a, b = ca + sign * xa, cb + sign * xb
+            total = total + cf_geometric_sum(fam.coeff, a, b, fam.i0, fam.i1)
+    except DivergentSeries:
+        return Infinite
+    return total * Fraction(1, profile.group_order)
+
+
 def profile_total_masses(profile: RamificationProfile) -> MassPair:
     """Sum strata and families against both weights; divergence means Infinite."""
-    inv = Fraction(1, profile.group_order)
-    mv: MassValue = ClassFunction.zero()
-    mw: MassValue = ClassFunction.zero()
-    for s in profile.strata:
-        if not is_infinite(mv):
-            mv = mv + s.count * ClassFunction.monomial(-s.v)
-        if not is_infinite(mw):
-            mw = mw + s.count * ClassFunction.monomial(s.w)
-    for fam in profile.families:
-        ca, cb = fam.count_exp
-        va, vb = fam.v_exp
-        wa, wb = fam.w_exp
-        if not is_infinite(mv):
-            try:
-                mv = mv + cf_geometric_sum(fam.coeff, ca - va, cb - vb, fam.i0, fam.i1)
-            except DivergentSeries:
-                mv = Infinite
-        if not is_infinite(mw):
-            try:
-                mw = mw + cf_geometric_sum(fam.coeff, ca + wa, cb + wb, fam.i0, fam.i1)
-            except DivergentSeries:
-                mw = Infinite
-    if not is_infinite(mv):
-        mv = mv * inv
-    if not is_infinite(mw):
-        mw = mw * inv
-    return MassPair(mv, mw)
+    return MassPair(_profile_side(profile, "v", -1), _profile_side(profile, "w", 1))
 
 
 def builtin_profile(name: str, n: Optional[int] = None, m: Optional[int] = None) -> RamificationProfile:

@@ -354,41 +354,6 @@ def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
 
 
 @lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
-@lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m = n
-    k = 0
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            k += 1
-        p += 1
-    if m > 1:
-        k += 1
-    return -1 if k % 2 else 1
-
-
-@lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, by dividing x^n - 1 by lower ones."""
     poly = LaurentPoly({n: 1, 0: -1})
@@ -398,29 +363,16 @@ def _cyclotomic(n: int) -> LaurentPoly:
     return poly
 
 
-def _trace_zeta(m: int, e: int) -> Fraction:
-    """Trace of zeta_m^e from Q(zeta_m) down to Q."""
-    d = m // math.gcd(e % m, m)
-    return Fraction(_phi(m) * _mobius(d), _phi(d))
-
-
 def _rational_root_sum(pairs: Sequence[tuple[int, Fraction]], m: int) -> Optional[Fraction]:
-    """Exact value of sum c_i * zeta_m^(e_i) if rational, else None."""
-    acc: dict[int, Fraction] = {}
-    for e, c in pairs:
-        e %= m
-        acc[e] = acc.get(e, Fraction(0)) + c
-    if m == 1:
-        return sum(acc.values(), Fraction(0))
-    if m == 2:
-        return acc.get(0, Fraction(0)) - acc.get(1, Fraction(0))
-    t = sum((c * _trace_zeta(m, e) for e, c in acc.items()), Fraction(0))
-    cand = t / _phi(m)
-    # verify: sum c_i x^(e_i) - cand must vanish modulo the m-th cyclotomic
-    diff = LaurentPoly(acc) - LaurentPoly({0: cand})
-    if poly_divmod(diff, _cyclotomic(m))[1].is_zero:
-        return cand
-    return None
+    """Exact value of sum c_i * zeta_m^(e_i) if rational, else None.
+
+    The remainder of sum c_i x^(e_i mod m) modulo the m-th cyclotomic
+    polynomial is the sum in the basis 1, zeta, ..., zeta^(phi(m)-1), so the
+    sum is rational exactly when that remainder is a constant: its value.
+    """
+    acc = LaurentPoly((e % m, c) for e, c in pairs)
+    rem = poly_divmod(acc, _cyclotomic(m))[1]
+    return rem.coeff(0) if rem.terms.keys() <= {0} else None
 
 
 def iroot(n: int, k: int) -> int:
@@ -672,27 +624,17 @@ class ClassFunction:
         if precision is None:
             precision = int(os.environ.get("GML_PRECISION", DEFAULT_EVAL_PRECISION))
         entry = self.class_entry(r0)
-        n = self.root_order
-        exps = set(entry.num.terms) | set(entry.den.terms)
-        b = 1
-        for e in exps:
-            b = math.lcm(b, Fraction(e * r0, n).denominator)
-        if b == 1:
-            y, scale = q0, 1
-        else:
-            rn = _int_root(q0.numerator, b)
-            rd = _int_root(q0.denominator, b)
-            if rn is None or rd is None:
-                return self._eval_decimal(entry, q0, r0, precision)
-            y, scale = Fraction(rn, rd), b
-        num = sum(
-            (c * y ** int(Fraction(e * r0 * scale, n)) for e, c in entry.num.terms.items()),
-            Fraction(0),
-        )
-        den = sum(
-            (c * y ** int(Fraction(e * r0 * scale, n)) for e, c in entry.den.terms.items()),
-            Fraction(0),
-        )
+        # q^(e*r0/N) = y^(e*r0/g) with y = q0^(1/b): b = N/g is the least root
+        # order of q0 the entry needs
+        g = math.gcd(self.root_order, r0 * math.gcd(*entry.num.terms, *entry.den.terms))
+        b = self.root_order // g
+        rn = _int_root(q0.numerator, b)
+        rd = _int_root(q0.denominator, b)
+        if rn is None or rd is None:
+            return self._eval_decimal(entry, q0, r0, precision)
+        y = Fraction(rn, rd)
+        num = sum((c * y ** (e * r0 // g) for e, c in entry.num.terms.items()), Fraction(0))
+        den = sum((c * y ** (e * r0 // g) for e, c in entry.den.terms.items()), Fraction(0))
         if den == 0:
             raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
         return num / den
@@ -775,13 +717,20 @@ class ClassFunction:
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClassFunction":
         def side(pairs):
-            return LaurentPoly({int(e): Fraction(str(c)) for c, e in pairs})
+            return LaurentPoly({_json_int(e): Fraction(str(c)) for c, e in pairs})
 
         entries = [
             RationalFunctionX(side(c["num"]), side(c["den"]))
             for c in obj["classes"]
         ]
-        return cls(int(obj["modulus"]), int(obj["root_order"]), entries)
+        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), entries)
+
+
+def _json_int(x) -> int:
+    """A JSON integer or integer string; int() would truncate floats and bools."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def _render_exp(e: Fraction) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massdual import (
     ClassFunction,
@@ -324,3 +327,130 @@ def test_fraction_exponent_in_json_is_a_usage_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+FILE = "<input file>"  # stands for the path the test writes the document to
+
+
+def one_class(num, den) -> dict:
+    return {"modulus": 1, "root_order": 1, "classes": [{"num": num, "den": den}]}
+
+
+def family_profile(v_exp, w_exp) -> dict:
+    family = {
+        "i0": 1,
+        "i1": None,
+        "coeff": ClassFunction.constant(1).to_json(),
+        "count_exp": ["1", "-1"],
+        "v_exp": v_exp,
+        "w_exp": w_exp,
+    }
+    return {"group_order": 1, "strata": [], "families": [family]}
+
+
+DUALITY = ("duality", "--mv", FILE, "--mw", FILE, "--d", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(DUALITY, one_class([["1", 0]], []), id="empty-den"),
+        pytest.param(DUALITY, one_class([["1", 0]], [["0", 0]]), id="zero-den"),
+        pytest.param(DUALITY, one_class([["1/0", 0]], [["1", 0]]), id="coefficient-1/0"),
+        # int() would truncate these: exponent 1.7 read as Q, root_order 2.9 as 2
+        pytest.param(DUALITY, one_class([["1", 1.7]], [["1", 0]]), id="exponent-1.7"),
+        pytest.param(DUALITY, one_class([["1", True]], [["1", 0]]), id="exponent-true"),
+        pytest.param(
+            DUALITY, {**one_class([["1", 1]], [["1", 0]]), "root_order": 2.9}, id="root_order-2.9"
+        ),
+        pytest.param(
+            DUALITY, {**one_class([["1", 1]], [["1", 0]]), "modulus": 1.0}, id="modulus-1.0"
+        ),
+        pytest.param(
+            ("profile", "--file", FILE), family_profile(["1/0", "0"], ["0", "0"]), id="v_exp-1/0"
+        ),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "horizontal": [{"c": "1/0"}], "strata": {}},
+            id="stringy-c-1/0",
+        ),
+        pytest.param(("formula", "bhargava", "--n", "3", "--eval", "1/0", "1"), None, id="eval-1/0"),
+        pytest.param(DUALITY, "[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run([str(path) if a == FILE else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deeply_nested_json_in_a_fresh_process_has_no_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    proc = run_fresh("duality", "--mv", str(path), "--mw", str(path), "--d", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_one_sided_divergent_profile_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(family_profile(["2", "0"], ["0", "0"])))
+    code, out = run_cli(capsys, "profile", "--file", str(path), "--report", "json")
+    assert code == 3
+    assert json.loads(out)["divergent"] is True
+
+
+# bounded random mass documents: mostly well formed, with about one value in
+# thirty replaced by a bad type, a float, an empty list, or a "0" or "1/0" string
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-4, 4, width=16),
+    st.sampled_from(["", "0", "1/0", "1/2", "x", "infinite"]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.just({}),
+)
+
+
+@st.composite
+def mass_documents(draw):
+    def rare():
+        return draw(st.integers(0, 29)) == 0
+
+    def pick(valid):
+        return draw(_junk) if rare() else draw(valid)
+
+    def side(least, span):
+        coeff = st.sampled_from(["1", "-2", "3/4", "0", 5])
+        terms = draw(st.integers(least, 4))
+        return pick(st.just([[pick(coeff), pick(st.integers(-span, span))] for _ in range(terms)]))
+
+    def mass():
+        # small denominators: the residuals multiply four of them, and Euclid's
+        # gcd over Q takes minutes at degree 100 (see CHANGES.md)
+        classes = [{"num": side(0, 50), "den": side(1, 2)} for _ in range(draw(st.integers(1, 3)))]
+        doc = {"modulus": pick(st.just(len(classes))), "root_order": pick(st.integers(1, 2))}
+        doc["classes"] = pick(st.just(classes))
+        for key in list(doc) + ["num", "den"]:
+            if rare():  # a missing key
+                (classes[0] if key in ("num", "den") else doc).pop(key)
+        return pick(st.just(doc))
+
+    shape = draw(st.sampled_from(["bare", "pair", "infinite"]))
+    if shape == "infinite":
+        return {"mass_v": "infinite", "mass_w": mass()}
+    return mass() if shape == "bare" else {"mass_v": mass(), "mass_w": mass()}
+
+
+@given(mv=mass_documents(), mw=mass_documents(), d=st.integers(-3, 6))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_duality_documents_end_in_a_documented_exit_code(tmp_path_factory, mv, mw, d):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    mv_path, mw_path = tmp / "mv.json", tmp / "mw.json"
+    mv_path.write_text(json.dumps(mv))
+    mw_path.write_text(json.dumps(mw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["duality", "--mv", str(mv_path), "--mw", str(mw_path), "--d", str(d)])
+    assert code in (0, 1, 2, 3)

@@ -279,6 +279,23 @@ def test_char2_profile_diverges_at_n1():
     assert not masses.is_finite
 
 
+@pytest.mark.parametrize(
+    "v_exp, w_exp, divergent",
+    [((2, 0), (0, 0), "mass_w"), ((0, 0), (-2, 0), "mass_v")],
+)
+def test_profile_diverges_on_one_side_only(v_exp, w_exp, divergent):
+    # Q^(i-1) strata at index i: the weights make one side sum Q^(-i-1) and
+    # the other Q^(i-1), which diverges
+    family = GeometricFamily(
+        i0=1, i1=None, coeff=one, count_exp=(1, -1), v_exp=v_exp, w_exp=w_exp
+    )
+    masses = profile_total_masses(RamificationProfile(group_order=1, families=(family,)))
+    finite = "mass_v" if divergent == "mass_w" else "mass_w"
+    assert is_infinite(getattr(masses, divergent))
+    assert getattr(masses, finite) == Q**-2 / (1 - Q**-1)
+    assert not masses.is_finite
+
+
 def test_upsilon_is_always_finite():
     for m in range(0, 4):
         for n in range(1, 4):

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -22,7 +24,15 @@ from massdual import (
     cf_geometric_sum,
     cf_ring,
 )
-from massdual.qsym import LaurentPoly, _rf_mirror, iroot, poly_divmod, ratfun
+from massdual.qsym import (
+    LaurentPoly,
+    _cyclotomic,
+    _rational_root_sum,
+    _rf_mirror,
+    iroot,
+    poly_divmod,
+    ratfun,
+)
 
 F = Fraction
 
@@ -64,6 +74,53 @@ def test_conjugate_pair_is_real():
     # zeta_3^r + zeta_3^(2r) equals 2 on r = 0 mod 3 and -1 elsewhere
     f = cf_from_terms([(1, F(1, 3), 0), (1, F(2, 3), 0)])
     assert f == ClassFunction.from_class_polys(3, [{0: 2}, {0: -1}, {0: -1}])
+
+
+# the Moebius function mu(m) for m = 1..30
+MOBIUS = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1,
+          0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1]
+
+
+def primitive_exponents(m):
+    return [k for k in range(m) if math.gcd(k, m) == 1]
+
+
+def test_sum_of_primitive_roots_is_mobius():
+    for m, mu in enumerate(MOBIUS, start=1):
+        pairs = [(k, F(1)) for k in primitive_exponents(m)]
+        assert _rational_root_sum(pairs, m) == mu
+
+
+def test_cyclotomic_polynomial_vanishes_at_the_primitive_roots():
+    # monic of degree phi(m) with every primitive m-th root as a root
+    for m in range(1, 31):
+        phi = _cyclotomic(m)
+        roots = primitive_exponents(m)
+        assert phi.min_exp == 0 and phi.max_exp == len(roots) and phi.coeff(len(roots)) == 1
+        for k in roots:
+            zeta = cmath.exp(2j * cmath.pi * k / m)
+            assert abs(sum(float(c) * zeta**e for e, c in phi.items())) < 1e-9
+
+
+def test_root_sum_ignores_multiples_of_the_cyclotomic_polynomial():
+    rng = random.Random(4)
+    for m in range(1, 31):
+        for _ in range(5):
+            v = F(rng.randint(-9, 9), rng.randint(1, 5))
+            pairs = [(m * rng.randint(-3, 3), v)]
+            for _ in range(rng.randint(1, 3)):
+                c, k = F(rng.randint(-4, 4), rng.randint(1, 3)), rng.randrange(m)
+                pairs += [
+                    (e + k + m * rng.randint(-3, 3), c * b) for e, b in _cyclotomic(m).items()
+                ]
+            rng.shuffle(pairs)
+            assert _rational_root_sum(pairs, m) == v
+
+
+def test_root_sum_with_a_primitive_root_is_irrational():
+    for m in range(1, 31):
+        got = _rational_root_sum([(0, F(3, 2)), (1, F(1))], m)
+        assert got == {1: F(5, 2), 2: F(1, 2)}.get(m)
 
 
 def test_ring_add_mul_scale():
@@ -112,6 +169,12 @@ def test_eval_exact_rational_root():
     f = Q + ClassFunction.monomial(F(1, 2))
     assert cf_eval(f, 4, 1) == 6
     assert cf_eval(f, F(9, 4), 1) == F(9, 4) + F(3, 2)
+    # r0 cancels part of the root: q^(3/6) at q0 = 4 is rational, q^(1/6) is not
+    sixth = ClassFunction.monomial(F(1, 6))
+    val = cf_eval(sixth, 4, 3)
+    assert isinstance(val, Fraction) and val == 2
+    assert cf_eval(ClassFunction.monomial(F(1, 2)) + ClassFunction.monomial(F(1, 3)), 2, 6) == 12
+    assert isinstance(cf_eval(sixth, 4, 1), Decimal)
 
 
 def test_eval_exact_root_of_a_huge_square():
@@ -243,6 +306,12 @@ def test_json_roundtrip_and_hash():
     f = cf_from_terms([(1, F(1, 2), F(3, 2)), (2, 0, -1)], den_exp=F(1, 2))
     assert ClassFunction.from_json(f.to_json()) == f
     assert hash(f) == hash(ClassFunction.from_json(f.to_json()))
+    # integer strings are integers; floats and bools are refused, not truncated
+    doc = {"modulus": "1", "root_order": "2", "classes": [{"num": [["1", "1"]], "den": [["1", 0]]}]}
+    assert ClassFunction.from_json(doc) == ClassFunction.monomial(F(1, 2))
+    for bad in ({**doc, "root_order": 2.0}, {**doc, "modulus": True}):
+        with pytest.raises(ValueError):
+            ClassFunction.from_json(bad)
 
 
 def test_immutability():
