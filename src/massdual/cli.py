@@ -45,20 +45,18 @@ BUILTIN_PROFILES = ("quad_char0_sigma", "quad_char2_sigma", "quad_char2_upsilon"
 
 
 def _emit(obj: dict, report: str) -> None:
+    """Print a report whose values are ClassFunctions or plain JSON values."""
     if report == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj, indent=2, sort_keys=True, default=ClassFunction.to_json))
         return
     for key, val in obj.items():
-        if isinstance(val, dict) and {"modulus", "root_order", "classes"} <= set(val):
-            body = ClassFunction.from_json(val).render()
-            if "\n" in body:
-                print(f"{key}:")
-                for line in body.split("\n"):
-                    print(f"  {line}")
-            else:
-                print(f"{key} = {body}")
+        body = str(val)
+        if "\n" in body:
+            print(f"{key}:")
+            for line in body.split("\n"):
+                print(f"  {line}")
         else:
-            print(f"{key} = {val}")
+            print(f"{key} = {body}")
 
 
 class _StdinCache:
@@ -88,9 +86,8 @@ def _payload(doc: dict, kind: str) -> dict:
 def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
     q0 = Fraction(spec[0])
     r0 = int(spec[1])
-    for key, m in (("mass_v", masses.mass_v), ("mass_w", masses.mass_w)):
-        val = m.eval(q0, r0)
-        out[f"{key}({q0},{r0})"] = str(val)
+    for key, m in vars(masses).items():
+        out[f"{key}({q0},{r0})"] = str(m.eval(q0, r0))
 
 
 def _divergent(report: str, reason: str) -> int:
@@ -104,7 +101,7 @@ def _cmd_tame(args) -> int:
     group, rep = group_from_json(_payload(doc, "tame"))
     scenario = TameScenario(group, rep, args.q)
     masses = tame_total_masses(scenario)
-    out = masses.to_json()
+    out = dict(vars(masses))
     code = 0
     if args.check_involution:
         ok = tame_involution_check(scenario)
@@ -127,7 +124,7 @@ def _cmd_profile(args) -> int:
     masses = profile_total_masses(profile)
     if not masses.is_finite:
         return _divergent(args.report, "a geometric family has ratio exponent >= 0")
-    out = masses.to_json()
+    out = dict(vars(masses))
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -137,14 +134,10 @@ def _cmd_profile(args) -> int:
 def _cmd_formula(args) -> int:
     if args.which == "hilbert":
         counts = hilbert_counts(args.n)
-        out = {
-            "hilb_plane": counts.hilb_plane.to_json(),
-            "fiber": counts.fiber.to_json(),
-        }
-        _emit(out, args.report)
+        _emit({"hilb_plane": counts.hilb_plane, "fiber": counts.fiber}, args.report)
         return 0
     masses = bhargava_masses(args.n) if args.which == "bhargava" else kedlaya_masses(args.n)
-    out = {**masses.to_json(), "strong": cf_dual(masses.mass_w) == masses.mass_v}
+    out = {**vars(masses), "strong": cf_dual(masses.mass_w) == masses.mass_v}
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -174,7 +167,7 @@ def _cmd_stringy(args) -> int:
                 args.report, f"{role}: a met exceptional divisor has multiplicity <= -1"
             )
         counts[role] = value
-    out = {f"count_{role}": cf.to_json() for role, cf in counts.items()}
+    out = {f"count_{role}": cf for role, cf in counts.items()}
     code = 0
     if args.check_poincare:
         if args.d is None:
@@ -194,23 +187,18 @@ def _cmd_stringy(args) -> int:
     return code
 
 
-def _one_mass(doc: dict, field: str):
-    """A mass from either a bare ClassFunction document or a MassPair one."""
-    if field in doc:
-        doc = doc[field]
-    if doc == "infinite":
-        return None
-    return ClassFunction.from_json(doc)
-
-
 def _cmd_duality(args) -> int:
     cache = _StdinCache()
-    mv = _one_mass(json.loads(cache.read(args.mv)), "mass_v")
-    mw = _one_mass(json.loads(cache.read(args.mw)), "mass_w")
-    if mv is None or mw is None:
+    # each file holds a bare mass or a MassPair document with the side we want
+    docs = {}
+    for field, path in (("mass_v", args.mv), ("mass_w", args.mw)):
+        doc = json.loads(cache.read(path))
+        docs[field] = doc[field] if field in doc else doc
+    masses = MassPair.from_json(docs)
+    if not masses.is_finite:
         return _divergent(args.report, "duality verdicts need finite masses")
-    report = duality_report(MassPair(mv, mw), args.d)
-    _emit(report.to_json(), args.report)
+    report = duality_report(masses, args.d)
+    _emit(vars(report), args.report)
     return 0 if report.weak else 1
 
 
@@ -314,10 +302,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MassdualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+    except (
+        MassdualError, OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .errors import InfiniteMass
 from .massengine import MassPair
-from .qsym import ClassFunction
+from .qsym import ClassFunction, _json_int
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,13 @@ class DualityReport:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DualityReport":
+        for key in ("strong", "weak"):
+            if not isinstance(obj[key], bool):
+                raise ValueError(f"{key} must be a JSON boolean, got {obj[key]!r}")
         return cls(
-            strong=bool(obj["strong"]),
-            weak=bool(obj["weak"]),
-            dim=int(obj["dim"]),
+            strong=obj["strong"],
+            weak=obj["weak"],
+            dim=_json_int(obj["dim"]),
             strong_residual=ClassFunction.from_json(obj["strong_residual"]),
             weak_residual=ClassFunction.from_json(obj["weak_residual"]),
         )

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupTooLarge, InconsistentRepresentation
+from .qsym import _json_int
 
 Perm = tuple[int, ...]
 
@@ -72,7 +73,7 @@ def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]], one_based: bo
     out = list(range(degree))
     offset = 1 if one_based else 0
     for cyc in cycles:
-        pts = [int(p) - offset for p in cyc]
+        pts = [_json_int(p) - offset for p in cyc]
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"cycle point out of range for degree {degree}")
         for i, p in enumerate(pts):
@@ -400,15 +401,15 @@ def group_to_json(group: FiniteGroup, rep: MonomialRep, generators: Optional[Seq
 
 
 def group_from_json(obj: Mapping, max_size: int = DEFAULT_MAX_GROUP_SIZE) -> tuple[FiniteGroup, MonomialRep]:
-    degree = int(obj["degree"])
+    degree = _json_int(obj["degree"])
     gens = [perm_from_cycles(degree, cycles) for cycles in obj["generators"]]
     rep = obj["rep"]
-    dim = int(rep["dim"])
-    e = int(rep["root_order"])
+    dim = _json_int(rep["dim"])
+    e = _json_int(rep["root_order"])
     mats = [
         MonomialMatrix(
-            tuple(int(p) - 1 for p in m["perm"]),
-            tuple(int(x) for x in m["exps"]),
+            tuple(_json_int(p) - 1 for p in m["perm"]),
+            tuple(_json_int(x) for x in m["exps"]),
             e,
         )
         for m in rep["matrices"]

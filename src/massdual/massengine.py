@@ -37,6 +37,7 @@ from .grouprep import FiniteGroup, MonomialRep, perm_inv
 from .qsym import (
     ClassFunction,
     Infinite,
+    _json_int,
     cf_geometric_sum,
     frac_str,
     iroot,
@@ -271,16 +272,19 @@ def builtin_profile(name: str, n: Optional[int] = None, m: Optional[int] = None)
     quad_char2_sigma: the order-2 wild family in residue characteristic 2.
     quad_char2_upsilon: the two-parameter (m, n) variant; needs both m and n.
     """
-    two = ClassFunction.constant(2)
     two_qm1 = ClassFunction.poly({1: 2, 0: -2})  # 2(Q - 1)
+    unramified = (ProfileStratum(ClassFunction.constant(1), 0, 0),) * 2
+
+    def char2(i0, i1, v_exp, w_exp):
+        return GeometricFamily(i0, i1, two_qm1, (1, -1), v_exp, w_exp)
+
     if name == "quad_char0_sigma":
         if n is None or n < 1:
             raise InvalidParams("quad_char0_sigma needs an integer n >= 1")
         return RamificationProfile(
             group_order=2,
-            strata=(
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
+            strata=unramified
+            + (
                 ProfileStratum(two_qm1, Fraction(n), 0),
                 ProfileStratum(
                     ClassFunction.poly({1: 2}),
@@ -292,59 +296,17 @@ def builtin_profile(name: str, n: Optional[int] = None, m: Optional[int] = None)
     if name == "quad_char2_sigma":
         if n is None or n < 1:
             raise InvalidParams("quad_char2_sigma needs an integer n >= 1")
-        return RamificationProfile(
-            group_order=2,
-            strata=(
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
-            ),
-            families=(
-                GeometricFamily(
-                    i0=1,
-                    i1=None,
-                    coeff=two_qm1,
-                    count_exp=(Fraction(1), Fraction(-1)),
-                    v_exp=(Fraction(n), Fraction(0)),
-                    w_exp=(Fraction(-n), Fraction(n)),
-                ),
-            ),
-        )
-    if name == "quad_char2_upsilon":
+        families = (char2(1, None, (n, 0), (-n, n)),)
+    elif name == "quad_char2_upsilon":
         if m is None or n is None or m < 0 or n < 1:
             raise InvalidParams(
                 "quad_char2_upsilon needs integers m >= 0 and n >= 1"
             )
-        families = []
-        if m >= 1:
-            families.append(
-                GeometricFamily(
-                    i0=1,
-                    i1=m,
-                    coeff=two_qm1,
-                    count_exp=(Fraction(1), Fraction(-1)),
-                    v_exp=(Fraction(n), Fraction(0)),
-                    w_exp=(Fraction(-n), Fraction(n)),
-                )
-            )
-        families.append(
-            GeometricFamily(
-                i0=m + 1,
-                i1=None,
-                coeff=two_qm1,
-                count_exp=(Fraction(1), Fraction(-1)),
-                v_exp=(Fraction(n + 1), Fraction(-m)),
-                w_exp=(Fraction(-n - 1), Fraction(1 + m + n)),
-            )
-        )
-        return RamificationProfile(
-            group_order=2,
-            strata=(
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
-                ProfileStratum(ClassFunction.constant(1), 0, 0),
-            ),
-            families=tuple(families),
-        )
-    raise InvalidParams(f"unknown builtin profile {name!r}")
+        families = (char2(1, m, (n, 0), (-n, n)),) if m >= 1 else ()
+        families += (char2(m + 1, None, (n + 1, -m), (-n - 1, 1 + m + n)),)
+    else:
+        raise InvalidParams(f"unknown builtin profile {name!r}")
+    return RamificationProfile(group_order=2, strata=unramified, families=families)
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +423,26 @@ def profile_to_json(profile: RamificationProfile) -> dict:
     }
 
 
-def _parse_frac(x) -> Fraction:
-    return Fraction(str(x))
-
-
 def profile_from_json(obj: Mapping) -> RamificationProfile:
     strata = tuple(
         ProfileStratum(
             ClassFunction.from_json(s["count"]),
-            _parse_frac(s["v"]),
-            _parse_frac(s["w"]),
+            Fraction(str(s["v"])),
+            Fraction(str(s["w"])),
         )
         for s in obj.get("strata", ())
     )
     families = tuple(
         GeometricFamily(
-            i0=int(f["i0"]),
-            i1=None if f.get("i1") is None else int(f["i1"]),
+            i0=_json_int(f["i0"]),
+            i1=None if f.get("i1") is None else _json_int(f["i1"]),
             coeff=ClassFunction.from_json(f["coeff"]),
-            count_exp=tuple(_parse_frac(x) for x in f["count_exp"]),
-            v_exp=tuple(_parse_frac(x) for x in f["v_exp"]),
-            w_exp=tuple(_parse_frac(x) for x in f["w_exp"]),
+            count_exp=tuple(Fraction(str(x)) for x in f["count_exp"]),
+            v_exp=tuple(Fraction(str(x)) for x in f["v_exp"]),
+            w_exp=tuple(Fraction(str(x)) for x in f["w_exp"]),
         )
         for f in obj.get("families", ())
     )
     return RamificationProfile(
-        group_order=int(obj["group_order"]), strata=strata, families=families
+        group_order=_json_int(obj["group_order"]), strata=strata, families=families
     )

@@ -105,8 +105,15 @@ class LaurentPoly:
         self.terms = data
 
     @classmethod
+    def _of(cls, terms: dict) -> "LaurentPoly":
+        """Wrap a dict {int exponent: nonzero Fraction} without checking it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -157,14 +164,10 @@ class LaurentPoly:
                 data[e] = acc
             else:
                 del data[e]
-        out = LaurentPoly.zero()
-        out.terms = data
-        return out
+        return LaurentPoly._of(data)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.zero()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -179,41 +182,29 @@ class LaurentPoly:
                     data[e] = acc
                 else:
                     del data[e]
-        out = LaurentPoly.zero()
-        out.terms = data
-        return out
+        return LaurentPoly._of(data)
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
         if not c:
             return LaurentPoly.zero()
-        out = LaurentPoly.zero()
-        out.terms = {e: k * c for e, k in self.terms.items()}
-        return out
+        return LaurentPoly._of({e: k * c for e, k in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k."""
-        out = LaurentPoly.zero()
-        out.terms = {e + k: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
 
     def stretch(self, k: int) -> "LaurentPoly":
         """Substitute x -> x^k (k >= 1)."""
-        out = LaurentPoly.zero()
-        out.terms = {e * k: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({e * k: c for e, c in self.terms.items()})
 
     def stretch_div(self, k: int) -> "LaurentPoly":
         """Substitute x^k -> x; every exponent must be divisible by k."""
-        out = LaurentPoly.zero()
-        out.terms = {e // k: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({e // k: c for e, c in self.terms.items()})
 
     def mirror(self) -> "LaurentPoly":
         """Substitute x -> x^-1."""
-        out = LaurentPoly.zero()
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -246,11 +237,7 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
                 rem[ne] = acc
             else:
                 del rem[ne]
-    q = LaurentPoly.zero()
-    q.terms = quo
-    r = LaurentPoly.zero()
-    r.terms = rem
-    return q, r
+    return LaurentPoly._of(quo), LaurentPoly._of(rem)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -662,22 +649,18 @@ class ClassFunction:
     # -- admissibility ------------------------------------------------------------
 
     def admissible_witness(self, c) -> bool:
-        """True when (q^(c*r) - 1) * self is a Laurent polynomial classwise."""
+        """True when (q^(c*r) - 1) * self is a Laurent polynomial classwise.
+
+        An entry num/den is reduced and x does not divide den, so den divides
+        num * (x^k - 1) exactly when it divides x^|k| - 1.
+        """
         c = _frac(c)
         if c == 0:
             raise ValueError("witness exponent c must be nonzero")
         n = math.lcm(self.root_order, c.denominator)
-        k = int(c * n)
-        factor = LaurentPoly({k: 1, 0: -1})
-        for e in self.classes:
-            e = _rf_stretch(e, n // self.root_order)
-            if e.is_poly:
-                continue
-            prod = e.num * factor
-            prod = prod.shift(-prod.min_exp) if not prod.is_zero else prod
-            if not poly_divmod(prod, e.den)[1].is_zero:
-                return False
-        return True
+        factor = LaurentPoly({abs(int(c * n)): 1, 0: -1})
+        stretch = n // self.root_order
+        return all(poly_divmod(factor, e.den.stretch(stretch))[1].is_zero for e in self.classes)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -876,8 +859,7 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
         head = a * i0 + b
         root_order = math.lcm(head.denominator, a.denominator)
         e0, step = int(head * root_order), int(a * root_order)
-        num = LaurentPoly.zero()
-        num.terms = dict.fromkeys(range(e0, e0 + n * step, step), Fraction(1))
+        num = LaurentPoly._of(dict.fromkeys(range(e0, e0 + n * step, step), Fraction(1)))
         poly = RationalFunctionX(num, LaurentPoly.one())
         return coeff * ClassFunction._from_reduced(1, root_order, [poly])
     if coeff.is_zero:

@@ -31,7 +31,7 @@ from typing import Mapping, Union
 
 from .errors import InfiniteInput, MalformedStrata
 from .massengine import MassPair
-from .qsym import ClassFunction, Infinite, frac_str, is_infinite
+from .qsym import ClassFunction, Infinite, _json_int, frac_str, is_infinite
 
 StrataMap = Mapping[frozenset, ClassFunction]
 StringyCount = Union[ClassFunction, type(Infinite)]
@@ -259,7 +259,7 @@ def _strata_to_json(counts: Mapping) -> dict:
 def _strata_from_json(obj: Mapping) -> dict:
     out = {}
     for key, cf in obj.items():
-        idx = frozenset(int(j) for j in json.loads(key))
+        idx = frozenset(_json_int(j) for j in json.loads(key))
         out[idx] = ClassFunction.from_json(cf)
     return out
 
@@ -281,7 +281,7 @@ def resolution_to_json(data: ResolutionData) -> dict:
 
 def resolution_from_json(obj: Mapping) -> ResolutionData:
     return ResolutionData(
-        dim=int(obj["dim"]),
+        dim=_json_int(obj["dim"]),
         horizontal=tuple(Fraction(str(h["c"])) for h in obj.get("horizontal", ())),
         strata=_strata_from_json(obj.get("strata", {})),
         vertical=tuple(

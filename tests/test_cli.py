@@ -129,6 +129,48 @@ def test_tame_subcommand(tmp_path, capsys):
     assert masses.mass_v == ClassFunction.poly({0: 1, F(-2, 3): 1, F(-4, 3): 1})
 
 
+def test_tame_eval_text_and_json(tmp_path, capsys):
+    # q = 2 has order 2 mod 3, so each mass has two residue classes of r
+    argv = ["tame", "--group", str(z3_group_file(tmp_path)), "--q", "2", "--eval", "8", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "mass_v:",
+        "  r = 0 (mod 2): 1 + Q^(-2/3) + Q^(-4/3)",
+        "  r = 1 (mod 2): 1",
+        "mass_w:",
+        "  r = 0 (mod 2): Q^(4/3) + Q^(2/3) + 1",
+        "  r = 1 (mod 2): 1",
+        "mass_v(8,2) = 273/256",
+        "mass_w(8,2) = 273",
+    ]
+    code, out = run_cli(capsys, *argv, "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == ["mass_v", "mass_v(8,2)", "mass_w", "mass_w(8,2)"]
+    assert (doc["mass_v(8,2)"], doc["mass_w(8,2)"]) == ("273/256", "273")
+    assert MassPair.from_json(doc).mass_v.modulus == 2
+
+
+def test_profile_eval_text_and_json(capsys):
+    argv = ["profile", "--builtin", "quad_char2_upsilon", "--m", "2", "--n", "2"]
+    argv += ["--eval", "3", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "mass_v = (Q + 2 + Q^-1 - Q^-2) / (Q + 1)",
+        "mass_w = (Q^2 + 2*Q + 1 - Q^-1) / (Q + 1)",
+        "mass_v(3,2) = 899/810",
+        "mass_w(3,2) = 899/90",
+    ]
+    code, out = run_cli(capsys, *argv, "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == ["mass_v", "mass_v(3,2)", "mass_w", "mass_w(3,2)"]
+    assert (doc["mass_v(3,2)"], doc["mass_w(3,2)"]) == ("899/810", "899/90")
+    assert MassPair.from_json(doc).mass_v == (Q + 2 + 1 / Q - Q**-2) / (Q + 1)
+
+
 def test_tame_threads_do_not_change_bytes(tmp_path, capsys):
     path = z3_group_file(tmp_path)
     base = run_cli(capsys, "tame", "--group", str(path), "--q", "2", "--report", "json")
@@ -183,6 +225,22 @@ def test_stringy_single_file(tmp_path, capsys):
     code, out = run_cli(capsys, "stringy", "--file", str(path), "--report", "json")
     assert code == 0
     assert ClassFunction.from_json(json.loads(out)["count_total"]) == Q**2 + Q
+
+
+def test_stringy_file_with_total_and_origin(tmp_path, capsys):
+    fixtures = builtin_resolution("a1_cone")
+    payload = {role: resolution_to_json(data) for role, data in fixtures.items()}
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps({"kind": "stringy", "payload": payload}))
+    argv = ["stringy", "--file", str(path), "--check-gm", "--d", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["count_total = Q^2 + Q", "count_origin = Q + 1", "gm = True"]
+    code, out = run_cli(capsys, *argv, "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == ["count_origin", "count_total", "gm"]
+    assert ClassFunction.from_json(doc["count_origin"]) == Q + 1
 
 
 def test_stringy_divergent_file(tmp_path, capsys):
@@ -348,7 +406,19 @@ def family_profile(v_exp, w_exp) -> dict:
     return {"group_order": 1, "strata": [], "families": [family]}
 
 
+def z2_group(degree=2, cycle=(1, 2), exps=(1,)) -> dict:
+    """Z/2 swapping two points and acting by -1 on a line."""
+    matrix = {"perm": [1], "exps": list(exps)}
+    return {
+        "degree": degree,
+        "generators": [[list(cycle)]],
+        "rep": {"dim": 1, "root_order": 2, "matrices": [matrix]},
+    }
+
+
+STRATA = {"[]": (Q**2).to_json(), "[1]": (Q + 1).to_json()}
 DUALITY = ("duality", "--mv", FILE, "--mw", FILE, "--d", "2")
+TAME = ("tame", "--group", FILE, "--q", "3")
 
 
 @pytest.mark.parametrize(
@@ -376,6 +446,29 @@ DUALITY = ("duality", "--mv", FILE, "--mw", FILE, "--d", "2")
         ),
         pytest.param(("formula", "bhargava", "--n", "3", "--eval", "1/0", "1"), None, id="eval-1/0"),
         pytest.param(DUALITY, "[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
+        # every loader refuses what int() would truncate: 1.9 read as |G| = 1, and so on
+        pytest.param(
+            ("profile", "--file", FILE),
+            {"group_order": 1.9, "strata": [{"count": (Q + 1).to_json(), "v": "1/2", "w": "0"}]},
+            id="group_order-1.9",
+        ),
+        pytest.param(TAME, z2_group(exps=[True]), id="exps-true"),
+        pytest.param(TAME, z2_group(degree=2.5), id="degree-2.5"),
+        pytest.param(TAME, z2_group(cycle=[1, 2.2]), id="cycle-point-2.2"),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2.9, "horizontal": [{"c": "1/2"}], "strata": STRATA},
+            id="dim-2.9",
+        ),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "horizontal": [{"c": "1/2"}], "strata": {"[1.7]": (Q + 1).to_json()}},
+            id="stratum-key-1.7",
+        ),
+        pytest.param(
+            ("stringy", "--builtin", "a1_cone", "--check-poincare"), None, id="check-poincare-no-d"
+        ),
+        pytest.param(("stringy", "--builtin", "a1_cone", "--check-gm"), None, id="check-gm-no-d"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
@@ -383,6 +476,24 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run([str(path) if a == FILE else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_integer_strings_are_accepted_in_every_loader(tmp_path, capsys):
+    profile = family_profile(["-1", "0"], ["0", "0"])
+    profile["families"][0]["i1"] = 3
+    cases = [
+        (TAME, z2_group()),
+        (("profile", "--file", FILE), profile),
+        (("stringy", "--file", FILE), {"dim": 2, "horizontal": [{"c": "1/2"}], "strata": STRATA}),
+    ]
+    path = tmp_path / "input.json"
+    for argv, doc in cases:
+        outputs = []
+        for variant in (doc, json.loads(json.dumps(doc), parse_int=str)):
+            path.write_text(json.dumps(variant))
+            outputs.append(run_cli(capsys, *[str(path) if a == FILE else a for a in argv]))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
 
 def test_deeply_nested_json_in_a_fresh_process_has_no_traceback(tmp_path):
@@ -402,8 +513,9 @@ def test_one_sided_divergent_profile_file_exits_3(tmp_path, capsys):
     assert json.loads(out)["divergent"] is True
 
 
-# bounded random mass documents: mostly well formed, with about one value in
-# thirty replaced by a bad type, a float, an empty list, or a "0" or "1/0" string
+# bounded random documents: mostly well formed, with about one value in twenty
+# (hypothesis draws the bound 0 of 0..29 more often than uniformly) replaced by
+# a bad type, a float, a bool, an empty list, or a "0" or "1/0" string
 _junk = st.one_of(
     st.none(),
     st.booleans(),
@@ -412,36 +524,49 @@ _junk = st.one_of(
     st.lists(st.integers(-2, 2), max_size=2),
     st.just({}),
 )
+_fracs = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2"])
 
 
-@st.composite
-def mass_documents(draw):
-    def rare():
-        return draw(st.integers(0, 29)) == 0
+def _rare(draw):
+    return draw(st.integers(0, 29)) == 0
 
-    def pick(valid):
-        return draw(_junk) if rare() else draw(valid)
+
+def _pick(draw, valid, noisy=True):
+    return draw(_junk) if noisy and _rare(draw) else draw(valid)
+
+
+def _mass(draw, span, noisy=True):
+    """A mass document with numerator exponents |e| <= span."""
 
     def side(least, span):
         coeff = st.sampled_from(["1", "-2", "3/4", "0", 5])
         terms = draw(st.integers(least, 4))
-        return pick(st.just([[pick(coeff), pick(st.integers(-span, span))] for _ in range(terms)]))
+        exps = st.integers(-span, span)
+        pairs = [[_pick(draw, coeff, noisy), _pick(draw, exps, noisy)] for _ in range(terms)]
+        return _pick(draw, st.just(pairs), noisy)
 
-    def mass():
-        # small denominators: the residuals multiply four of them, and Euclid's
-        # gcd over Q takes minutes at degree 100 (see CHANGES.md)
-        classes = [{"num": side(0, 50), "den": side(1, 2)} for _ in range(draw(st.integers(1, 3)))]
-        doc = {"modulus": pick(st.just(len(classes))), "root_order": pick(st.integers(1, 2))}
-        doc["classes"] = pick(st.just(classes))
-        for key in list(doc) + ["num", "den"]:
-            if rare():  # a missing key
-                (classes[0] if key in ("num", "den") else doc).pop(key)
-        return pick(st.just(doc))
+    # small denominators: the residuals multiply four of them, and Euclid's
+    # gcd over Q takes minutes at degree 100 (see CHANGES.md)
+    classes = [{"num": side(0, span), "den": side(1, 2)} for _ in range(draw(st.integers(1, 3)))]
+    doc = {
+        "modulus": _pick(draw, st.just(len(classes)), noisy),
+        "root_order": _pick(draw, st.integers(1, 2), noisy),
+    }
+    doc["classes"] = _pick(draw, st.just(classes), noisy)
+    for key in list(doc) + ["num", "den"]:
+        if noisy and _rare(draw):  # a missing key
+            (classes[0] if key in ("num", "den") else doc).pop(key)
+    return _pick(draw, st.just(doc), noisy)
 
+
+@st.composite
+def mass_documents(draw):
     shape = draw(st.sampled_from(["bare", "pair", "infinite"]))
     if shape == "infinite":
-        return {"mass_v": "infinite", "mass_w": mass()}
-    return mass() if shape == "bare" else {"mass_v": mass(), "mass_w": mass()}
+        return {"mass_v": "infinite", "mass_w": _mass(draw, 50)}
+    if shape == "bare":
+        return _mass(draw, 50)
+    return {"mass_v": _mass(draw, 50), "mass_w": _mass(draw, 50)}
 
 
 @given(mv=mass_documents(), mw=mass_documents(), d=st.integers(-3, 6))
@@ -453,4 +578,105 @@ def test_fuzz_duality_documents_end_in_a_documented_exit_code(tmp_path_factory, 
     mw_path.write_text(json.dumps(mw))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(["duality", "--mv", str(mv_path), "--mw", str(mw_path), "--d", str(d)])
+    assert code in (0, 1, 2, 3)
+
+
+@st.composite
+def profile_cases(draw):
+    # these documents hold more values than a mass, so half of them hold no junk
+    noisy = draw(st.booleans())
+
+    def pick(valid):
+        return _pick(draw, valid, noisy)
+
+    def frac_pair():
+        return [pick(_fracs), pick(_fracs)]
+
+    def family():
+        return {
+            "i0": pick(st.integers(-3, 3)),
+            "i1": pick(st.none() | st.integers(-3, 6)),
+            "coeff": _mass(draw, 20, noisy),
+            "count_exp": frac_pair(),
+            "v_exp": frac_pair(),
+            "w_exp": frac_pair(),
+        }
+
+    strata = [
+        {"count": _mass(draw, 20, noisy), "v": pick(_fracs), "w": pick(_fracs)}
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    families = [family() for _ in range(draw(st.integers(0, 2)))]
+    doc = {
+        "group_order": pick(st.integers(-1, 4)),
+        "strata": pick(st.just(strata)),
+        "families": pick(st.just(families)),
+    }
+    return ("profile", "--file", FILE), doc
+
+
+@st.composite
+def stringy_cases(draw):
+    # these documents hold more values than a mass, so half of them hold no junk
+    noisy = draw(st.booleans())
+
+    def pick(valid):
+        return _pick(draw, valid, noisy)
+
+    def key():
+        if noisy and _rare(draw):
+            return draw(st.sampled_from(["[1.7]", "[true]", "[null]", "x", "1", "{}"]))
+        return json.dumps(sorted(draw(st.lists(st.integers(1, 3), unique=True, max_size=3))))
+
+    divisors = [{"c": pick(_fracs)} for _ in range(draw(st.integers(0, 3)))]
+    doc = {
+        "dim": pick(st.integers(-1, 4)),
+        "mode": pick(st.sampled_from(["open", "closed"])),
+        "horizontal": pick(st.just(divisors)),
+        "strata": {key(): _mass(draw, 20, noisy) for _ in range(draw(st.integers(0, 3)))},
+    }
+    return ("stringy", "--file", FILE), doc
+
+
+@st.composite
+def tame_cases(draw):
+    # these documents hold more values than a mass, so half of them hold no junk
+    noisy = draw(st.booleans())
+
+    def pick(valid):
+        return _pick(draw, valid, noisy)
+
+    degree, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    generators, matrices = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        cycle = draw(st.lists(st.integers(1, degree), unique=True, max_size=degree))
+        generators.append(pick(st.just([[pick(st.just(p)) for p in cycle]])))
+        if draw(st.booleans()):  # the trivial action, always a representation
+            perm, exps = list(range(1, dim + 1)), [0] * dim
+        else:
+            perm = draw(st.permutations(range(1, dim + 1)))
+            exps = draw(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim))
+        matrices.append({
+            "perm": [pick(st.just(p)) for p in perm],
+            "exps": [pick(st.just(e)) for e in exps],
+        })
+    rep = {
+        "dim": pick(st.just(dim)),
+        "root_order": pick(st.integers(1, 4)),
+        "matrices": matrices,
+    }
+    doc = {"degree": pick(st.just(degree)), "generators": generators, "rep": rep}
+    q = draw(st.sampled_from(["2", "3", "4", "5", "7", "9", "25", "6"]))
+    check = ("--check-involution",) if draw(st.booleans()) else ()
+    return ("tame", "--group", FILE, "--q", q) + check, doc
+
+
+@given(case=st.one_of(profile_cases(), stringy_cases(), tame_cases()))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_loader_documents_end_in_a_documented_exit_code(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run([str(path) if a == FILE else a for a in argv])
     assert code in (0, 1, 2, 3)

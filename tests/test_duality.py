@@ -69,6 +69,13 @@ def test_report_json_roundtrip():
     report = duality_report(bhargava_masses(2), 4)
     back = DualityReport.from_json(report.to_json())
     assert back == report
+    # bool("false") is True: verdicts must be JSON booleans
+    for key in ("strong", "weak"):
+        for bad in ("false", 0, 1, None):
+            with pytest.raises(ValueError):
+                DualityReport.from_json({**report.to_json(), key: bad})
+    with pytest.raises(ValueError):
+        DualityReport.from_json({**report.to_json(), "dim": 4.5})
 
 
 @given(

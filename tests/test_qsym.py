@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from massdual import (
@@ -357,6 +357,21 @@ def test_constructed_functions_certify_their_denominator(ta):
     terms, den_exp = ta
     f = cf_from_terms(terms, den_exp)
     assert cf_admissible_witness(f, den_exp if den_exp is not None else 1)
+
+
+WITNESS_EXPONENTS = (1, -1, 2, F(1, 2), F(-1, 2), F(-3, 2), F(2, 3), 3, -6)
+
+
+@given(term_lists(), term_lists())
+# 1/(Q^2 - 1) times Q^(1/2): false for c = 1, -1, 1/2, -1/2, -3/2, 2/3, 3
+@example(([(1, 0, 0)], 2), ([(1, 0, F(1, 2))], None))
+@settings(max_examples=60, deadline=None)
+def test_witness_agrees_with_the_ring_product(ta, tb):
+    f = cf_from_terms(*ta)
+    for h in (f, f * cf_from_terms(*tb)):
+        for c in WITNESS_EXPONENTS:
+            product = (ClassFunction.monomial(c) - 1) * h
+            assert cf_admissible_witness(h, c) == all(e.is_poly for e in product.classes)
 
 
 def _exact_q0(base, *fns):
