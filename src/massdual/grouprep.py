@@ -21,6 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupTooLarge, InconsistentRepresentation
@@ -37,7 +38,7 @@ def perm_identity(degree: int) -> Perm:
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """Compose: apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[i] for i in b])
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -252,7 +253,8 @@ class MonomialRep:
     def __init__(self, dim: int, root_order: int, matrices: Mapping[Perm, MonomialMatrix]):
         self.dim = dim
         self.root_order = root_order
-        self.matrices = dict(matrices)
+        # closure rows stay encoded until a matrix is asked for
+        self.matrices = matrices if isinstance(matrices, _ClosureMatrices) else dict(matrices)
 
     def matrix(self, g: Perm) -> MonomialMatrix:
         return self.matrices[g]
@@ -278,12 +280,58 @@ class MonomialRep:
         return TameWeights(v, a - v, Fraction(a))
 
 
+class _ReducedEntry(dict):
+    """Memo of a row entry after a product: a point below degree stays, and
+    a column entry degree + 2e*row + x with e <= x < 2e loses e."""
+
+    def __init__(self, degree: int, root_order: int):
+        super().__init__((i, i) for i in range(degree))
+        self.degree, self.root_order = degree, root_order
+
+    def __missing__(self, v: int) -> int:
+        e = self.root_order
+        out = self[v] = v - e if (v - self.degree) % (2 * e) >= e else v
+        return out
+
+
+class _ClosureMatrices(Mapping):
+    """The matrices of a closure, kept as rows and decoded on first lookup."""
+
+    def __init__(self, rows: dict[Perm, tuple[int, ...]], degree: int, root_order: int):
+        self._rows, self._degree, self._root_order = rows, degree, root_order
+        self._decoded: dict[Perm, MonomialMatrix] = {}
+
+    def __getitem__(self, g: Perm) -> MonomialMatrix:
+        m = self._decoded.get(g)
+        if m is None:
+            tail = self._rows[g][self._degree :]
+            cols = [divmod(c - self._degree, 2 * self._root_order) for c in tail]
+            m = self._decoded[g] = MonomialMatrix(
+                tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order
+            )
+        return m
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
 def group_closure(
     generators: Sequence[Perm],
     rep_generators: Optional[Sequence[MonomialMatrix]] = None,
     max_size: int = DEFAULT_MAX_GROUP_SIZE,
 ) -> tuple[FiniteGroup, Optional[MonomialRep]]:
     """Close generators under multiplication, carrying matrices along.
+
+    Each element (g, rho(g)) is one flat row: the degree points of g, then
+    one entry degree + 2e*perm[j] + exps[j] per matrix column j, where e
+    is the root order.  Right multiplication by a generator s reads row
+    entries at fixed indices, adds fixed exponent offsets and takes a
+    column's exponent back below e; with columns 2e apart the unreduced
+    sum cannot spill into the next row, so an edge costs O(degree + dim)
+    whatever e is.  Matrices are decoded from the rows only when looked up.
 
     Walks the Cayley graph breadth-first from the identity.  Whenever two
     words reach the same permutation with different matrices the assignment
@@ -295,6 +343,7 @@ def group_closure(
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
+    dim, root_order, mats = 0, 1, [MonomialMatrix.identity(0)] * len(generators)
     if rep_generators is not None:
         if len(rep_generators) != len(generators):
             raise ValueError("need exactly one matrix per generator")
@@ -302,38 +351,42 @@ def group_closure(
         orders = {m.root_order for m in rep_generators}
         if len(dims) != 1 or len(orders) != 1:
             raise ValueError("generator matrices disagree in shape")
-        dim, root_order = dims.pop(), orders.pop()
-        mat_id = MonomialMatrix.identity(dim, root_order)
-    ident = perm_identity(degree)
-    elements: list[Perm] = [ident]
-    matrices: dict[Perm, MonomialMatrix] = {ident: mat_id} if rep_generators is not None else {}
-    seen = {ident}
+        dim, root_order, mats = dims.pop(), orders.pop(), rep_generators
+    # g*s reads g's row at idx and adds off: perm_mul on the points, and the
+    # matrix product's perm[s.perm[j]] and exps[s.perm[j]] + s.exps[j]; with
+    # no offset (s.exps all 0) no exponent can reach e and g*s is a pure read
+    steps = []
+    for s, m in zip(generators, mats):
+        idx = tuple(s) + tuple(degree + p for p in m.perm)
+        # itemgetter returns a tuple only for two or more indices
+        read = itemgetter(*idx) if len(idx) > 1 else lambda g, idx=idx: tuple([g[i] for i in idx])
+        steps.append((read, (0,) * degree + m.exps if any(m.exps) else None))
+    reduce = _ReducedEntry(degree, root_order).__getitem__
+    ident = perm_identity(degree) + tuple(degree + 2 * root_order * j for j in range(dim))
+    rows = {ident[:degree]: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for i, s in enumerate(generators):
-                h = perm_mul(g, s)
-                if rep_generators is not None:
-                    mh = matrices[g] * rep_generators[i]
-                if h in seen:
-                    if rep_generators is not None and matrices[h] != mh:
+            for read, off in steps:
+                h = read(g) if off is None else tuple(map(reduce, map(add, read(g), off)))
+                head = h[:degree]
+                known = rows.get(head)
+                if known is not None:
+                    if known != h:
                         raise InconsistentRepresentation(
                             "two words for one element got different matrices"
                         )
                     continue
-                if len(elements) >= max_size:
+                if len(rows) >= max_size:
                     raise GroupTooLarge(f"closure exceeded {max_size} elements")
-                seen.add(h)
-                elements.append(h)
-                if rep_generators is not None:
-                    matrices[h] = mh
+                rows[head] = h
                 nxt.append(h)
         frontier = nxt
-    group = FiniteGroup(degree, elements, generators)
+    group = FiniteGroup(degree, rows, generators)
     rep = None
     if rep_generators is not None:
-        rep = MonomialRep(dim, root_order, matrices)
+        rep = MonomialRep(dim, root_order, _ClosureMatrices(rows, degree, root_order))
     return group, rep
 
 

@@ -73,25 +73,85 @@ class MassPair:
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_BASES_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster 2015
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases up to 41: exact below 3.3e24
-    (Sorenson-Webster 2015), a strong probable-prime test above."""
+    """Miller-Rabin to the prime bases up to 41 below 3.3e24, where it is
+    exact (Sorenson-Webster 2015); Baillie-PSW above."""
     if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
+    if n < _SMALL_BASES_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _bpsw(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong Fermat test of odd n > 2 to a base a that n does not divide."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    for a in _SMALL_PRIMES:
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 2 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if iroot(n, 2) ** 2 == n:  # no such D exists
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return n == abs(d)
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s with k odd
+
+    def half(x):
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q^k by doubling along the bits of k = (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _bpsw(n: int) -> bool:
+    """Baillie-PSW (Baillie-Wagstaff 1980): a strong base-2 test and a
+    strong Lucas test.  No composite is known to pass both."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _is_prime_power(q: int) -> bool:

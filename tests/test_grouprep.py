@@ -249,3 +249,132 @@ def test_matrix_of_product_is_product_of_matrices(pa, pb):
     assert permutation_matrix(perm_mul(pa, pb)) == permutation_matrix(
         pa
     ) * permutation_matrix(pb)
+
+
+# -- closure against a reference that multiplies MonomialMatrix objects ------
+
+
+def oracle_closure(generators, rep_generators):
+    """Breadth-first closure with one MonomialMatrix product per Cayley edge:
+    (elements in order, matrix of each element), or InconsistentRepresentation
+    when two words for one permutation get different matrices."""
+    ident = tuple(range(len(generators[0])))
+    matrices = {ident: MonomialMatrix.identity(rep_generators[0].dim, rep_generators[0].root_order)}
+    elements, frontier = [ident], [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, m in zip(generators, rep_generators):
+                h, mh = perm_mul(g, s), matrices[g] * m
+                if h in matrices:
+                    if matrices[h] != mh:
+                        raise InconsistentRepresentation("oracle")
+                    continue
+                matrices[h] = mh
+                elements.append(h)
+                nxt.append(h)
+        frontier = nxt
+    return elements, matrices
+
+
+def wreath_point_action(m, degree):
+    """m acting on its dim*e points (j, k) -> (perm[j], k + exps[j] mod e),
+    then fixed points up to degree: a faithful image, so closing these
+    permutations with the matrices m is always consistent."""
+    e = m.root_order
+    moved = tuple(m.perm[j] * e + (k + m.exps[j]) % e for j in range(m.dim) for k in range(e))
+    return moved + tuple(range(len(moved), degree))
+
+
+@st.composite
+def monomial_matrices(draw, dim, root_order):
+    perm = tuple(draw(st.permutations(range(dim))))
+    exps = draw(st.lists(st.integers(0, root_order - 1), min_size=dim, max_size=dim))
+    return MonomialMatrix(perm, tuple(exps), root_order)
+
+
+@st.composite
+def closure_inputs(draw):
+    """Generator sets of degree <= 6, at most 3 generators, dim <= 4 and root
+    order <= 6: either faithful point actions of random monomial matrices
+    (consistent, their matrices maybe doubled or with a scaled root order)
+    or random permutations with random matrices (mostly inconsistent)."""
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        dim, e = draw(st.sampled_from([(d, e) for d in range(1, 5) for e in range(1, 7) if d * e <= 6]))
+        degree = draw(st.integers(dim * e, 6))
+        mats = [draw(monomial_matrices(dim, e)) for _ in range(count)]
+        gens = [wreath_point_action(m, degree) for m in mats]
+        if dim <= 2 and draw(st.booleans()):
+            mats = [direct_sum(m, m) for m in mats]
+        scale = draw(st.integers(1, 6 // e))
+        mats = [MonomialMatrix(m.perm, tuple(scale * x for x in m.exps), scale * e) for m in mats]
+        return gens, mats
+    degree, dim, e = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    gens = [tuple(draw(st.permutations(range(degree)))) for _ in range(count)]
+    return gens, [draw(monomial_matrices(dim, e)) for _ in range(count)]
+
+
+@given(closure_inputs())
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_matrix_product_oracle(inputs):
+    gens, mats = inputs
+    try:
+        elements, matrices = oracle_closure(gens, mats)
+    except InconsistentRepresentation:
+        with pytest.raises(InconsistentRepresentation):
+            group_closure(gens, mats)
+        return
+    group, rep = group_closure(gens, mats)
+    assert list(group.elements) == elements
+    assert (rep.dim, rep.root_order) == (mats[0].dim, mats[0].root_order)
+    assert all(rep.matrix(g) == matrices[g] for g in elements)
+    assert len(rep.matrices) == len(elements) and set(rep.matrices) == set(elements)
+
+
+def test_closure_sees_words_that_differ_in_one_exponent():
+    t = perm_from_cycles(2, [[1, 2]])
+    swap = MonomialMatrix((1, 0), (1, 4), 5)  # squares to the identity
+    group, rep = group_closure([t, t], [swap, swap])
+    assert len(group) == 2 and rep.matrix(t) == swap
+    other = MonomialMatrix((1, 0), (1, 3), 5)  # same permutations, one exponent apart
+    for mats in ([swap, other], [MonomialMatrix((0, 1), (0, 1), 3)] * 2):
+        with pytest.raises(InconsistentRepresentation):
+            oracle_closure([t, t], mats)
+        with pytest.raises(InconsistentRepresentation):
+            group_closure([t, t], mats)
+
+
+def test_closure_cost_does_not_grow_with_root_order():
+    e = 10**18
+    t = perm_from_cycles(2, [[1, 2]])
+    swap = MonomialMatrix((1, 0), (1, e - 1), e)
+    group, rep = group_closure([t], [swap])
+    assert group.elements == ((0, 1), (1, 0))
+    assert rep.matrix(t) == swap
+    assert rep.matrix(group.identity) == MonomialMatrix.identity(2, e)
+
+    e, u = 7 * 10**15, 10**15
+    z = perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]])
+    chi = MonomialMatrix((0, 1, 2), (u, 2 * u, 4 * u), e)
+    group, rep = group_closure([z], [chi])
+    assert len(group) == 7 and group.exponent() == 7
+    g = group.identity
+    for k in range(7):
+        assert rep.matrix(g) == MonomialMatrix((0, 1, 2), (k * u, 2 * k * u, 4 * k * u), e)
+        g = perm_mul(g, z)
+    assert rep.eigen_exponents(z) == (F(1, 7), F(2, 7), F(4, 7))
+
+
+def test_closure_of_rows_shorter_than_two_entries():
+    # rows of degree + dim < 2 entries: no points, or one point and no matrix
+    assert group_closure([(0,)])[0].elements == ((0,),)
+    group, rep = group_closure([(0,)], [MonomialMatrix.identity(0)])
+    assert group.elements == ((0,),) and rep.matrix((0,)) == MonomialMatrix.identity(0)
+    group, rep = group_closure([()], [MonomialMatrix((0,), (0,), 2)])
+    assert group.elements == ((),) and rep.matrix(()) == MonomialMatrix.identity(1, 2)
+    sign = [MonomialMatrix((0,), (1,), 2)]  # -1 on the trivial group
+    with pytest.raises(InconsistentRepresentation):
+        oracle_closure([()], sign)
+    with pytest.raises(InconsistentRepresentation):
+        group_closure([()], sign)

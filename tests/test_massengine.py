@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from massdual import (
     ClassFunction,
@@ -32,7 +34,7 @@ from massdual import (
     tame_total_masses,
 )
 from massdual.grouprep import perm_inv, perm_mul, perm_order
-from massdual.massengine import _is_prime_power
+from massdual.massengine import _bpsw, _is_prime, _is_prime_power, _strong_lucas_probable_prime
 from massdual.qsym import Infinite
 from massdual.verify import tame_catalog
 
@@ -245,6 +247,51 @@ def test_prime_power_test_is_fast_and_exact():
     assert [q for q in range(-2, 30) if _is_prime_power(q)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29
     ]
+
+
+def miller_rabin_13(n):
+    """Miller-Rabin to the 13 prime bases up to 41, restated as the oracle
+    for the Baillie-PSW test; exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_bpsw_above_the_exact_miller_rabin_range():
+    assert _is_prime(2**4423 - 1)  # Mersenne prime, 1332 digits
+    p, q = 2**1000 + 297, 2**1001 + 27
+    assert _is_prime(p) and _is_prime(q) and not _is_prime(p * q)
+    assert _is_prime_power(p**3) and not _is_prime_power(p * q)
+    # strong base-2 pseudoprimes, the last to every prime base up to 23;
+    # below 3.3e24 _is_prime never sends them to the Lucas test
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not _bpsw(n) and not _is_prime(n)
+    # the first strong Lucas pseudoprimes with Selfridge's parameters pass
+    # the Lucas half, as they must, and fail base 2
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n) and not _bpsw(n)
+
+
+@given(st.integers(0, 2**89 - 1))
+@example(2**88 - 1)  # 2^89 - 1, a Mersenne prime above 3.3e24
+@settings(max_examples=300, deadline=None)
+def test_bpsw_agrees_with_miller_rabin_below_2_90(k):
+    n = 2 * k + 1
+    assert _bpsw(n) == miller_rabin_13(n) == _is_prime(n)
 
 
 def test_tame_scenario_validation():
