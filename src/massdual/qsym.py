@@ -85,7 +85,7 @@ def is_infinite(x) -> bool:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: dict {exponent: nonzero Fraction}."""
+    """Sparse Laurent polynomial: dict {exponent: nonzero Fraction, int in the gcd over Z}."""
 
     __slots__ = ("terms",)
 
@@ -173,6 +173,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:  # a monomial: a shift, scaled unless by 1
+            ((k, c),) = other.terms.items()
+            out = self.shift(k)
+            return out if c == 1 else out.scale(c)
         data: dict[int, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -192,7 +198,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k."""
-        return LaurentPoly._of({e + k: c for e, c in self.terms.items()})
+        return self if not k else LaurentPoly._of({e + k: c for e, c in self.terms.items()})
 
     def stretch(self, k: int) -> "LaurentPoly":
         """Substitute x -> x^k (k >= 1)."""
@@ -207,8 +213,11 @@ class LaurentPoly:
         return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
 
-def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division with remainder; both arguments must be honest polynomials."""
+def poly_divmod(a: LaurentPoly, b: LaurentPoly, over_z: bool = False) -> Optional[tuple[LaurentPoly, LaurentPoly]]:
+    """Division with remainder; both arguments must be honest polynomials.
+
+    With over_z the coefficients are integers and so must be the quotient's:
+    None is returned at the first quotient coefficient that is not."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     assert a.is_zero or a.min_exp >= 0
@@ -225,7 +234,9 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         e = -heapq.heappop(pending)
         if e not in rem:
             continue
-        c = quo[e - db] = rem[e] / lb
+        c = quo[e - db] = rem[e] // lb if over_z else rem[e] / lb
+        if over_z and c * lb != rem[e]:
+            return None
         for eb, cb in b.terms.items():
             ne = e - db + eb
             if ne in rem:
@@ -240,19 +251,65 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly._of(quo), LaurentPoly._of(rem)
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two polynomials (Euclid over Q)."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scale(1 / a.terms[a.max_exp])
+def _div_z(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
+    """a / b for integer polynomials, or None when b does not divide a over Z."""
+    qr = poly_divmod(a, b, over_z=True)
+    return None if qr is None or qr[1].terms else qr[0]
 
 
-def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q, r = poly_divmod(a, b)
-    assert r.is_zero, "division was not exact"
-    return q
+def _primitive(p: LaurentPoly) -> tuple[Fraction, LaurentPoly]:
+    """(c, P) with p = c*P and P integral, primitive, leading coefficient > 0."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = math.gcd(*ints.values()) * (1 if ints[max(ints)] > 0 else -1)
+    if g != 1:
+        ints = {e: c // g for e, c in ints.items()}
+    return Fraction(g, den), LaurentPoly._of(ints)
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """(g, a/g, b/g): g the gcd over Z of nonzero integer polynomials a and b.
+
+    g is primitive with a positive leading coefficient.  GCDHEU (Char, Geddes
+    and Gonnet 1989): for xi >= 2*min(|a|, |b|) + 2 in the max norm, the
+    balanced xi-adic digits of gcd(a(xi), b(xi)) are g once g divides both
+    exactly, and those divisions give the cofactors.  xi starts at + 29,
+    where spurious integer factors are rare; after six points `_gcd_prs`
+    decides.  One pow per term keeps sparse inputs sparse.
+    """
+    ta, tb = a.terms, b.terms
+    xi = 2 * min(max(map(abs, ta.values())), max(map(abs, tb.values()))) + 29
+    for _ in range(6):
+        h = math.gcd(sum(c * pow(xi, e) for e, c in ta.items()),
+                     sum(c * pow(xi, e) for e, c in tb.items()))
+        digits, e, half = {}, 0, xi // 2
+        while h:
+            d = (h + half) % xi - half  # the balanced digit
+            if d:
+                digits[e] = d
+            h, e = (h - d) // xi, e + 1
+        g = _primitive(LaurentPoly._of(digits))[1]
+        if g.terms == {0: 1}:
+            return g, a, b
+        if (qa := _div_z(a, g)) is not None and (qb := _div_z(b, g)) is not None:
+            return g, qa, qb
+        xi = xi * 73794 * iroot(xi, 4) // 27011
+    return _gcd_prs(a, b)
+
+
+def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """poly_gcd by the primitive remainder sequence over Z, in polynomial time.
+
+    Each step takes the pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g,
+    an exact division over Z, and removes its content (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6)."""
+    f, g = (a, b) if a.max_exp >= b.max_exp else (b, a)
+    f, g = _primitive(f)[1], _primitive(g)[1]
+    while g.terms:
+        k = g.terms[g.max_exp] ** (f.max_exp - g.max_exp + 1)
+        r = poly_divmod(LaurentPoly._of({e: c * k for e, c in f.terms.items()}), g, over_z=True)[1]
+        f, g = g, _primitive(r)[1] if r.terms else r
+    return f, _div_z(a, f), _div_z(b, f)
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +338,33 @@ class RationalFunctionX:
 
 
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
-    """Build the reduced normal form of num/den."""
+    """Build the reduced normal form of num/den.
+
+    Each side is a rational content times a primitive integer polynomial;
+    poly_gcd cancels the common factor over Z and returns the cofactors, to
+    which one pass gives back the contents and makes the denominator monic.
+    """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return RationalFunctionX(LaurentPoly.zero(), LaurentPoly.one())
     vn, vd = num.min_exp, den.min_exp
-    n0, d0 = num.shift(-vn), den.shift(-vd)
-    # a single term is a nonzero constant here, coprime to anything
-    if len(n0.terms) > 1 and len(d0.terms) > 1:
-        g = poly_gcd(n0, d0)
-        if g.span > 0:
-            n0 = poly_div_exact(n0, g)
-            d0 = poly_div_exact(d0, g)
+    if len(num.terms) == 1 or len(den.terms) == 1:  # x^k times a constant is a unit
+        num, den = num.shift(-vd), den.shift(-vd)
+        lc = den.terms[den.max_exp]
+        if lc != 1:
+            num, den = num.scale(1 / lc), den.scale(1 / lc)
+        return RationalFunctionX(num, den)
+    cn, n0 = _primitive(num.shift(-vn))
+    cd, d0 = _primitive(den.shift(-vd))
+    _, n0, d0 = poly_gcd(n0, d0)
     lc = d0.terms[d0.max_exp]
-    if lc != 1:
-        n0 = n0.scale(1 / lc)
-        d0 = d0.scale(1 / lc)
-    return RationalFunctionX(n0.shift(vn - vd), d0)
+    k = cn / (cd * lc)
+    kn, kd, v = k.numerator, k.denominator, vn - vd
+    return RationalFunctionX(
+        LaurentPoly._of({e + v: Fraction(c * kn, kd) for e, c in n0.terms.items()}),
+        LaurentPoly._of({e: Fraction(c, lc) for e, c in d0.terms.items()}),
+    )
 
 
 def _rf_add(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
@@ -346,7 +412,7 @@ def _cyclotomic(n: int) -> LaurentPoly:
     poly = LaurentPoly({n: 1, 0: -1})
     for d in range(1, n):
         if n % d == 0:
-            poly = poly_div_exact(poly, _cyclotomic(d))
+            poly = poly_divmod(poly, _cyclotomic(d))[0]
     return poly
 
 
@@ -385,8 +451,9 @@ def _int_root(n: int, k: int) -> Optional[int]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n >= 1 in increasing order, by trial division to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +532,9 @@ class ClassFunction:
     @classmethod
     def from_class_polys(cls, modulus: int, class_polys: Sequence[Mapping]) -> "ClassFunction":
         """One {rational Q-exponent: coeff} mapping per residue class."""
-        n = 1
-        for d in class_polys:
-            for e in d:
-                n = math.lcm(n, _frac(e).denominator)
-        entries = []
-        for d in class_polys:
-            num = LaurentPoly(
-                {int(_frac(e) * n): _frac(c) for e, c in d.items()}
-            )
-            entries.append(RationalFunctionX(num, LaurentPoly.one()))
-        return cls._from_reduced(modulus, n, entries)
+        n = math.lcm(1, *(_frac(e).denominator for d in class_polys for e in d))
+        nums = [LaurentPoly({int(_frac(e) * n): _frac(c) for e, c in d.items()}) for d in class_polys]
+        return cls._from_reduced(modulus, n, [RationalFunctionX(p, LaurentPoly.one()) for p in nums])
 
     # -- structural helpers --------------------------------------------------
 
@@ -488,23 +547,16 @@ class ClassFunction:
 
     def degree_span(self) -> int:
         """Largest exponent span across all numerators and denominators."""
-        best = 0
-        for e in self.classes:
-            best = max(best, e.num.span, e.den.span)
-        return best
+        return max(max(e.num.span, e.den.span) for e in self.classes)
 
     def _aligned_with(self, other: "ClassFunction"):
         m = math.lcm(self.modulus, other.modulus)
         n = math.lcm(self.root_order, other.root_order)
-        mine = [
-            _rf_stretch(self.classes[j % self.modulus], n // self.root_order)
-            for j in range(m)
-        ]
-        theirs = [
-            _rf_stretch(other.classes[j % other.modulus], n // other.root_order)
-            for j in range(m)
-        ]
-        return m, n, mine, theirs
+
+        def side(f):
+            return [_rf_stretch(f.classes[j % f.modulus], n // f.root_order) for j in range(m)]
+
+        return m, n, side(self), side(other)
 
     @staticmethod
     def _coerce(other) -> "ClassFunction":
@@ -567,13 +619,7 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.modulus,
-                self.root_order,
-                tuple((e.num, e.den) for e in self.classes),
-            )
-        )
+        return hash((self.modulus, self.root_order, tuple((e.num, e.den) for e in self.classes)))
 
     # -- the dual involution ---------------------------------------------------
 
@@ -667,12 +713,10 @@ class ClassFunction:
     def render(self) -> str:
         if self.modulus == 1:
             return _render_entry(self.classes[0], self.root_order)
-        lines = []
-        for j, e in enumerate(self.classes):
-            lines.append(
-                f"r = {j} (mod {self.modulus}): {_render_entry(e, self.root_order)}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"r = {j} (mod {self.modulus}): {_render_entry(e, self.root_order)}"
+            for j, e in enumerate(self.classes)
+        )
 
     def __str__(self):
         return self.render()
@@ -790,6 +834,7 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
         m = math.lcm(m, root.denominator)
         n = math.lcm(n, q_exp.denominator)
         norm.append((coeff, root, q_exp))
+    den = LaurentPoly.one() if den_exp is None else LaurentPoly({int(den_exp * n): 1, 0: -1})
     entries = []
     for j in range(m):
         by_qexp: dict[Fraction, list[tuple[int, Fraction]]] = {}
@@ -806,12 +851,7 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
             if val:
                 e = int(q_exp * n)
                 numdict[e] = numdict.get(e, Fraction(0)) + val
-        num = LaurentPoly(numdict)
-        if den_exp is None:
-            den = LaurentPoly.one()
-        else:
-            den = LaurentPoly({int(den_exp * n): 1, 0: -1})
-        entries.append(ratfun(num, den))
+        entries.append(ratfun(LaurentPoly(numdict), den))
     return ClassFunction._from_reduced(m, n, entries)
 
 

@@ -27,10 +27,14 @@ from massdual import (
 from massdual.qsym import (
     LaurentPoly,
     _cyclotomic,
+    _divisors,
+    _gcd_prs,
+    _primitive,
     _rational_root_sum,
     _rf_mirror,
     iroot,
     poly_divmod,
+    poly_gcd,
     ratfun,
 )
 
@@ -466,3 +470,99 @@ def test_long_finite_geometric_sum():
     (entry,) = s.classes
     assert entry.is_poly
     assert entry.num.terms == {e: 1 for e in range(1, 10**5 + 1)}
+
+
+def test_finite_geometric_sum_with_a_polynomial_coefficient():
+    s = cf_geometric_sum(Q - 1, 1, 0, 1, 2000)
+    assert s == Q**2001 - Q
+
+
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), nonzero), max_size=12),
+    st.tuples(st.integers(-30, 30), nonzero | st.just(F(1))),
+)
+@settings(max_examples=100, deadline=None)
+def test_product_by_a_monomial_matches_the_general_product(terms, mono):
+    p, m = LaurentPoly(terms), LaurentPoly([mono])
+    # the schoolbook product: LaurentPoly adds up terms with equal exponents
+    want = LaurentPoly([(e1 + e2, c1 * c2) for e1, c1 in terms for e2, c2 in [mono]])
+    assert p * m == want and m * p == want
+
+
+def test_divisors_match_the_scan():
+    for n in range(1, 501):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+# -- gcd over Z ------------------------------------------------------------------
+
+
+def _euclid_gcd(a, b):
+    """The oracle: monic gcd by Euclid over Q."""
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1]
+    return a.scale(1 / a.terms[a.max_exp])
+
+
+def _monic(p):
+    return LaurentPoly(p.terms).scale(F(1) / p.terms[p.max_exp])
+
+
+sparse_polys = st.dictionaries(
+    st.integers(0, 25),
+    st.builds(F, st.integers(-1000, 1000).filter(bool), st.sampled_from([1, 1, 2, 3, 7])),
+    min_size=1,
+    max_size=5,
+).map(LaurentPoly)
+
+
+@given(sparse_polys, sparse_polys, sparse_polys)
+@settings(max_examples=150, deadline=None)
+def test_gcd_over_z_matches_euclid_over_q(a, b, planted):
+    a, b = a * planted, b * planted
+    want = _euclid_gcd(a, b)
+    ca, pa = _primitive(a)
+    cb, pb = _primitive(b)
+    assert pa.scale(ca) == a and pb.scale(cb) == b
+    for gcd in (poly_gcd, _gcd_prs):
+        g, qa, qb = gcd(pa, pb)
+        assert all(type(c) is int for p in (g, qa, qb) for c in p.terms.values())
+        assert g.terms[g.max_exp] > 0 and _primitive(g)[0] == 1
+        assert _monic(g) == want
+        assert (g * qa).terms == pa.terms and (g * qb).terms == pb.terms
+    # ratfun's normal form is the one the oracle's gcd gives
+    vn, vd = a.min_exp, b.min_exp
+    n0, d0 = a.shift(-vn), b.shift(-vd)
+    g = _euclid_gcd(n0, d0)
+    n0, d0 = poly_divmod(n0, g)[0], poly_divmod(d0, g)[0]
+    lc = d0.terms[d0.max_exp]
+    reduced = ratfun(a, b)
+    assert reduced.num == n0.scale(1 / lc).shift(vn - vd) and reduced.den == d0.scale(1 / lc)
+
+
+def test_gcd_of_sparse_binomials_stays_sparse():
+    a, b = LaurentPoly._of({20000: 1, 0: -1}), LaurentPoly._of({12000: 1, 0: -1})
+    for gcd in (poly_gcd, _gcd_prs):
+        g, qa, qb = gcd(a, b)
+        assert g.terms == {4000: 1, 0: -1}
+        assert qa.terms == {e: 1 for e in range(0, 20000, 4000)}
+        assert qb.terms == {8000: 1, 4000: 1, 0: 1}
+    (entry,) = ((Q**20000 - 1) / (Q**12000 - 1)).classes
+    assert entry.num.terms == {e: 1 for e in range(0, 20000, 4000)}
+    assert entry.den.terms == {8000: 1, 4000: 1, 0: 1}
+
+
+def test_dual_difference_of_a_sparse_quotient_is_exact():
+    # a 4-term input on which Euclid over Q ran for minutes
+    num = {31: F(3, 4), -8: F(3, 4), 43: F(5)}
+    den = {45: F(1), 23: F(-2), 10: F(-2), -35: F(-2)}
+    f = ClassFunction.poly(num) / ClassFunction.poly(den)
+    h = f.dual() * Q**2 - f
+
+    def value(x):  # f at Q = x, straight from its terms
+        return sum(c * x**e for e, c in num.items()) / sum(c * x**e for e, c in den.items())
+
+    for q0 in (2, 3, F(5, 2)):
+        for r0 in (1, 2, 3):
+            x = F(q0) ** r0
+            assert cf_eval(h, q0, r0) == value(1 / x) * x**2 - value(x)
