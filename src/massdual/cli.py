@@ -305,7 +305,8 @@ def run(argv=None) -> int:
     except (
         MassdualError, OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's text is only the key
+        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,11 +22,11 @@ forms are equal componentwise, so `==` decides function equality.
 
 from __future__ import annotations
 
+import decimal
 import heapq
 import math
 import os
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -432,6 +432,8 @@ def iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton iteration."""
     if n < 2 or k == 1:
         return n
+    if n.bit_length() <= k:  # n < 2^k; Newton from 3 would cost about k digits
+        return 1
     # start just above the root: n >> (s*k) has a root of about 60 bits,
     # whose float estimate is off by far less than the 2^-40 margin
     s = max(0, n.bit_length() // k - 60)
@@ -444,10 +446,10 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact integer k-th root of n >= 1 (k >= 1), or None."""
-    r = iroot(n, k)
-    return r if r**k == n else None
+def _root(q: Fraction, k: int) -> Optional[Fraction]:
+    """The exact k-th root of q > 0 (k >= 1), or None."""
+    n, d = iroot(q.numerator, k), iroot(q.denominator, k)
+    return Fraction(n, d) if n**k == q.numerator and d**k == q.denominator else None
 
 
 def _divisors(n: int) -> list[int]:
@@ -644,9 +646,8 @@ class ClassFunction:
     def eval(self, q0, r0: int, precision: Optional[int] = None):
         """Value at q = q0 (rational > 1) and r = r0 (positive integer).
 
-        Returns an exact Fraction whenever the required root of q0 is
-        rational; otherwise a Decimal rounded to `precision` significant
-        digits (computed with 15 guard digits, so off by at most one ulp).
+        An exact Fraction whenever the required root of q0 is rational, else a Decimal
+        rounded half-up to `precision` significant digits (GML_PRECISION, default 50).
         """
         q0 = _frac(q0)
         if q0 <= 1:
@@ -654,43 +655,49 @@ class ClassFunction:
         r0 = int(r0)
         if r0 < 1:
             raise ValueError("r0 must be a positive integer")
-        if precision is None:
-            precision = int(os.environ.get("GML_PRECISION", DEFAULT_EVAL_PRECISION))
+        precision = os.environ.get("GML_PRECISION", DEFAULT_EVAL_PRECISION) if precision is None else precision
+        if not str(precision).isdecimal() or int(precision) < 1:
+            raise ValueError(f"GML_PRECISION (precision) must be a positive integer, got {precision!r}")
+        precision = int(precision)
         entry = self.class_entry(r0)
-        # q^(e*r0/N) = y^(e*r0/g) with y = q0^(1/b): b = N/g is the least root
-        # order of q0 the entry needs
-        g = math.gcd(self.root_order, r0 * math.gcd(*entry.num.terms, *entry.den.terms))
-        b = self.root_order // g
-        rn = _int_root(q0.numerator, b)
-        rd = _int_root(q0.denominator, b)
-        if rn is None or rd is None:
-            return self._eval_decimal(entry, q0, r0, precision)
-        y = Fraction(rn, rd)
-        num = sum((c * y ** (e * r0 // g) for e, c in entry.num.terms.items()), Fraction(0))
-        den = sum((c * y ** (e * r0 // g) for e, c in entry.den.terms.items()), Fraction(0))
-        if den == 0:
-            raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
-        return num / den
+        # q^(e*r0/N) = y^k, k = e*r0/g, y = q0^(1/b) = s^(d/b): b = N/g least, d | b largest with q0 = s^d
+        b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.num.terms, *entry.den.terms)))
+        d, s = next(((d, r) for d in range(min(b, q0.numerator.bit_length()), 1, -1)
+                     if b % d == 0 and (r := _root(q0, d))), (1, q0))
+        if d == b:
+            num, den = (sum(c * s**(e * r0 // g) for e, c in p.terms.items()) for p in (entry.num, entry.den))
+            if den == 0:
+                raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
+            return num / den
+        b, top = b // d, max(abs(e) for e in (*entry.num.terms, *entry.den.terms)) * r0 // g + b  # above |k|, j
+        wide = dict(Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.Overflow, decimal.Underflow])
 
-    def _eval_decimal(self, entry, q0: Fraction, r0: int, precision: int) -> Decimal:
-        import mpmath  # only this fallback needs it; keeps `import massdual` light
+        def value(guard):  # y^k = s^m * y^j, k = m*b + j: one sum per j, as the y^j are independent
+            with decimal.localcontext(decimal.Context(precision + guard + len(str(top)), **wide)) as ctx:
+                q, low = decimal.Decimal(s.numerator) / s.denominator, decimal.Context(len(str(b)) + 20, **wide)
+                y, sums = (q.ln(low) / b).exp(low), ({}, {})
+                for _ in range(ctx.prec.bit_length()):  # Newton's method on y^b = s, from 20 digits on
+                    y -= (y - q / y ** (b - 1)) / b
+                for by_j, p in zip(sums, (entry.num, entry.den)):
+                    for e, c in p.terms.items():
+                        m, j = divmod(e * r0 // g, b)
+                        by_j[j] = by_j.get(j, 0) + c.numerator * q**m / c.denominator
+                num, den = (sum(v * y**j for j, v in by_j.items()) for by_j in sums)
+                if abs(den) < decimal.Decimal(f"1e-{precision + 5}"):
+                    raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
+                return num / den
 
-        n = self.root_order
-        with mpmath.workdps(precision + 15):
-            x = mpmath.mpf(q0.numerator) / mpmath.mpf(q0.denominator)
-
-            def term(e, c):
-                p = mpmath.power(x, mpmath.mpf(e * r0) / n)
-                return mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * p
-
-            num = mpmath.fsum(term(e, c) for e, c in entry.num.terms.items())
-            den = mpmath.fsum(term(e, c) for e, c in entry.den.terms.items())
-            if abs(den) < mpmath.mpf(10) ** (-(precision + 5)):
-                raise PoleAtEvaluationPoint(
-                    f"denominator vanishes at q0={q0}, r0={r0}"
-                )
-            val = num / den
-            return Decimal(mpmath.nstr(val, precision))
+        out, exact = (decimal.Context(p, decimal.ROUND_HALF_UP, **wide) for p in (precision, decimal.MAX_PREC))
+        try:  # double the guard digits until val, give or take its change since the last, rounds one way
+            guard, last, val = 30, value(15), value(30)
+            while guard < 200 and out.plus(last) != out.plus(val.fma(2, last.copy_negate(), exact)):
+                guard, last, val = 2 * guard, val, value(2 * guard)
+        except (decimal.Overflow, decimal.Underflow):
+            raise ValueError(f"the value at q0={q0}, r0={r0} is beyond the decimal exponent range") from None
+        # the layout --eval has always printed: an integral fixed value as N.0, a lone digit as d.0E+X
+        sign, digits, x = (val.normalize(out) or decimal.Decimal(0)).as_tuple()
+        pad = max(x + 1, 0) if -max(precision // 3, 5) < x + len(digits) - 1 < precision else int(len(digits) == 1)
+        return decimal.Decimal((sign, digits + (0,) * pad, x - pad))
 
     # -- admissibility ------------------------------------------------------------
 

@@ -367,6 +367,16 @@ def test_eval_at_q0_beyond_float_range():
     assert "Traceback" not in proc.stderr
 
 
+def test_eval_with_a_root_of_order_100000007_in_a_fresh_process(tmp_path):
+    # the exact branch tries q0^(1/100000007) as an integer root first
+    profile = {"group_order": 1, "strata": [{"count": Q.to_json(), "v": "1/100000007", "w": "0"}]}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    proc = run_fresh("profile", "--file", str(path), "--eval", "2", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "mass_v(2,1) = 1.9999999861370574072523732216303109218435003667453\n" in proc.stdout
+
+
 def test_large_finite_family_in_a_fresh_process():
     # a finite family of m strata is one geometric sum, linear in m
     proc = run_fresh(
@@ -419,6 +429,15 @@ def z2_group(degree=2, cycle=(1, 2), exps=(1,)) -> dict:
 STRATA = {"[]": (Q**2).to_json(), "[1]": (Q + 1).to_json()}
 DUALITY = ("duality", "--mv", FILE, "--mw", FILE, "--d", "2")
 TAME = ("tame", "--group", FILE, "--q", "3")
+EVAL_SQRT2 = ("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "2", "1")
+# the start of stderr where a case checks more than the "error:" prefix
+ERROR_TEXT = {
+    "missing-classes": "error: missing key 'classes'\n",
+    "GML_PRECISION-0": "error: GML_PRECISION",
+    "GML_PRECISION--5": "error: GML_PRECISION",
+    "GML_PRECISION-7.5": "error: GML_PRECISION",
+    "eval-beyond-decimal-exponent-range": "error: the value at q0=2, r0=1000000000000000000000000000001 is",
+}
 
 
 @pytest.mark.parametrize(
@@ -469,13 +488,24 @@ TAME = ("tame", "--group", FILE, "--q", "3")
             ("stringy", "--builtin", "a1_cone", "--check-poincare"), None, id="check-poincare-no-d"
         ),
         pytest.param(("stringy", "--builtin", "a1_cone", "--check-gm"), None, id="check-gm-no-d"),
+        pytest.param(DUALITY, {"modulus": 1, "root_order": 1}, id="missing-classes"),
+        # a leading NAME=value sets that environment variable, as in a shell
+        pytest.param(("GML_PRECISION=0", *EVAL_SQRT2), None, id="GML_PRECISION-0"),
+        pytest.param(("GML_PRECISION=-5", *EVAL_SQRT2), None, id="GML_PRECISION--5"),
+        pytest.param(("GML_PRECISION=7.5", *EVAL_SQRT2), None, id="GML_PRECISION-7.5"),
+        pytest.param(
+            (*EVAL_SQRT2[:-1], str(10**30 + 1)), None, id="eval-beyond-decimal-exponent-range"
+        ),
     ],
 )
-def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, request, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     assert run([str(path) if a == FILE else a for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(ERROR_TEXT.get(request.node.callspec.id, "error:"))
 
 
 def test_integer_strings_are_accepted_in_every_loader(tmp_path, capsys):

@@ -196,6 +196,14 @@ def test_iroot_is_the_integer_floor_root():
             assert r**k <= n < (r + 1) ** k
 
 
+def test_iroot_with_a_large_root_order():
+    # below 2^k the root is 1 at once; Newton from 3 would cost about k digits
+    for n, k in [(2, 10**6), (3**100, 10**6), (2**999, 1000), (2**1000 - 1, 1000)]:
+        assert iroot(n, k) == 1
+    assert iroot(2**1000, 1000) == 2
+    assert ClassFunction.monomial(F(1, 100000007)).eval(2, 1, 20) == Decimal("1.0000000069314713444")
+
+
 def test_eval_decimal_fallback_and_precision():
     f = ClassFunction.monomial(F(1, 2))
     val = cf_eval(f, 2, 1)
@@ -211,6 +219,210 @@ def test_eval_respects_env_precision(monkeypatch):
     assert len(str(cf_eval(f, 2, 1)).replace(".", "")) <= 11
 
 
+ROOT = ClassFunction.monomial(F(1, 2))
+EVAL_POINTS = [  # (f, q0, r0): each needs an irrational root of q0
+    (Q + ROOT, 2, 1),
+    (Q + ROOT, 2, 10**12 + 1),  # an exponent of 12 digits
+    (2 + 1 / ROOT - 1 / Q, 2, 10**12 + 1),  # integral at every precision: 2.0
+    # 2^(r0/2) on both sides of the last fixed exponent, 4, 49 and 199
+    (ROOT, 2, 33), (ROOT, 2, 35), (ROOT, 2, 327), (ROOT, 2, 333), (ROOT, 2, 1325), (ROOT, 2, 1331),
+    # 2^(-r0/2) on both sides of the first fixed exponent, -4, -15 and -65
+    (1 / ROOT, 2, 25), (1 / ROOT, 2, 27), (1 / ROOT, 2, 99), (1 / ROOT, 2, 101),
+    (1 / ROOT, 2, 427), (1 / ROOT, 2, 433),
+    (ROOT - Q, 2, 1),  # negative
+    (1 / ROOT, 2, 1001),  # tiny
+    (ROOT, F(7, 5), 3),
+]
+# str(f.eval(q0, r0, precision)) as the mpmath-based evaluation wrote it
+PINNED_DECIMALS = {
+    5: [
+        "3.4142",
+        "1.9152E+301029995664",
+        "2.0",
+        "92682.0",
+        "1.8536E+5",
+        "1.6535E+49",
+        "1.3228E+50",
+        "2.7063E+199",
+        "2.165E+200",
+        "0.00017263",
+        "0.000086317",
+        "1.2561E-15",
+        "6.2804E-16",
+        "5.3715E-65",
+        "6.7144E-66",
+        "-0.58579",
+        "2.1602E-151",
+        "1.6565",
+    ],
+    50: [
+        "3.4142135623730950488016887242096980785696718753769",
+        "1.9152488462985486569610118991397896749425419135039E+301029995664",
+        "2.0",
+        "92681.900023683157118267472229806773277142016024704",
+        "185363.80004736631423653494445961354655428403204941",
+        "16535003495550779306661991744110472180033553566633.0",
+        "1.3228002796440623445329593395288377744026842853306E+50",
+        "2.7062762571932898113567420015030877475191683688721E+199",
+        "2.1650210057546318490853936012024701980153346950977E+200",
+        "0.00017263349150062195419942489309200415998164939884973",
+        "0.000086316745750310977099712446546002079990824699424863",
+        "1.2560739669470200475147058975708507931387386550321E-15",
+        "6.2803698347351002375735294878542539656936932751605E-16",
+        "5.3715042753944098778285063806519922358450659687231E-65",
+        "6.7143803442430123472856329758149902948063324609039E-66",
+        "-0.58578643762690495119831127579030192143032812462305",
+        "2.1601662187239421773112728697271247209843141569559E-151",
+        "1.6565023392678924919188519216372527735563403446224",
+    ],
+    200: [
+        (
+            "3.4142135623730950488016887242096980785696718753769480731766797379907324784621070388"
+            "503875343276415727350138462309122970249248360558507372126441214970999358314132226659"
+            "275055927557999505011527820605715"
+        ),
+        (
+            "1.9152488462985486569610118991397896749425419135038581139642625703414716654879203335"
+            "179742941036828629293690750488561296938112233995099683003155498531189475054031895330"
+            "283795060141531709513760470676976E+301029995664"
+        ),
+        "2.0",
+        (
+            "92681.900023683157118267472229806773277142016024703668923706883308960643708492646898"
+            "098997449696318110761867426589068297825474055756233913967845146433941394647496960634"
+            "225006526844105556043548725121612"
+        ),
+        (
+            "185363.80004736631423653494445961354655428403204940733784741376661792128741698529379"
+            "619799489939263622152373485317813659565094811151246782793569029286788278929499392126"
+            "845001305368821111208709745024322"
+        ),
+        (
+            "16535003495550779306661991744110472180033553566632.577064800732368548337897628314267"
+            "577018438827888582322902273857285786789842385884754105836464531338143112012232400402"
+            "182225997040838270523288112226561"
+        ),
+        (
+            "132280027964406234453295933952883777440268428533060.61651840585894838670318102651414"
+            "061614751062310865858321819085828629431873908707803284669171625070514489609785920321"
+            "745780797632670616418630489781249"
+        ),
+        (
+            "270627625719328981135674200150308774751916836887209800735643295099504237481075567618"
+            "768462501592828155171702378350339231434399619373627922465073559918471164662726324432"
+            "67383747469052389214438553901278.0"
+        ),
+        (
+            "2.1650210057546318490853936012024701980153346950976784058851463607960338998486045409"
+            "501477000127426252413736190268027138514751969549890233797205884793477693173018105954"
+            "613906997975241911371550843121023E+200"
+        ),
+        (
+            "0.0001726334915006219541994248930920041599816493988497251065889501633289468357497689"
+            "256409164470614796841717546199012344112579253950263489669449028468624389570106705594"
+            "0746185371005319823614516025171637835"
+        ),
+        (
+            "0.0000863167457503109770997124465460020799908246994248625532944750816644734178748844"
+            "628204582235307398420858773099506172056289626975131744834724514234312194785053352797"
+            "03730926855026599118072580125858189177"
+        ),
+        (
+            "1.2560739669470200475147058975708507931387386550321033180003735711866963229096212718"
+            "353231834879238461999529674448015521769804401726939755091941832684020992795599115740"
+            "46809328524965066354781823730288E-15"
+        ),
+        (
+            "6.2803698347351002375735294878542539656936932751605165900018678559334816145481063591"
+            "766159174396192309997648372240077608849022008634698775459709163420104963977995578702"
+            "340466426248253317739091186514398E-16"
+        ),
+        (
+            "5.3715042753944098778285063806519922358450659687231023692605545907486189567209329813"
+            "232443191719313040264447307531404914439562902892459395496319450719412764363734586476"
+            "02006774203964667977330716064912E-65"
+        ),
+        (
+            "6.7143803442430123472856329758149902948063324609038779615756932384357736959011662266"
+            "540553989649141300330559134414256143049453628615574244370399313399265955454668233095"
+            "0250846775495583497166339508114E-66"
+        ),
+        (
+            "-0.585786437626904951198311275790301921430328124623051926823320262009267521537892961"
+            "149612465672358427264986153769087702975075163944149262787355878502900064168586777334"
+            "07249440724420004949884721793942853"
+        ),
+        (
+            "2.1601662187239421773112728697271247209843141569559015801300451662773824051508790705"
+            "898421091863776484174962038993647376740750300381653680687989495560358776137401355237"
+            "376395491729191182437377593720878E-151"
+        ),
+        (
+            "1.6565023392678924919188519216372527735563403446224152904063215073599902885495828502"
+            "944107076112705698648151778319912755964075942794654803826417859825487059547490825036"
+            "269161026724237832681960338892312"
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("precision", [5, 50, 200])
+def test_decimal_eval_matches_the_pinned_strings(precision):
+    got = [str(f.eval(q0, r0, precision)) for f, q0, r0 in EVAL_POINTS]
+    assert got == PINNED_DECIMALS[precision]
+
+
+def test_decimal_eval_is_correctly_rounded():
+    # 2^(10^17 + 1) = 6.64...E+30102999566398119: the exponent's 18 digits
+    # are guard digits too, so the leading digit is right even at precision 1
+    assert str((Q + ROOT).eval(2, 10**17 + 1, 1)) == "7.0E+30102999566398119"
+    # 4^(1/3) = 1.5874010519681994748..., 3^(1/2) = 1.7320508075688772935...
+    cube = ClassFunction.monomial(F(1, 3))
+    assert [str(cube.eval(4, 1, p)) for p in (1, 2, 3, 4)] == ["2.0", "1.6", "1.59", "1.587"]
+    assert str(ROOT.eval(3, 1, 19)) == "1.732050807568877294"
+
+
+def test_decimal_eval_of_terms_that_cancel_is_zero():
+    # terms q0^t whose t differ by an integer share one power of the root, so
+    # their exact cancellation survives: 2^(3/2) = 2*2^(1/2), 3^(4/3) = 3*3^(1/3),
+    # (1/2)(3/2)^(-4/3) = (9/8)(3/2)^(-10/3), and with q0 = 9 = 3^2 the root is
+    # 3^(1/2), so 9^(3/4) = 3*9^(1/4)
+    fourth = ClassFunction.monomial(F(1, 4))
+    cancel = [
+        (ClassFunction.monomial(F(3, 2)) - 2 * ROOT, 2, 1),
+        (ClassFunction.monomial(F(4, 3)) - 3 * ClassFunction.monomial(F(1, 3)), 3, 1),
+        (ClassFunction.monomial(F(3, 4)) - 3 * fourth, 9, 1),
+        (ClassFunction.monomial(F(3, 4)) - F(3, 2) * fourth, F(9, 4), 1),
+        (
+            ClassFunction.poly({F(-2, 3): F(1, 2), F(-5, 3): F(-9, 8)})
+            / (ClassFunction.monomial(F(1, 3)) + F(1, 2)),
+            F(3, 2),
+            2,
+        ),
+    ]
+    for f, q0, r0 in cancel:
+        assert [str(f.eval(q0, r0, p)) for p in (5, 50, 200)] == ["0.0"] * 3
+
+
+def test_decimal_eval_near_a_tie_doubles_the_guard_digits():
+    # at q0 = 10^40 + 1 the digits after the 200th are 4, 17 nines, 7... (first
+    # value) and 5, 34 zeros, 996... (second): 15 guard digits round the first
+    # up and the second down, and only more guard digits settle them
+    big = 10**40 + 1
+    near_below = ClassFunction.poly({0: F(15, 4), F(-1, 4): F(3, 4), F(-11, 4): F(3, 4)}) / (Q**3 - F(3, 2))
+    near_above = F(9, 16) * ClassFunction.monomial(F(-7, 3)) / (ClassFunction.monomial(F(5, 3)) - F(1, 8))
+    assert str(near_below.eval(big, 2, 200)) == (
+        "3.75000000000000000000749999999999999999774999999999999999999512500000000000000078750000"
+        "0000000000001828124999999999999789999999999999999999482031250000000000047250000000000000"
+        "0001230175781249999999905E-240"
+    )
+    assert str(near_above.eval(big, 5, 200)) == (
+        "5.62499999999999999999999999999999999998875000000000000000000000000000000000001181249999"
+        "9999999999999999999999999999991337500000000000000000000000000000000004980937499999999999"
+        "9999999999999999999976092E-801"
+    )
+
+
 def test_eval_pole():
     f = 1 / (Q - 2)
     with pytest.raises(PoleAtEvaluationPoint):
@@ -222,6 +434,13 @@ def test_eval_argument_validation():
         cf_eval(one, 1, 1)
     with pytest.raises(ValueError):
         cf_eval(one, 2, 0)
+    for precision in (0, -5, "7.5", True, 2.0):
+        with pytest.raises(ValueError, match="GML_PRECISION"):
+            cf_eval(ROOT, 2, 1, precision)
+    # 2^(+-(10^30 + 1)/2) is beyond the decimal exponent range either way
+    for f in (ROOT, 1 / ROOT):
+        with pytest.raises(ValueError, match="exponent range"):
+            cf_eval(f, 2, 10**30 + 1)
 
 
 def test_geometric_sum_telescopes_to_constant():
@@ -295,15 +514,21 @@ def test_pow_by_squaring_matches_repeated_multiplication():
         assert f**k == expected
 
 
-def test_import_leaves_mpmath_unloaded():
+def test_mpmath_never_loads():
+    # a None entry in sys.modules makes every import of mpmath fail
     code = (
-        "import sys, massdual\n"
-        "assert 'mpmath' not in sys.modules\n"
-        "massdual.cf_eval(massdual.ClassFunction.monomial('1/2'), 2, 1)\n"
-        "assert 'mpmath' in sys.modules\n"
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import massdual\n"
+        "from massdual.cli import run\n"
+        "print(massdual.cf_eval(massdual.ClassFunction.monomial('1/2'), 2, 1))\n"
+        "sys.exit(run(['profile', '--builtin', 'quad_char0_sigma', '--n', '1', '--eval', '2', '1']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "1.4142135623730950488016887242096980785696718753769"
+    assert "mass_v(2,1) = 2.2071067811865475244008443621048490392848359376885" in lines
 
 
 def test_json_roundtrip_and_hash():
