@@ -403,24 +403,23 @@ def bhargava_masses(n: int) -> MassPair:
     return MassPair(ClassFunction.poly(mv), ClassFunction.poly(mw))
 
 
+def _kedlaya_w(table: list[list[int]], n: int) -> dict[int, int]:
+    """{n - i: sum over j of P(j, i) * P(n - j)}, in integers."""
+    w = dict.fromkeys(range(n + 1), 0)
+    for j in range(n + 1):
+        tail = sum(table[n - j])
+        for i, p in enumerate(table[j]):
+            w[n - i] += p * tail
+    return w
+
+
 def kedlaya_masses(n: int) -> MassPair:
     """The double-sum refinement: sum over j <= n and i <= j of
     P(j, i) * P(n - j) * Q^(i - n) against v, Q^(n - i) against w."""
     if n < 1:
         raise InvalidParams("n must be a positive integer")
-    table = _partition_table(n)
-    mv: dict[Fraction, Fraction] = {}
-    mw: dict[Fraction, Fraction] = {}
-    for j in range(n + 1):
-        tail = sum(table[n - j])
-        for i in range(j + 1):
-            c = table[j][i] * tail
-            if not c:
-                continue
-            ev, ew = Fraction(i - n), Fraction(n - i)
-            mv[ev] = mv.get(ev, Fraction(0)) + c
-            mw[ew] = mw.get(ew, Fraction(0)) + c
-    return MassPair(ClassFunction.poly(mv), ClassFunction.poly(mw))
+    w = _kedlaya_w(_partition_table(n), n)
+    return MassPair(ClassFunction.poly({-e: c for e, c in w.items()}), ClassFunction.poly(w))
 
 
 HilbertCounts = namedtuple("HilbertCounts", ["hilb_plane", "fiber", "c_strata", "d_strata"])
@@ -431,23 +430,16 @@ def hilbert_counts(n: int) -> HilbertCounts:
 
     hilb_plane = sum_m P(n, n-m) Q^(2n-m); the punctual piece C_m has
     P(m) Q^m points, the graded piece D_m has sum_i P(m, i) Q^(m-i), and
-    fiber = sum_j C_(n-j) * D_j recovers the count over a fixed fiber.
+    fiber = sum_j C_(n-j) * D_j recovers the count over a fixed fiber:
+    its Q^(n-i) coefficient is the sum of P(n-j) * P(j, i), as in kedlaya_masses.
     """
     if n < 1:
         raise InvalidParams("n must be a positive integer")
     table = _partition_table(n)
-    hilb = ClassFunction.poly(
-        {Fraction(2 * n - m): Fraction(table[n][n - m]) for m in range(n + 1)}
-    )
-    c_strata = [ClassFunction.poly({Fraction(m): Fraction(sum(table[m]))}) for m in range(n + 1)]
-    d_strata = [
-        ClassFunction.poly({Fraction(m - i): Fraction(c) for i, c in enumerate(table[m]) if c})
-        for m in range(n + 1)
-    ]
-    fiber = ClassFunction.zero()
-    for j in range(n + 1):
-        fiber = fiber + c_strata[n - j] * d_strata[j]
-    return HilbertCounts(hilb, fiber, c_strata, d_strata)
+    hilb = ClassFunction.poly({2 * n - m: table[n][n - m] for m in range(n + 1)})
+    c_strata = [ClassFunction.poly({m: sum(table[m])}) for m in range(n + 1)]
+    d_strata = [ClassFunction.poly({m - i: c for i, c in enumerate(table[m]) if c}) for m in range(n + 1)]
+    return HilbertCounts(hilb, ClassFunction.poly(_kedlaya_w(table, n)), c_strata, d_strata)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ rational function in x per residue class).  Construction always canonicalizes:
 
 Two ClassFunctions are equal as functions of r exactly when their canonical
 forms are equal componentwise, so `==` decides function equality.
+
+Arithmetic runs over Z: products, sums, reductions, root-of-unity sums and
+exact evaluation work on integer coefficients over one common denominator,
+and a Fraction is built once per output coefficient.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
 )
 
 DEFAULT_EVAL_PRECISION = 50
+EXACT_EVAL_MAX_BITS = 2**20  # exact values past about 315 000 digits are refused
 
 RationalLike = Union[int, str, Fraction]
 
@@ -85,7 +90,11 @@ def is_infinite(x) -> bool:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: dict {exponent: nonzero Fraction, int in the gcd over Z}."""
+    """Sparse Laurent polynomial: dict {exponent: nonzero Fraction}.
+
+    Products enter as the integer form P/L of `_ints` and leave through
+    `_fracs`, one Fraction per coefficient; the gcd over Z, `_cyclotomic` and
+    poly_divmod(over_z=True) keep int coefficients throughout."""
 
     __slots__ = ("terms",)
 
@@ -93,16 +102,9 @@ class LaurentPoly:
         data: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for e, c in items:
-            c = _frac(c)
-            if not c:
-                continue
-            e = int(e)
-            acc = data.get(e, Fraction(0)) + c
-            if acc:
-                data[e] = acc
-            else:
-                data.pop(e, None)
-        self.terms = data
+            e, c = int(e), _frac(c)
+            data[e] = data[e] + c if e in data else c
+        self.terms = {e: c for e, c in data.items() if c}
 
     @classmethod
     def _of(cls, terms: dict) -> "LaurentPoly":
@@ -173,22 +175,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if len(self.terms) == 1:
-            self, other = other, self
-        if len(other.terms) == 1:  # a monomial: a shift, scaled unless by 1
-            ((k, c),) = other.terms.items()
-            out = self.shift(k)
-            return out if c == 1 else out.scale(c)
-        data: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                acc = data[e] + c1 * c2 if e in data else c1 * c2
-                if acc:
-                    data[e] = acc
-                else:
-                    del data[e]
-        return LaurentPoly._of(data)
+        (la, a), (lb, b) = _ints(self), _ints(other)
+        return _fracs(_zmul(a, b), Fraction(1, la * lb))
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
@@ -257,14 +245,56 @@ def _div_z(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
     return None if qr is None or qr[1].terms else qr[0]
 
 
+def _ints(p: LaurentPoly) -> tuple[int, dict]:
+    """The integer form (L, P) of p = P/L: L the lcm of the denominators, P
+    an integer dict.  gcd(content of P, L) = 1, so the form is canonical."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    if den == 1:
+        return 1, {e: c.numerator for e, c in p.terms.items()}
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _zmul(a: dict, b: dict, k: int = 1, acc: Optional[dict] = None) -> dict:
+    """acc + k*a*b for integer polynomials {exponent: int}, zeros dropped;
+    acc, when given, is consumed."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1 and acc is None:  # a monomial: a shift and a scaling
+        ((e2, c2),) = b.items()
+        c2 *= k
+        return {e + e2: c * c2 for e, c in a.items()}
+    out = {} if acc is None else acc
+    get = out.get
+    for e2, c2 in b.items():
+        c2 *= k
+        for e1, c1 in a.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _fracs(p: dict, k: Fraction, shift: int = 0) -> LaurentPoly:
+    """k*p*x^shift for an integer dict p: the one place products and
+    reductions build their Fractions, one per output coefficient."""
+    kn, kd = k.numerator, k.denominator
+    if kd == 1:
+        return LaurentPoly._of({e + shift: Fraction(c * kn) for e, c in p.items()})
+    return LaurentPoly._of({e + shift: Fraction(c * kn, kd) for e, c in p.items()})
+
+
+def _split(p: dict) -> tuple[int, int, LaurentPoly]:
+    """(g, v, P) with p = g*x^v*P for an integer dict p: g the content, signed
+    like the leading coefficient, v the least exponent, P primitive with P(0) != 0."""
+    g, v = math.gcd(*p.values()), min(p)
+    g = g if p[max(p)] > 0 else -g
+    return g, v, LaurentPoly._of(p if g == 1 and v == 0 else {e - v: c // g for e, c in p.items()})
+
+
 def _primitive(p: LaurentPoly) -> tuple[Fraction, LaurentPoly]:
     """(c, P) with p = c*P and P integral, primitive, leading coefficient > 0."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    g = math.gcd(*ints.values()) * (1 if ints[max(ints)] > 0 else -1)
-    if g != 1:
-        ints = {e: c // g for e, c in ints.items()}
-    return Fraction(g, den), LaurentPoly._of(ints)
+    den, ints = _ints(p)
+    g, v, prim = _split(ints)
+    return Fraction(g, den), prim.shift(v)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -340,45 +370,52 @@ class RationalFunctionX:
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
     """Build the reduced normal form of num/den.
 
-    Each side is a rational content times a primitive integer polynomial;
-    poly_gcd cancels the common factor over Z and returns the cofactors, to
-    which one pass gives back the contents and makes the denominator monic.
+    Each side enters in its integer form (`_ints`); `_reduced` does the rest.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
+    (ln, n), (ld, d) = _ints(num), _ints(den)
+    return _reduced(n, d, Fraction(ld, ln))
+
+
+def _reduced(n: dict, d: dict, k: Fraction) -> RationalFunctionX:
+    """ratfun(k*n, d) for integer dicts n and d != 0.
+
+    Each side is an integer content times a primitive polynomial; poly_gcd
+    cancels the common factor over Z and returns the cofactors, to which one
+    pass gives back k and the contents and makes the denominator monic.
+    """
+    if not n:
         return RationalFunctionX(LaurentPoly.zero(), LaurentPoly.one())
-    vn, vd = num.min_exp, den.min_exp
-    if len(num.terms) == 1 or len(den.terms) == 1:  # x^k times a constant is a unit
-        num, den = num.shift(-vd), den.shift(-vd)
-        lc = den.terms[den.max_exp]
-        if lc != 1:
-            num, den = num.scale(1 / lc), den.scale(1 / lc)
-        return RationalFunctionX(num, den)
-    cn, n0 = _primitive(num.shift(-vn))
-    cd, d0 = _primitive(den.shift(-vd))
-    _, n0, d0 = poly_gcd(n0, d0)
+    (gn, vn, n0), (gd, vd, d0) = _split(n), _split(d)
+    if len(n) > 1 and len(d) > 1:  # else one side is x^k times a constant, a unit
+        _, n0, d0 = poly_gcd(n0, d0)
     lc = d0.terms[d0.max_exp]
-    k = cn / (cd * lc)
-    kn, kd, v = k.numerator, k.denominator, vn - vd
-    return RationalFunctionX(
-        LaurentPoly._of({e + v: Fraction(c * kn, kd) for e, c in n0.terms.items()}),
-        LaurentPoly._of({e: Fraction(c, lc) for e, c in d0.terms.items()}),
-    )
+    k = Fraction(k.numerator * gn, k.denominator * gd * lc)
+    return RationalFunctionX(_fracs(n0.terms, k, vn - vd), _fracs(d0.terms, Fraction(1, lc)))
+
+
+_RF_ONE = RationalFunctionX(LaurentPoly.one(), LaurentPoly.one())
 
 
 def _rf_add(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
-    return ratfun(a.num * b.den + b.num * a.den, a.den * b.den)
+    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
+    m = math.lcm(u := lan * lbd, w := lbn * lad)
+    return _reduced(_zmul(bn, ad, m // w, _zmul(an, bd, m // u)), _zmul(ad, bd), Fraction(lad * lbd, m))
 
 
 def _rf_mul(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
-    return ratfun(a.num * b.num, a.den * b.den)
+    if a == _RF_ONE or b == _RF_ONE:  # both are reduced already
+        return b if a == _RF_ONE else a
+    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
+    return _reduced(_zmul(an, bn), _zmul(ad, bd), Fraction(lad * lbd, lan * lbn))
 
 
 def _rf_div(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     if b.is_zero:
         raise ZeroDivisionError("division by the zero class function")
-    return ratfun(a.num * b.den, a.den * b.num)
+    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
+    return _reduced(_zmul(an, bd), _zmul(ad, bn), Fraction(lad * lbn, lan * lbd))
 
 
 def _rf_neg(a: RationalFunctionX) -> RationalFunctionX:
@@ -391,7 +428,7 @@ def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
     num, den = a.num.mirror().shift(d), a.den.mirror().shift(d)
     lc = a.den.terms[0]
     if lc != 1:
-        num, den = num.scale(1 / lc), den.scale(1 / lc)
+        num, den = (-num, -den) if lc == -1 else (num.scale(1 / lc), den.scale(1 / lc))
     return RationalFunctionX(num, den)
 
 
@@ -409,10 +446,10 @@ def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, by dividing x^n - 1 by lower ones."""
-    poly = LaurentPoly({n: 1, 0: -1})
+    poly = LaurentPoly._of({n: 1, 0: -1})
     for d in range(1, n):
         if n % d == 0:
-            poly = poly_divmod(poly, _cyclotomic(d))[0]
+            poly = poly_divmod(poly, _cyclotomic(d), over_z=True)[0]
     return poly
 
 
@@ -422,10 +459,15 @@ def _rational_root_sum(pairs: Sequence[tuple[int, Fraction]], m: int) -> Optiona
     The remainder of sum c_i x^(e_i mod m) modulo the m-th cyclotomic
     polynomial is the sum in the basis 1, zeta, ..., zeta^(phi(m)-1), so the
     sum is rational exactly when that remainder is a constant: its value.
+    Denominators are cleared first, so the division by the monic, integral
+    Phi_m runs over Z.
     """
-    acc = LaurentPoly((e % m, c) for e, c in pairs)
-    rem = poly_divmod(acc, _cyclotomic(m))[1]
-    return rem.coeff(0) if rem.terms.keys() <= {0} else None
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    acc: dict[int, int] = {}
+    for e, c in pairs:
+        acc[e % m] = acc.get(e % m, 0) + c.numerator * (den // c.denominator)
+    rem = poly_divmod(LaurentPoly._of({e: c for e, c in acc.items() if c}), _cyclotomic(m), over_z=True)[1]
+    return Fraction(rem.terms.get(0, 0), den) if rem.terms.keys() <= {0} else None
 
 
 def iroot(n: int, k: int) -> int:
@@ -534,8 +576,9 @@ class ClassFunction:
     @classmethod
     def from_class_polys(cls, modulus: int, class_polys: Sequence[Mapping]) -> "ClassFunction":
         """One {rational Q-exponent: coeff} mapping per residue class."""
-        n = math.lcm(1, *(_frac(e).denominator for d in class_polys for e in d))
-        nums = [LaurentPoly({int(_frac(e) * n): _frac(c) for e, c in d.items()}) for d in class_polys]
+        polys = [[(_frac(e), c) for e, c in d.items()] for d in class_polys]
+        n = math.lcm(1, *(e.denominator for p in polys for e, _ in p))
+        nums = [LaurentPoly((e.numerator * (n // e.denominator), c) for e, c in p) for p in polys]
         return cls._from_reduced(modulus, n, [RationalFunctionX(p, LaurentPoly.one()) for p in nums])
 
     # -- structural helpers --------------------------------------------------
@@ -664,11 +707,18 @@ class ClassFunction:
         b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.num.terms, *entry.den.terms)))
         d, s = next(((d, r) for d in range(min(b, q0.numerator.bit_length()), 1, -1)
                      if b % d == 0 and (r := _root(q0, d))), (1, q0))
-        if d == b:
-            num, den = (sum(c * s**(e * r0 // g) for e, c in p.terms.items()) for p in (entry.num, entry.den))
+        if d == b:  # s = a/z > 1; scaled by a^-lo * z^hi, num and den are integer sums
+            a, z = s.numerator, s.denominator
+            ks = [e * r0 // g for e in (*entry.num.terms, *entry.den.terms)]
+            lo, hi = min(ks), max(ks)
+            if (hi - lo) * a.bit_length() > EXACT_EVAL_MAX_BITS:
+                raise ValueError(f"the exact value at q0={q0}, r0={r0} would exceed {EXACT_EVAL_MAX_BITS} bits")
+            (ln, pn), (ld, pd) = _ints(entry.num), _ints(entry.den)
+            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.items())
+                        for p in (pn, pd))
             if den == 0:
                 raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
-            return num / den
+            return Fraction(num * ld, den * ln)
         b, top = b // d, max(abs(e) for e in (*entry.num.terms, *entry.den.terms)) * r0 // g + b  # above |k|, j
         wide = dict(Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.Overflow, decimal.Underflow])
 
@@ -705,15 +755,17 @@ class ClassFunction:
         """True when (q^(c*r) - 1) * self is a Laurent polynomial classwise.
 
         An entry num/den is reduced and x does not divide den, so den divides
-        num * (x^k - 1) exactly when it divides x^|k| - 1.
+        num * (x^k - 1) exactly when it divides x^|k| - 1.  den is monic, so its
+        integer form is primitive and, by Gauss's lemma, divides over Z if at all.
         """
         c = _frac(c)
         if c == 0:
             raise ValueError("witness exponent c must be nonzero")
         n = math.lcm(self.root_order, c.denominator)
-        factor = LaurentPoly({abs(int(c * n)): 1, 0: -1})
+        factor = LaurentPoly._of({abs(int(c * n)): 1, 0: -1})
         stretch = n // self.root_order
-        return all(poly_divmod(factor, e.den.stretch(stretch))[1].is_zero for e in self.classes)
+        return all(_div_z(factor, LaurentPoly._of(_ints(e.den)[1]).stretch(stretch)) is not None
+                   for e in self.classes)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -831,33 +883,24 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
         den_exp = _frac(den_exp)
         if den_exp == 0:
             raise ZeroDenominatorExponent("denominator exponent c must be nonzero")
-    norm = []
-    m = 1
-    n = 1 if den_exp is None else den_exp.denominator
-    for coeff, root, q_exp in terms:
-        coeff = _frac(coeff)
-        root = _as_root(root)
-        q_exp = _frac(q_exp)
-        m = math.lcm(m, root.denominator)
-        n = math.lcm(n, q_exp.denominator)
-        norm.append((coeff, root, q_exp))
+    norm = [(_frac(coeff), _as_root(root), _frac(q_exp)) for coeff, root, q_exp in terms]
+    m = math.lcm(1, *(root.denominator for _, root, _ in norm))
+    n = math.lcm(1 if den_exp is None else den_exp.denominator, *(q_exp.denominator for *_, q_exp in norm))
+    # zeta^(b*r) with b = root*m, q^(q_exp*r) = x^(q_exp*n): integers from here on
+    norm = [(coeff, int(root * m), int(q_exp * n)) for coeff, root, q_exp in norm]
     den = LaurentPoly.one() if den_exp is None else LaurentPoly({int(den_exp * n): 1, 0: -1})
     entries = []
     for j in range(m):
-        by_qexp: dict[Fraction, list[tuple[int, Fraction]]] = {}
-        for coeff, root, q_exp in norm:
-            zeta_exp = int(root * j * m) % m
-            by_qexp.setdefault(q_exp, []).append((zeta_exp, coeff))
+        by_exp: dict[int, list[tuple[int, Fraction]]] = {}
+        for coeff, b, e in norm:
+            by_exp.setdefault(e, []).append((b * j, coeff))
         numdict: dict[int, Fraction] = {}
-        for q_exp, pairs in by_qexp.items():
-            val = _rational_root_sum(pairs, m)
+        for e, pairs in by_exp.items():
+            numdict[e] = val = _rational_root_sum(pairs, m)
             if val is None:
                 raise NonRealInput(
                     f"coefficients on the class r = {j} (mod {m}) are not rational"
                 )
-            if val:
-                e = int(q_exp * n)
-                numdict[e] = numdict.get(e, Fraction(0)) + val
         entries.append(ratfun(LaurentPoly(numdict), den))
     return ClassFunction._from_reduced(m, n, entries)
 

@@ -367,6 +367,14 @@ def test_eval_at_q0_beyond_float_range():
     assert "Traceback" not in proc.stderr
 
 
+def test_exact_eval_past_the_size_cap_exits_2_in_a_fresh_process():
+    # 4 = 2^2 keeps Q^(1/2) rational: the value would have about 1.5*10^11 digits
+    proc = run_fresh("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "4", "1000000000001")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the exact value at q0=4, r0=1000000000001 would exceed")
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_with_a_root_of_order_100000007_in_a_fresh_process(tmp_path):
     # the exact branch tries q0^(1/100000007) as an integer root first
     profile = {"group_order": 1, "strata": [{"count": Q.to_json(), "v": "1/100000007", "w": "0"}]}

@@ -25,13 +25,18 @@ from massdual import (
     cf_ring,
 )
 from massdual.qsym import (
+    EXACT_EVAL_MAX_BITS,
     LaurentPoly,
+    RationalFunctionX,
     _cyclotomic,
     _divisors,
     _gcd_prs,
     _primitive,
     _rational_root_sum,
+    _rf_add,
+    _rf_div,
     _rf_mirror,
+    _rf_mul,
     iroot,
     poly_divmod,
     poly_gcd,
@@ -429,6 +434,16 @@ def test_eval_pole():
         cf_eval(f, 2, 1)
 
 
+def test_exact_eval_size_cap():
+    # Q at q0 = 2 is 2^r0: 2 bits a unit of span, so r0 = cap/2 is the last allowed
+    r0 = EXACT_EVAL_MAX_BITS // 2
+    assert cf_eval(Q, 2, r0) == 2**r0
+    with pytest.raises(ValueError, match=f"q0=2, r0={r0 + 1} would exceed"):
+        cf_eval(Q, 2, r0 + 1)
+    with pytest.raises(ValueError, match="q0=4, r0=1000000000001"):
+        cf_eval(ClassFunction.monomial(F(1, 2)), 4, 10**12 + 1)
+
+
 def test_eval_argument_validation():
     with pytest.raises(ValueError):
         cf_eval(one, 1, 1)
@@ -689,6 +704,13 @@ def test_finite_geometric_sum_matches_term_by_term(a):
                     assert cf_geometric_sum(c, a, b, i0, i1) == c * terms
 
 
+def test_long_geometric_sum_with_a_binomial_coefficient():
+    # 2*10^5 products by +-1 once made this take most of a second; it telescopes
+    s = cf_geometric_sum(Q - 1, 1, 0, 1, 10**5)
+    assert s == Q ** (10**5 + 1) - Q
+    assert s.classes[0].num.terms == {10**5 + 1: 1, 1: -1}
+
+
 def test_long_finite_geometric_sum():
     s = cf_geometric_sum(1, 1, 0, 1, 10**5)
     assert s.modulus == 1 and s.root_order == 1
@@ -756,13 +778,52 @@ def test_gcd_over_z_matches_euclid_over_q(a, b, planted):
         assert _monic(g) == want
         assert (g * qa).terms == pa.terms and (g * qb).terms == pb.terms
     # ratfun's normal form is the one the oracle's gcd gives
-    vn, vd = a.min_exp, b.min_exp
-    n0, d0 = a.shift(-vn), b.shift(-vd)
+    assert ratfun(a, b) == _normal_form(a, b)
+
+
+def _normal_form(num, den):
+    """The oracle for ratfun: shifts, Euclid over Q and a monic denominator."""
+    if num.is_zero:
+        return RationalFunctionX(LaurentPoly(), LaurentPoly.one())
+    vn, vd = num.min_exp, den.min_exp
+    n0, d0 = num.shift(-vn), den.shift(-vd)
     g = _euclid_gcd(n0, d0)
     n0, d0 = poly_divmod(n0, g)[0], poly_divmod(d0, g)[0]
     lc = d0.terms[d0.max_exp]
-    reduced = ratfun(a, b)
-    assert reduced.num == n0.scale(1 / lc).shift(vn - vd) and reduced.den == d0.scale(1 / lc)
+    return RationalFunctionX(n0.scale(1 / lc).shift(vn - vd), d0.scale(1 / lc))
+
+
+def _schoolbook(a, b):
+    """The Fraction product term by term; LaurentPoly adds up equal exponents."""
+    return LaurentPoly([(e1 + e2, c1 * c2) for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()])
+
+
+laurent_polys = st.dictionaries(
+    st.integers(-6, 12),
+    st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from([1, 1, 2, 3, 4, 9])),
+    max_size=4,
+).map(LaurentPoly)
+# reduced entries, the zero entry among them
+entries = st.builds(_normal_form, laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
+
+
+@given(entries, entries)
+@settings(max_examples=150, deadline=None)
+def test_entry_ring_ops_over_z_match_fraction_products(a, b):
+    want = {
+        _rf_add: _normal_form(_schoolbook(a.num, b.den) + _schoolbook(b.num, a.den), _schoolbook(a.den, b.den)),
+        _rf_mul: _normal_form(_schoolbook(a.num, b.num), _schoolbook(a.den, b.den)),
+    }
+    if not b.is_zero:
+        want[_rf_div] = _normal_form(_schoolbook(a.num, b.den), _schoolbook(a.den, b.num))
+    for op, expected in want.items():
+        got = op(a, b)
+        assert got == expected
+        assert all(type(c) is Fraction for p in (got.num, got.den) for c in p.terms.values())
+    assert a.num * b.den == _schoolbook(a.num, b.den)
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            _rf_div(a, b)
 
 
 def test_gcd_of_sparse_binomials_stays_sparse():
@@ -791,3 +852,23 @@ def test_dual_difference_of_a_sparse_quotient_is_exact():
         for r0 in (1, 2, 3):
             x = F(q0) ** r0
             assert cf_eval(h, q0, r0) == value(1 / x) * x**2 - value(x)
+
+
+# t^N for the root order N of the function: every root the evaluation needs is t^r
+@given(entries, st.sampled_from([1, 2, 3]), st.sampled_from([F(3, 2), F(2), F(5, 4), F(7, 3)]), st.integers(1, 4))
+@example(RationalFunctionX(LaurentPoly(), LaurentPoly.one()), 2, F(3, 2), 3)  # zero numerator
+@example(RationalFunctionX(LaurentPoly({0: 1}), LaurentPoly({0: F(-27, 8), 1: 1})), 3, F(3, 2), 3)  # a pole
+@settings(max_examples=150, deadline=None)
+def test_exact_eval_matches_fraction_powers(entry, n, t, r0):
+    f = ClassFunction(1, n, [entry])
+    q0 = t**n  # 9/4, 27/8, 25/16, ...
+    e = f.class_entry(r0)
+    x = t ** (r0 * n // f.root_order)  # x = q0^(r0/N) for the canonical root order N
+    num = sum((c * x**k for k, c in e.num.terms.items()), F(0))
+    den = sum((c * x**k for k, c in e.den.terms.items()), F(0))
+    if den == 0:
+        with pytest.raises(PoleAtEvaluationPoint):
+            cf_eval(f, q0, r0)
+    else:
+        got = cf_eval(f, q0, r0)
+        assert type(got) is Fraction and got == num / den
