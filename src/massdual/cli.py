@@ -86,8 +86,17 @@ def _payload(doc: dict, kind: str) -> dict:
 def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
     q0 = Fraction(spec[0])
     r0 = int(spec[1])
-    for key, m in vars(masses).items():
-        out[f"{key}({q0},{r0})"] = str(m.eval(q0, r0))
+    values = {f"{key}({q0},{r0})": m.eval(q0, r0) for key, m in masses._asdict().items()}
+    # an exact value may pass int-to-str's 4300-digit default (EXACT_EVAL_MAX_BITS
+    # is the bound); lift it only for these str() calls, as run() also serves in process
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        out.update((key, str(v)) for key, v in values.items())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _divergent(report: str, reason: str) -> int:
@@ -101,7 +110,7 @@ def _cmd_tame(args) -> int:
     group, rep = group_from_json(_payload(doc, "tame"))
     scenario = TameScenario(group, rep, args.q)
     masses = tame_total_masses(scenario)
-    out = dict(vars(masses))
+    out = masses._asdict()
     code = 0
     if args.check_involution:
         ok = tame_involution_check(scenario)
@@ -124,7 +133,7 @@ def _cmd_profile(args) -> int:
     masses = profile_total_masses(profile)
     if not masses.is_finite:
         return _divergent(args.report, "a geometric family has ratio exponent >= 0")
-    out = dict(vars(masses))
+    out = masses._asdict()
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -137,7 +146,7 @@ def _cmd_formula(args) -> int:
         _emit({"hilb_plane": counts.hilb_plane, "fiber": counts.fiber}, args.report)
         return 0
     masses = bhargava_masses(args.n) if args.which == "bhargava" else kedlaya_masses(args.n)
-    out = {**vars(masses), "strong": cf_dual(masses.mass_w) == masses.mass_v}
+    out = {**masses._asdict(), "strong": cf_dual(masses.mass_w) == masses.mass_v}
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
@@ -198,7 +207,7 @@ def _cmd_duality(args) -> int:
     if not masses.is_finite:
         return _divergent(args.report, "duality verdicts need finite masses")
     report = duality_report(masses, args.d)
-    _emit(vars(report), args.report)
+    _emit(report._asdict(), args.report)
     return 0 if report.weak else 1
 
 

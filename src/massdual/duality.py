@@ -12,7 +12,7 @@ exact residuals, so a failure shows what the obstruction looks like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping
 
 from .errors import InfiniteMass
@@ -20,15 +20,10 @@ from .massengine import MassPair
 from .qsym import ClassFunction, _json_int
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(namedtuple("DualityReport", "strong weak dim strong_residual weak_residual")):
     """Verdicts and residuals of the two duality tests at dimension dim."""
 
-    strong: bool
-    weak: bool
-    dim: int
-    strong_residual: ClassFunction
-    weak_residual: ClassFunction
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -85,24 +84,19 @@ def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]], one_based: bo
     return perm
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(namedtuple("MonomialMatrix", "perm exps root_order")):
     """Monomial matrix: column j carries zeta^(exps[j]) in row perm[j]."""
 
-    perm: Perm
-    exps: tuple[int, ...]
-    root_order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __new__(cls, perm: Perm, exps: tuple[int, ...], root_order: int):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("perm is not a permutation")
-        if len(self.exps) != len(self.perm):
+        if len(exps) != len(perm):
             raise ValueError("one exponent per column required")
-        if self.root_order < 1:
+        if root_order < 1:
             raise ValueError("root_order must be positive")
-        object.__setattr__(
-            self, "exps", tuple(e % self.root_order for e in self.exps)
-        )
+        return super().__new__(cls, perm, tuple(e % root_order for e in exps), root_order)
 
     @classmethod
     def identity(cls, dim: int, root_order: int = 1) -> "MonomialMatrix":

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -47,12 +46,10 @@ from .qsym import (
 MassValue = Union[ClassFunction, type(Infinite)]
 
 
-@dataclass(frozen=True)
-class MassPair:
+class MassPair(namedtuple("MassPair", "mass_v mass_w")):
     """Masses of one scenario against the weights v and w."""
 
-    mass_v: MassValue
-    mass_w: MassValue
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -170,21 +167,17 @@ def _is_prime_power(q: int) -> bool:
     return _is_prime(q)
 
 
-@dataclass(frozen=True)
-class TameScenario:
+class TameScenario(namedtuple("TameScenario", "group rep q")):
     """A finite group with a monomial representation over F_q, q coprime to |G|."""
 
-    group: FiniteGroup
-    rep: MonomialRep
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not a prime power")
-        if math.gcd(self.q, len(self.group)) != 1:
-            raise NotTame(
-                f"residue characteristic of q = {self.q} divides |G| = {len(self.group)}"
-            )
+    def __new__(cls, group: FiniteGroup, rep: MonomialRep, q: int):
+        if not _is_prime_power(q):
+            raise ValueError(f"q = {q} is not a prime power")
+        if math.gcd(q, len(group)) != 1:
+            raise NotTame(f"residue characteristic of q = {q} divides |G| = {len(group)}")
+        return super().__new__(cls, group, rep, q)
 
 
 def _multiplicative_order(q: int, e: int) -> int:
@@ -243,66 +236,53 @@ def tame_involution_check(scenario: TameScenario) -> bool:
 # Ramification profiles
 
 
-@dataclass(frozen=True)
-class ProfileStratum:
+class ProfileStratum(namedtuple("ProfileStratum", "count v w")):
     """Finitely many representations sharing one weight pair.
 
     count is a ClassFunction of r (a point count, so it should evaluate to
-    nonnegative rationals); v and w are the shared weights.
+    nonnegative rationals); v and w are the shared weights, Fractions.
     """
 
-    count: ClassFunction
-    v: Fraction
-    w: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", Fraction(self.v))
-        object.__setattr__(self, "w", Fraction(self.w))
+    def __new__(cls, count: ClassFunction, v, w):
+        v, w = Fraction(v), Fraction(w)
         for q0 in (2, 3, 4, 5):
             for r0 in (1, 2, 3):
-                val = self.count.eval(q0, r0)
+                val = count.eval(q0, r0)
                 if isinstance(val, Fraction) and val < 0:
-                    raise ValueError(
-                        f"stratum count is negative at q0={q0}, r0={r0}"
-                    )
+                    raise ValueError(f"stratum count is negative at q0={q0}, r0={r0}")
+        return super().__new__(cls, count, v, w)
 
 
-@dataclass(frozen=True)
-class GeometricFamily:
+class GeometricFamily(namedtuple("GeometricFamily", "i0 i1 coeff count_exp v_exp w_exp")):
     """A family of strata indexed by i = i0, ..., i1 (i1 None means infinity).
 
     The stratum at index i counts coeff * Q^(count_a*i + count_b) points and
-    carries weights v = v_a*i + v_b, w = w_a*i + w_b.
+    carries weights v = v_a*i + v_b, w = w_a*i + w_b.  count_exp, v_exp and
+    w_exp are the pairs (a, b), held as Fractions.
     """
 
-    i0: int
-    i1: Optional[int]
-    coeff: ClassFunction
-    count_exp: tuple[Fraction, Fraction]
-    v_exp: tuple[Fraction, Fraction]
-    w_exp: tuple[Fraction, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "count_exp", tuple(Fraction(x) for x in self.count_exp))
-        object.__setattr__(self, "v_exp", tuple(Fraction(x) for x in self.v_exp))
-        object.__setattr__(self, "w_exp", tuple(Fraction(x) for x in self.w_exp))
-        if self.i1 is not None and self.i1 < self.i0:
+    def __new__(cls, i0: int, i1: Optional[int], coeff: ClassFunction, count_exp, v_exp, w_exp):
+        count_exp, v_exp, w_exp = (tuple(Fraction(x) for x in p) for p in (count_exp, v_exp, w_exp))
+        if i1 is not None and i1 < i0:
             raise ValueError("family range is empty; use i1 >= i0 or drop the family")
+        return super().__new__(cls, i0, i1, coeff, count_exp, v_exp, w_exp)
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
-    """Declarative description of a (possibly wild) mass computation."""
+class RamificationProfile(namedtuple("RamificationProfile", "group_order strata families")):
+    """Declarative description of a (possibly wild) mass computation:
+    tuples of ProfileStrata and GeometricFamilies over a group of order
+    group_order."""
 
-    group_order: int
-    strata: tuple[ProfileStratum, ...] = ()
-    families: tuple[GeometricFamily, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.group_order < 1:
+    def __new__(cls, group_order: int, strata=(), families=()):
+        if group_order < 1:
             raise InvalidParams("group_order must be a positive integer")
-        object.__setattr__(self, "strata", tuple(self.strata))
-        object.__setattr__(self, "families", tuple(self.families))
+        return super().__new__(cls, group_order, tuple(strata), tuple(families))
 
 
 def _profile_side(profile: RamificationProfile, weight: str, sign: int) -> MassValue:

@@ -30,7 +30,7 @@ import decimal
 import heapq
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -346,17 +346,15 @@ def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, 
 # Reduced rational functions in x
 
 
-@dataclass(frozen=True)
-class RationalFunctionX:
-    """Rational function num/den in x, kept in reduced normal form.
+class RationalFunctionX(namedtuple("RationalFunctionX", "num den")):
+    """Rational function num/den in x, two LaurentPolys kept in reduced normal form.
 
     Invariants (maintained by ratfun, not by this constructor): num and den
     have no common polynomial factor, den has minimal exponent 0 and leading
     coefficient 1.  num may be a Laurent polynomial (carry x^k factors).
     """
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

@@ -24,7 +24,7 @@ singularities, and the wild McKay comparison with total masses,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Union
@@ -37,46 +37,36 @@ StrataMap = Mapping[frozenset, ClassFunction]
 StringyCount = Union[ClassFunction, type(Infinite)]
 
 
-@dataclass(frozen=True)
-class VerticalRow:
-    """Strata sharing one vertical discrepancy shift a."""
+class VerticalRow(namedtuple("VerticalRow", "a counts")):
+    """Strata sharing one vertical discrepancy shift a (a Fraction)."""
 
-    a: Fraction
-    counts: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "counts", _normalize_strata(self.counts))
+    def __new__(cls, a, counts: Mapping):
+        return super().__new__(cls, Fraction(a), _normalize_strata(counts))
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertical mode")):
     """Divisor multiplicities plus stratified point counts.
 
-    horizontal holds the multiplicities c_j, indexed 1..n in stratum keys.
-    strata are the counts with no vertical shift; vertical rows add their
-    own Q^(-a) factor.  mode is "open" (counts of exact-incidence strata)
-    or "closed" (counts of at-least-incidence strata).
+    horizontal holds the multiplicities c_j as Fractions, indexed 1..n in
+    stratum keys.  strata are the counts with no vertical shift; the
+    VerticalRows in vertical add their own Q^(-a) factor.  mode is "open"
+    (counts of exact-incidence strata) or "closed" (counts of
+    at-least-incidence strata).
     """
 
-    dim: int
-    horizontal: tuple[Fraction, ...] = ()
-    strata: dict = None
-    vertical: tuple[VerticalRow, ...] = ()
-    mode: str = "open"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim: int, horizontal=(), strata: Mapping = None, vertical=(), mode: str = "open"):
+        if dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.mode not in ("open", "closed"):
+        if mode not in ("open", "closed"):
             raise ValueError("mode must be 'open' or 'closed'")
-        object.__setattr__(
-            self, "horizontal", tuple(Fraction(c) for c in self.horizontal)
-        )
-        if any(c == 0 for c in self.horizontal):
+        horizontal = tuple(Fraction(c) for c in horizontal)
+        if any(c == 0 for c in horizontal):
             raise ValueError("divisors with multiplicity 0 must be dropped")
-        object.__setattr__(self, "strata", _normalize_strata(self.strata or {}))
-        object.__setattr__(self, "vertical", tuple(self.vertical))
+        return super().__new__(cls, dim, horizontal, _normalize_strata(strata or {}), tuple(vertical), mode)
 
     def rows(self) -> list[tuple[Fraction, dict]]:
         """All rows as (shift a, strata map); the horizontal map is the a=0 row."""

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .duality import duality_report
@@ -53,11 +53,7 @@ from .stringy import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import ast
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,12 @@ from massdual import (
     MonomialMatrix,
     Q,
     bhargava_masses,
+    builtin_profile,
     group_closure,
     group_to_json,
     kedlaya_masses,
     perm_from_cycles,
+    profile_total_masses,
     resolution_to_json,
 )
 from massdual.cli import run
@@ -375,6 +380,23 @@ def test_exact_eval_past_the_size_cap_exits_2_in_a_fresh_process():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_exact_eval_past_4300_digits_prints_the_value(capsys):
+    # 4^(100000/2) has 60 206 digits, past the default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "4", "100000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+    masses = profile_total_masses(builtin_profile("quad_char0_sigma", n=1))
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [f"{key}(4,100000) = {m.eval(4, 100000)}" for key, m in masses._asdict().items()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.splitlines()[2:] == expected
+    assert all(len(line) > 4300 for line in expected)
+
+
 def test_eval_with_a_root_of_order_100000007_in_a_fresh_process(tmp_path):
     # the exact branch tries q0^(1/100000007) as an integer root first
     profile = {"group_order": 1, "strata": [{"count": Q.to_json(), "v": "1/100000007", "w": "0"}]}
@@ -718,3 +740,82 @@ def test_fuzz_loader_documents_end_in_a_documented_exit_code(tmp_path_factory, c
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run([str(path) if a == FILE else a for a in argv])
     assert code in (0, 1, 2, 3)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the benchmark's child environment; the modules the interpreter holds
+    # before the import are the baseline, so a site hook that loads them is not counted
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    code = "import sys; bare = set(sys.modules); import massdual.cli; print(sorted(set(sys.modules) - bare))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    assert "massdual.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
+# argv for all six subcommands: huge, negative and junk values and missing
+# flags.  --n stays <= 60 (the partition table is O(n^2)) and --m <= 200 (a
+# finite family of m strata has about m terms); a huge --q costs a primality
+# test, so those stay below 10^30, past which only junk strings are drawn.
+_junk_args = st.sampled_from(["", "x", "-", "1.5", "1e3", "0x10", "1/0", "nan", "--n", "9" * 5000])
+_q0s = st.sampled_from(["2", "4", "3/2", "9/4", "7", "10/3", "1", "0", "-4", "1e400", "1/3"])
+
+GROUP, MASSES = "<group file>", "<masses file>"  # stand for the paths the test writes
+
+
+@st.composite
+def cli_argvs(draw):
+    def number(lo, hi, values=st.integers(-3, 12).map(str)):  # one in eight huge, one junk
+        kind = draw(st.integers(0, 7))  # hypothesis favours 0, so that is the usual case
+        if kind == 7:
+            return draw(_junk_args)
+        return str(draw(st.integers(lo, hi))) if kind == 6 else draw(values)
+
+    def flag(name, value):  # missing one time in eight
+        return [] if draw(st.integers(0, 7)) == 7 else [[name, value()]]
+
+    def switch(name):
+        return [[name]] if draw(st.booleans()) else []
+
+    def evaluation():
+        return [["--eval", number(-10**30, 10**30, _q0s), number(-10**30, 10**30)]] if draw(st.booleans()) else []
+
+    def choice(*values):
+        return lambda: draw(st.sampled_from(values))
+
+    def huge(hi=10**30):
+        return lambda: number(-10**30, hi)
+
+    command = draw(st.sampled_from(["formula", "profile", "tame", "stringy", "duality", "verify"]))
+    if command == "formula":
+        flags = [[choice("bhargava", "kedlaya", "hilbert", "x")()]] + flag("--n", huge(60)) + evaluation()
+    elif command == "profile":
+        flags = flag("--builtin", choice("quad_char0_sigma", "quad_char2_sigma", "quad_char2_upsilon", "x"))
+        flags += flag("--n", huge(60)) + flag("--m", huge(200)) + evaluation()
+    elif command == "tame":
+        flags = flag("--group", choice(GROUP, GROUP, GROUP, "/nonexistent.json")) + flag("--q", huge())
+        flags += switch("--check-involution") + flag("--threads", huge()) + evaluation()
+    elif command == "stringy":
+        flags = flag("--builtin", choice("a1_cone", "x")) + flag("--d", huge())
+        flags += switch("--check-poincare") + switch("--check-gm")
+    elif command == "duality":
+        flags = flag("--mv", choice(MASSES)) + flag("--mw", choice(MASSES)) + flag("--d", huge())
+    else:  # a missing --suite runs every criterion, which tests/test_acceptance.py covers
+        flags = [["--suite", choice("stringy", "x", "")()]]
+    flags += flag("--report", choice("text", "json", "text", "json", "x"))
+    return [command] + [token for f in draw(st.permutations(flags)) for token in f]
+
+
+@given(argv=cli_argvs())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv):
+    tmp = tmp_path_factory.mktemp("argv")
+    group, masses = z3_group_file(tmp), tmp / "masses.json"
+    masses.write_text(json.dumps(bhargava_masses(3).to_json()))
+    argv = [str(group) if a == GROUP else str(masses) if a == MASSES else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
