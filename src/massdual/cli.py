@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -44,19 +45,28 @@ from .verify import SUITES, run_suite
 BUILTIN_PROFILES = ("quad_char0_sigma", "quad_char2_sigma", "quad_char2_upsilon")
 
 
+def _write(lines: list) -> None:
+    """Print lines to stdout; a reader that closes the pipe early is not an error."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(obj: dict, report: str) -> None:
     """Print a report whose values are ClassFunctions or plain JSON values."""
     if report == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True, default=ClassFunction.to_json))
+        _write([json.dumps(obj, indent=2, sort_keys=True, default=ClassFunction.to_json)])
         return
+    lines = []
     for key, val in obj.items():
         body = str(val)
         if "\n" in body:
-            print(f"{key}:")
-            for line in body.split("\n"):
-                print(f"  {line}")
+            lines += [f"{key}:", *(f"  {line}" for line in body.split("\n"))]
         else:
-            print(f"{key} = {body}")
+            lines.append(f"{key} = {body}")
+    _write(lines)
 
 
 class _StdinCache:
@@ -220,12 +230,10 @@ def _cmd_verify(args) -> int:
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
         }
-        print(json.dumps(out, indent=2, sort_keys=True))
+        _write([json.dumps(out, indent=2, sort_keys=True)])
     else:
         width = max(len(r.name) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name:<{width}}  {r.detail}")
+        _write([f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -11,8 +11,9 @@ serialization format.
 Canonical form.  A ClassFunction stores (modulus M, root_order N, one reduced
 rational function in x per residue class).  Construction always canonicalizes:
 
-* each class entry is reduced (numerator and denominator coprime, denominator
-  with minimal exponent 0 and leading coefficient 1),
+* each class entry is a triple k*n/d (a Fraction k and coprime integer
+  polynomials n and d, each primitive with a positive leading coefficient,
+  x not dividing d), built by ratfun,
 * N is minimal (exponents rescaled by their gcd with N),
 * M is minimal (classes folded to the smallest divisor of M that repeats).
 
@@ -20,8 +21,8 @@ Two ClassFunctions are equal as functions of r exactly when their canonical
 forms are equal componentwise, so `==` decides function equality.
 
 Arithmetic runs over Z: products, sums, reductions, root-of-unity sums and
-exact evaluation work on integer coefficients over one common denominator,
-and a Fraction is built once per output coefficient.
+exact evaluation work on the integer polynomials n and d, and only k is a
+Fraction.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial: dict {exponent: nonzero Fraction}.
 
     Products enter as the integer form P/L of `_ints` and leave through
-    `_fracs`, one Fraction per coefficient; the gcd over Z, `_cyclotomic` and
-    poly_divmod(over_z=True) keep int coefficients throughout."""
+    `_fracs`, one Fraction per coefficient.  Class entries, the gcd over Z,
+    `_cyclotomic` and poly_divmod(over_z=True) keep int coefficients."""
 
     __slots__ = ("terms",)
 
@@ -273,13 +274,12 @@ def _zmul(a: dict, b: dict, k: int = 1, acc: Optional[dict] = None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _fracs(p: dict, k: Fraction, shift: int = 0) -> LaurentPoly:
-    """k*p*x^shift for an integer dict p: the one place products and
-    reductions build their Fractions, one per output coefficient."""
+def _fracs(p: dict, k: Fraction) -> LaurentPoly:
+    """k*p for an integer dict p, one Fraction per coefficient."""
     kn, kd = k.numerator, k.denominator
     if kd == 1:
-        return LaurentPoly._of({e + shift: Fraction(c * kn) for e, c in p.items()})
-    return LaurentPoly._of({e + shift: Fraction(c * kn, kd) for e, c in p.items()})
+        return LaurentPoly._of({e: Fraction(c * kn) for e, c in p.items()})
+    return LaurentPoly._of({e: Fraction(c * kn, kd) for e, c in p.items()})
 
 
 def _split(p: dict) -> tuple[int, int, LaurentPoly]:
@@ -346,27 +346,39 @@ def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, 
 # Reduced rational functions in x
 
 
-class RationalFunctionX(namedtuple("RationalFunctionX", "num den")):
-    """Rational function num/den in x, two LaurentPolys kept in reduced normal form.
+class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
+    """The rational function k*n/d in x, in the canonical form ratfun builds.
 
-    Invariants (maintained by ratfun, not by this constructor): num and den
-    have no common polynomial factor, den has minimal exponent 0 and leading
-    coefficient 1.  num may be a Laurent polynomial (carry x^k factors).
+    k is a Fraction; n and d are LaurentPolys with int coefficients, each
+    primitive with a positive leading coefficient, coprime, and x does not
+    divide d (n may carry x^v).  The zero entry is (0, 0, 1).  The triple is
+    unique, so tuple equality and hashing are exact.  The constructor does
+    not check any of this; build entries with ratfun.
     """
 
     __slots__ = ()
 
     @property
+    def num(self) -> LaurentPoly:
+        """The numerator over Q, for the denominator `den`."""
+        return _fracs(self.n.terms, self.k / self.d.terms[self.d.max_exp])
+
+    @property
+    def den(self) -> LaurentPoly:
+        """The denominator over Q: minimal exponent 0, leading coefficient 1."""
+        return _fracs(self.d.terms, Fraction(1, self.d.terms[self.d.max_exp]))
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.k
 
     @property
     def is_poly(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return self.d.terms == {0: 1}
 
 
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
-    """Build the reduced normal form of num/den.
+    """Build the canonical entry num/den.
 
     Each side enters in its integer form (`_ints`); `_reduced` does the rest.
     """
@@ -379,62 +391,62 @@ def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
 def _reduced(n: dict, d: dict, k: Fraction) -> RationalFunctionX:
     """ratfun(k*n, d) for integer dicts n and d != 0.
 
-    Each side is an integer content times a primitive polynomial; poly_gcd
-    cancels the common factor over Z and returns the cofactors, to which one
-    pass gives back k and the contents and makes the denominator monic.
+    Each side is an integer content times x^v times a primitive polynomial;
+    poly_gcd cancels the common factor over Z and returns the cofactors, and
+    the contents go into k.
     """
     if not n:
-        return RationalFunctionX(LaurentPoly.zero(), LaurentPoly.one())
+        return _RF_ZERO
     (gn, vn, n0), (gd, vd, d0) = _split(n), _split(d)
     if len(n) > 1 and len(d) > 1:  # else one side is x^k times a constant, a unit
         _, n0, d0 = poly_gcd(n0, d0)
-    lc = d0.terms[d0.max_exp]
-    k = Fraction(k.numerator * gn, k.denominator * gd * lc)
-    return RationalFunctionX(_fracs(n0.terms, k, vn - vd), _fracs(d0.terms, Fraction(1, lc)))
+    return RationalFunctionX(Fraction(k.numerator * gn, k.denominator * gd), n0.shift(vn - vd), d0)
 
 
-_RF_ONE = RationalFunctionX(LaurentPoly.one(), LaurentPoly.one())
+_ONE = LaurentPoly._of({0: 1})
+_RF_ZERO = RationalFunctionX(Fraction(0), LaurentPoly.zero(), _ONE)
+_RF_ONE = RationalFunctionX(Fraction(1), _ONE, _ONE)
 
 
 def _rf_add(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
-    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
-    m = math.lcm(u := lan * lbd, w := lbn * lad)
-    return _reduced(_zmul(bn, ad, m // w, _zmul(an, bd, m // u)), _zmul(ad, bd), Fraction(lad * lbd, m))
+    (pa, qa), (pb, qb) = (a.k.numerator, a.k.denominator), (b.k.numerator, b.k.denominator)
+    m = math.lcm(qa, qb)  # k_a*n_a*d_b + k_b*n_b*d_a over the one denominator m
+    num = _zmul(b.n.terms, a.d.terms, pb * (m // qb), _zmul(a.n.terms, b.d.terms, pa * (m // qa)))
+    return _reduced(num, _zmul(a.d.terms, b.d.terms), Fraction(1, m))
 
 
 def _rf_mul(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     if a == _RF_ONE or b == _RF_ONE:  # both are reduced already
         return b if a == _RF_ONE else a
-    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
-    return _reduced(_zmul(an, bn), _zmul(ad, bd), Fraction(lad * lbd, lan * lbn))
+    return _reduced(_zmul(a.n.terms, b.n.terms), _zmul(a.d.terms, b.d.terms), a.k * b.k)
 
 
 def _rf_div(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     if b.is_zero:
         raise ZeroDivisionError("division by the zero class function")
-    (lan, an), (lad, ad), (lbn, bn), (lbd, bd) = map(_ints, (a.num, a.den, b.num, b.den))
-    return _reduced(_zmul(an, bd), _zmul(ad, bn), Fraction(lad * lbn, lan * lbd))
+    return _reduced(_zmul(a.n.terms, b.d.terms), _zmul(a.d.terms, b.n.terms), a.k / b.k)
 
 
 def _rf_neg(a: RationalFunctionX) -> RationalFunctionX:
-    return RationalFunctionX(-a.num, a.den)
+    return RationalFunctionX(-a.k, a.n, a.d)
 
 
 def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
-    # reversal keeps num and den coprime: only ratfun's shift and scaling remain
-    d = a.den.max_exp
-    num, den = a.num.mirror().shift(d), a.den.mirror().shift(d)
-    lc = a.den.terms[0]
-    if lc != 1:
-        num, den = (-num, -den) if lc == -1 else (num.scale(1 / lc), den.scale(1 / lc))
-    return RationalFunctionX(num, den)
+    # reversal keeps n and d primitive and coprime: only the signs of the new
+    # leading coefficients, the old lowest ones, move into k
+    if a.is_zero:
+        return a
+    top = a.d.max_exp
+    n, d = a.n.mirror().shift(top), a.d.mirror().shift(top)
+    sn, sd = n.terms[n.max_exp] < 0, d.terms[top] < 0
+    return RationalFunctionX(-a.k if sn != sd else a.k, -n if sn else n, -d if sd else d)
 
 
 def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
-    # substituting x -> x^k preserves coprimality and den normalization
+    # substituting x -> x^k keeps the triple canonical
     if k == 1:
         return a
-    return RationalFunctionX(a.num.stretch(k), a.den.stretch(k))
+    return RationalFunctionX(a.k, a.n.stretch(k), a.d.stretch(k))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +524,8 @@ class ClassFunction:
 
     __slots__ = ("modulus", "root_order", "classes")
 
-    def __init__(self, modulus: int, root_order: int, classes: Sequence[RationalFunctionX]):
-        self._canonicalize(modulus, root_order, [ratfun(e.num, e.den) for e in classes])
-
-    @classmethod
-    def _from_reduced(cls, modulus: int, root_order: int, entries: list) -> "ClassFunction":
-        """Like the constructor, for entries already in ratfun's normal form."""
-        out = object.__new__(cls)
-        out._canonicalize(modulus, root_order, entries)
-        return out
-
-    def _canonicalize(self, modulus, root_order, entries: list) -> None:
+    def __init__(self, modulus: int, root_order: int, entries: Sequence[RationalFunctionX]):
+        """One entry per residue class, each built by ratfun."""
         modulus = int(modulus)
         root_order = int(root_order)
         if modulus < 1 or root_order < 1:
@@ -532,13 +535,10 @@ class ClassFunction:
         # minimal root order: rescale exponents by their gcd with N
         g = root_order
         for e in entries:
-            g = math.gcd(g, *e.num.terms, *e.den.terms)
+            g = math.gcd(g, *e.n.terms, *e.d.terms)
         if g > 1:
             root_order //= g
-            entries = [
-                RationalFunctionX(e.num.stretch_div(g), e.den.stretch_div(g))
-                for e in entries
-            ]
+            entries = [RationalFunctionX(e.k, e.n.stretch_div(g), e.d.stretch_div(g)) for e in entries]
         # minimal modulus: fold classes onto the smallest repeating divisor
         for d in _divisors(modulus):
             if all(entries[j] == entries[j % d] for j in range(modulus)):
@@ -556,7 +556,7 @@ class ClassFunction:
 
     @classmethod
     def zero(cls) -> "ClassFunction":
-        return cls(1, 1, [RationalFunctionX(LaurentPoly.zero(), LaurentPoly.one())])
+        return cls(1, 1, [_RF_ZERO])
 
     @classmethod
     def constant(cls, c) -> "ClassFunction":
@@ -577,7 +577,7 @@ class ClassFunction:
         polys = [[(_frac(e), c) for e, c in d.items()] for d in class_polys]
         n = math.lcm(1, *(e.denominator for p in polys for e, _ in p))
         nums = [LaurentPoly((e.numerator * (n // e.denominator), c) for e, c in p) for p in polys]
-        return cls._from_reduced(modulus, n, [RationalFunctionX(p, LaurentPoly.one()) for p in nums])
+        return cls(modulus, n, [ratfun(p, _ONE) for p in nums])
 
     # -- structural helpers --------------------------------------------------
 
@@ -590,7 +590,7 @@ class ClassFunction:
 
     def degree_span(self) -> int:
         """Largest exponent span across all numerators and denominators."""
-        return max(max(e.num.span, e.den.span) for e in self.classes)
+        return max(max(e.n.span, e.d.span) for e in self.classes)
 
     def _aligned_with(self, other: "ClassFunction"):
         m = math.lcm(self.modulus, other.modulus)
@@ -612,7 +612,7 @@ class ClassFunction:
     def _binop(self, other, op) -> "ClassFunction":
         other = self._coerce(other)
         m, n, mine, theirs = self._aligned_with(other)
-        return ClassFunction._from_reduced(m, n, [op(a, b) for a, b in zip(mine, theirs)])
+        return ClassFunction(m, n, [op(a, b) for a, b in zip(mine, theirs)])
 
     def __add__(self, other):
         return self._binop(other, _rf_add)
@@ -620,9 +620,7 @@ class ClassFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ClassFunction._from_reduced(
-            self.modulus, self.root_order, [_rf_neg(e) for e in self.classes]
-        )
+        return ClassFunction(self.modulus, self.root_order, [_rf_neg(e) for e in self.classes])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -662,15 +660,13 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.root_order, tuple((e.num, e.den) for e in self.classes)))
+        return hash((self.modulus, self.root_order, self.classes))
 
     # -- the dual involution ---------------------------------------------------
 
     def dual(self) -> "ClassFunction":
         """Substitute q^(-r) for q^r; an involutive ring automorphism."""
-        return ClassFunction._from_reduced(
-            self.modulus, self.root_order, [_rf_mirror(e) for e in self.classes]
-        )
+        return ClassFunction(self.modulus, self.root_order, [_rf_mirror(e) for e in self.classes])
 
     def scale_pow(self, c) -> "ClassFunction":
         """Multiply by q^(c*r) for rational c."""
@@ -679,8 +675,7 @@ class ClassFunction:
         k = int(c * n)
         # x^k is a unit, so shifting the numerator keeps the entry reduced
         stretched = (_rf_stretch(e, n // self.root_order) for e in self.classes)
-        entries = [RationalFunctionX(e.num.shift(k), e.den) for e in stretched]
-        return ClassFunction._from_reduced(self.modulus, n, entries)
+        return ClassFunction(self.modulus, n, [RationalFunctionX(e.k, e.n.shift(k), e.d) for e in stretched])
 
     # -- evaluation -------------------------------------------------------------
 
@@ -702,22 +697,21 @@ class ClassFunction:
         precision = int(precision)
         entry = self.class_entry(r0)
         # q^(e*r0/N) = y^k, k = e*r0/g, y = q0^(1/b) = s^(d/b): b = N/g least, d | b largest with q0 = s^d
-        b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.num.terms, *entry.den.terms)))
+        b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.n.terms, *entry.d.terms)))
         d, s = next(((d, r) for d in range(min(b, q0.numerator.bit_length()), 1, -1)
                      if b % d == 0 and (r := _root(q0, d))), (1, q0))
-        if d == b:  # s = a/z > 1; scaled by a^-lo * z^hi, num and den are integer sums
+        if d == b:  # s = a/z > 1; scaled by a^-lo * z^hi, n and d give integer sums
             a, z = s.numerator, s.denominator
-            ks = [e * r0 // g for e in (*entry.num.terms, *entry.den.terms)]
+            ks = [e * r0 // g for e in (*entry.n.terms, *entry.d.terms)]
             lo, hi = min(ks), max(ks)
             if (hi - lo) * a.bit_length() > EXACT_EVAL_MAX_BITS:
                 raise ValueError(f"the exact value at q0={q0}, r0={r0} would exceed {EXACT_EVAL_MAX_BITS} bits")
-            (ln, pn), (ld, pd) = _ints(entry.num), _ints(entry.den)
-            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.items())
-                        for p in (pn, pd))
+            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.terms.items())
+                        for p in (entry.n, entry.d))
             if den == 0:
                 raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
-            return Fraction(num * ld, den * ln)
-        b, top = b // d, max(abs(e) for e in (*entry.num.terms, *entry.den.terms)) * r0 // g + b  # above |k|, j
+            return Fraction(entry.k.numerator * num, entry.k.denominator * den)
+        b, top = b // d, max(abs(e) for e in (*entry.n.terms, *entry.d.terms)) * r0 // g + b  # above |k|, j
         wide = dict(Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.Overflow, decimal.Underflow])
 
         def value(guard):  # y^k = s^m * y^j, k = m*b + j: one sum per j, as the y^j are independent
@@ -752,9 +746,9 @@ class ClassFunction:
     def admissible_witness(self, c) -> bool:
         """True when (q^(c*r) - 1) * self is a Laurent polynomial classwise.
 
-        An entry num/den is reduced and x does not divide den, so den divides
-        num * (x^k - 1) exactly when it divides x^|k| - 1.  den is monic, so its
-        integer form is primitive and, by Gauss's lemma, divides over Z if at all.
+        An entry k*n/d is reduced and x does not divide d, so d divides
+        n * (x^k - 1) exactly when it divides x^|k| - 1.  d is primitive, so by
+        Gauss's lemma it divides over Z if at all.
         """
         c = _frac(c)
         if c == 0:
@@ -762,8 +756,7 @@ class ClassFunction:
         n = math.lcm(self.root_order, c.denominator)
         factor = LaurentPoly._of({abs(int(c * n)): 1, 0: -1})
         stretch = n // self.root_order
-        return all(_div_z(factor, LaurentPoly._of(_ints(e.den)[1]).stretch(stretch)) is not None
-                   for e in self.classes)
+        return all(_div_z(factor, e.d.stretch(stretch)) is not None for e in self.classes)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -803,11 +796,8 @@ class ClassFunction:
         def side(pairs):
             return LaurentPoly({_json_int(e): Fraction(str(c)) for c, e in pairs})
 
-        entries = [
-            RationalFunctionX(side(c["num"]), side(c["den"]))
-            for c in obj["classes"]
-        ]
-        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), entries)
+        sides = [(side(c["num"]), side(c["den"])) for c in obj["classes"]]
+        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), [ratfun(*s) for s in sides])
 
 
 def _json_int(x) -> int:
@@ -885,22 +875,25 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
     m = math.lcm(1, *(root.denominator for _, root, _ in norm))
     n = math.lcm(1 if den_exp is None else den_exp.denominator, *(q_exp.denominator for *_, q_exp in norm))
     # zeta^(b*r) with b = root*m, q^(q_exp*r) = x^(q_exp*n): integers from here on
-    norm = [(coeff, int(root * m), int(q_exp * n)) for coeff, root, q_exp in norm]
+    by_exp: dict[int, list[tuple[int, Fraction]]] = {}
+    for coeff, root, q_exp in norm:
+        by_exp.setdefault(int(q_exp * n), []).append((int(root * m), coeff))
     den = LaurentPoly.one() if den_exp is None else LaurentPoly({int(den_exp * n): 1, 0: -1})
-    entries = []
-    for j in range(m):
-        by_exp: dict[int, list[tuple[int, Fraction]]] = {}
-        for coeff, b, e in norm:
-            by_exp.setdefault(e, []).append((b * j, coeff))
+    # zeta -> zeta^a (a a unit mod m) carries class j to a*j, fixes a rational sum and keeps an
+    # irrational one irrational, so class g = gcd(j, m) decides and fills class j; at j = g,
+    # zeta_m^(b*g) = zeta_(m/g)^b.  Class 0 (g = m) goes first, then g ascending, so the first
+    # failure is the least failing class.
+    by_gcd = {}
+    for g in (m, *_divisors(m)[:-1]):
         numdict: dict[int, Fraction] = {}
         for e, pairs in by_exp.items():
-            numdict[e] = val = _rational_root_sum(pairs, m)
+            numdict[e] = val = _rational_root_sum(pairs, m // g)
             if val is None:
                 raise NonRealInput(
-                    f"coefficients on the class r = {j} (mod {m}) are not rational"
+                    f"coefficients on the class r = {g % m} (mod {m}) are not rational"
                 )
-        entries.append(ratfun(LaurentPoly(numdict), den))
-    return ClassFunction._from_reduced(m, n, entries)
+        by_gcd[g] = ratfun(LaurentPoly(numdict), den)
+    return ClassFunction(m, n, [by_gcd[math.gcd(j, m)] for j in range(m)])
 
 
 def cf_ring(op: str, a: ClassFunction, b: Optional[ClassFunction] = None, exponent=None) -> ClassFunction:
@@ -947,9 +940,8 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
         head = a * i0 + b
         root_order = math.lcm(head.denominator, a.denominator)
         e0, step = int(head * root_order), int(a * root_order)
-        num = LaurentPoly._of(dict.fromkeys(range(e0, e0 + n * step, step), Fraction(1)))
-        poly = RationalFunctionX(num, LaurentPoly.one())
-        return coeff * ClassFunction._from_reduced(1, root_order, [poly])
+        num = LaurentPoly._of(dict.fromkeys(range(e0, e0 + n * step, step), 1))
+        return coeff * ClassFunction(1, root_order, [RationalFunctionX(Fraction(1), num, _ONE)])
     if coeff.is_zero:
         return ClassFunction.zero()
     if a >= 0:

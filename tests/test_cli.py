@@ -365,6 +365,26 @@ def test_bhargava_large_n_in_a_fresh_process():
     assert MassPair.from_json(json.loads(proc.stdout)) == bhargava_masses(500)
 
 
+@pytest.mark.parametrize(
+    "n, read, code",
+    [
+        ("1000", 10, 0),  # 230 kB of JSON, more than a pipe holds: the reader leaves mid-write
+        ("1", 0, 3),  # divergent: the pipe is closed before the report is written
+    ],
+)
+def test_a_reader_that_closes_the_pipe_keeps_the_exit_code(n, read, code):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "massdual.cli", "profile", "--builtin", "quad_char2_sigma", "--n", n, "--report", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == code
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_eval_at_q0_beyond_float_range():
     q0 = str(2**2001)
     proc = run_fresh("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", q0, "1")

@@ -132,6 +132,77 @@ def test_root_sum_with_a_primitive_root_is_irrational():
         assert got == {1: F(5, 2), 2: F(1, 2)}.get(m)
 
 
+def _per_residue(terms, den_exp=None):
+    """The oracle for cf_from_terms: one root sum per residue class j, not per divisor."""
+    norm = [(F(c), F(root) % 1, F(q_exp)) for c, root, q_exp in terms]
+    m = math.lcm(1, *(root.denominator for _, root, _ in norm))
+    n = math.lcm(1 if den_exp is None else F(den_exp).denominator, *(q_exp.denominator for *_, q_exp in norm))
+    den = LaurentPoly.one() if den_exp is None else LaurentPoly({int(F(den_exp) * n): 1, 0: -1})
+    entries = []
+    for j in range(m):
+        by_exp = {}
+        for c, root, q_exp in norm:
+            by_exp.setdefault(int(q_exp * n), []).append((int(root * m) * j, c))
+        values = {}
+        for e, pairs in by_exp.items():
+            values[e] = _rational_root_sum(pairs, m)
+            if values[e] is None:
+                raise NonRealInput(f"coefficients on the class r = {j} (mod {m}) are not rational")
+        entries.append(ratfun(LaurentPoly(values), den))
+    return ClassFunction(m, n, entries)
+
+
+@st.composite
+def rooted_term_lists(draw):
+    """Terms whose roots of unity have orders dividing some M <= 60, often
+    completed to whole Galois orbits (so rational on every class), often not."""
+    m = draw(st.integers(1, 60))
+    orders = [d for d in range(1, m + 1) if m % d == 0]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+        order, q_exp = draw(st.sampled_from(orders)), F(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2])))
+        b = draw(st.integers(0, order - 1))
+        units = primitive_exponents(order) if draw(st.booleans()) else [1]
+        terms += [(coeff, F(a * b, order), q_exp) for a in units]
+    return terms, draw(st.sampled_from([None, 1, -2, F(1, 2)]))
+
+
+@given(rooted_term_lists())
+@example(([(1, F(1, 6), 0), (1, F(5, 6), 0), (1, F(1, 4), 0)], None))  # classes 0, 2 rational; 1 not
+@example(([(1, F(1, 8), 0), (1, F(5, 8), 0)], None))  # 0 on the odd classes; 2i on r = 2 (mod 8)
+@settings(max_examples=150, deadline=None)
+def test_from_terms_per_divisor_matches_per_residue(ta):
+    try:
+        want = _per_residue(*ta)
+    except NonRealInput as exc:
+        with pytest.raises(NonRealInput) as caught:
+            cf_from_terms(*ta)
+        assert str(caught.value) == str(exc)
+    else:
+        got = cf_from_terms(*ta)
+        assert got == want and hash(got) == hash(want)
+
+
+def _phi(m):
+    return len(primitive_exponents(m))
+
+
+def test_ramanujan_sums_over_four_root_orders():
+    # sum over q of c_q(r) = sum of the primitive q-th roots to the r-th power,
+    # c_q(r) = mu(t) * phi(q) / phi(t) for t = q / gcd(q, r); M = 7*9*11*13 = 9009
+    orders = (7, 9, 11, 13)
+    f = cf_from_terms([(1, F(k, q), 0) for q in orders for k in primitive_exponents(q)])
+    assert f.modulus == 9009 and f.root_order == 1
+
+    def c(q, r):
+        t = q // math.gcd(q, r)
+        return MOBIUS[t - 1] * _phi(q) // _phi(t)
+
+    want = [sum(c(q, r) for q in orders) for r in range(9009)]
+    assert f == ClassFunction.from_class_polys(9009, [{0: v} for v in want])
+
+
 def test_ring_add_mul_scale():
     assert cf_ring("add", Q, 1 / Q) == ClassFunction.poly({1: 1, -1: 1})
     assert cf_ring("mul", 1 / (Q - 1), Q - 1) == one
@@ -778,19 +849,20 @@ def test_gcd_over_z_matches_euclid_over_q(a, b, planted):
         assert _monic(g) == want
         assert (g * qa).terms == pa.terms and (g * qb).terms == pb.terms
     # ratfun's normal form is the one the oracle's gcd gives
-    assert ratfun(a, b) == _normal_form(a, b)
+    got = ratfun(a, b)
+    assert (got.num, got.den) == _normal_form(a, b)
 
 
 def _normal_form(num, den):
-    """The oracle for ratfun: shifts, Euclid over Q and a monic denominator."""
+    """The oracle for ratfun's num/den views: shifts, Euclid over Q and a monic denominator."""
     if num.is_zero:
-        return RationalFunctionX(LaurentPoly(), LaurentPoly.one())
+        return LaurentPoly(), LaurentPoly.one()
     vn, vd = num.min_exp, den.min_exp
     n0, d0 = num.shift(-vn), den.shift(-vd)
     g = _euclid_gcd(n0, d0)
     n0, d0 = poly_divmod(n0, g)[0], poly_divmod(d0, g)[0]
     lc = d0.terms[d0.max_exp]
-    return RationalFunctionX(n0.scale(1 / lc).shift(vn - vd), d0.scale(1 / lc))
+    return n0.scale(1 / lc).shift(vn - vd), d0.scale(1 / lc)
 
 
 def _schoolbook(a, b):
@@ -804,7 +876,7 @@ laurent_polys = st.dictionaries(
     max_size=4,
 ).map(LaurentPoly)
 # reduced entries, the zero entry among them
-entries = st.builds(_normal_form, laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
+entries = st.builds(ratfun, laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
 
 
 @given(entries, entries)
@@ -818,7 +890,7 @@ def test_entry_ring_ops_over_z_match_fraction_products(a, b):
         want[_rf_div] = _normal_form(_schoolbook(a.num, b.den), _schoolbook(a.den, b.num))
     for op, expected in want.items():
         got = op(a, b)
-        assert got == expected
+        assert (got.num, got.den) == expected
         assert all(type(c) is Fraction for p in (got.num, got.den) for c in p.terms.values())
     assert a.num * b.den == _schoolbook(a.num, b.den)
     if b.is_zero:
@@ -856,8 +928,8 @@ def test_dual_difference_of_a_sparse_quotient_is_exact():
 
 # t^N for the root order N of the function: every root the evaluation needs is t^r
 @given(entries, st.sampled_from([1, 2, 3]), st.sampled_from([F(3, 2), F(2), F(5, 4), F(7, 3)]), st.integers(1, 4))
-@example(RationalFunctionX(LaurentPoly(), LaurentPoly.one()), 2, F(3, 2), 3)  # zero numerator
-@example(RationalFunctionX(LaurentPoly({0: 1}), LaurentPoly({0: F(-27, 8), 1: 1})), 3, F(3, 2), 3)  # a pole
+@example(ratfun(LaurentPoly(), LaurentPoly.one()), 2, F(3, 2), 3)  # zero numerator
+@example(ratfun(LaurentPoly({0: 1}), LaurentPoly({0: F(-27, 8), 1: 1})), 3, F(3, 2), 3)  # a pole
 @settings(max_examples=150, deadline=None)
 def test_exact_eval_matches_fraction_powers(entry, n, t, r0):
     f = ClassFunction(1, n, [entry])
@@ -872,3 +944,57 @@ def test_exact_eval_matches_fraction_powers(entry, n, t, r0):
     else:
         got = cf_eval(f, q0, r0)
         assert type(got) is Fraction and got == num / den
+
+
+# -- the canonical triple k*n/d -------------------------------------------------
+
+
+def _assert_canonical(entry):
+    """k a Fraction; n, d int, primitive, coprime, positive leading coefficients; x does not divide d."""
+    k, n, d = entry
+    assert type(entry) is RationalFunctionX and type(k) is Fraction
+    assert all(type(c) is int for p in (n, d) for c in p.terms.values())
+    assert d.min_exp == 0 and d.terms[d.max_exp] > 0 and math.gcd(*d.terms.values()) == 1
+    if not k:
+        assert n.is_zero and d.terms == {0: 1}
+        return
+    assert n.terms[n.max_exp] > 0 and math.gcd(*n.terms.values()) == 1
+    assert _gcd_prs(n.shift(-n.min_exp), d)[0].terms == {0: 1}
+
+
+@st.composite
+def orbit_term_lists(draw):
+    """Whole Galois orbits of roots of order dividing 12: rational on every class."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
+        order, q_exp = draw(st.sampled_from([1, 2, 3, 4, 6, 12])), F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+        b = draw(st.integers(0, order - 1))
+        terms += [(coeff, F(a * b, order), q_exp) for a in primitive_exponents(order)]
+    return terms, draw(st.sampled_from([None, 1, -1, 2, F(1, 2)]))
+
+
+@given(orbit_term_lists(), orbit_term_lists())
+@settings(max_examples=80, deadline=None)
+def test_every_route_keeps_entries_canonical(ta, tb):
+    f, g = cf_from_terms(*ta), cf_from_terms(*tb)
+    invertible = not any(e.is_zero for e in g.classes)
+    results = [f + g, f - g, f * g, f.dual(), (f * g).dual(), f.scale_pow(F(-3, 2))]
+    if invertible:
+        results.append(f / g)
+    results += [ClassFunction.from_json(h.to_json()) for h in results]
+    for h in results:
+        for entry in h.classes:
+            _assert_canonical(entry)
+    # equal functions built by different routes are equal tuples with equal hashes
+    same = [
+        ((f + g) * g, f * g + g * g),
+        ((f * g).dual(), f.dual() * g.dual()),
+        (f.dual().dual(), f),
+        (ClassFunction.from_json((f * g).to_json()), f * g),
+        (f.scale_pow(F(1, 2)).scale_pow(F(-1, 2)), f),
+    ]
+    if invertible:
+        same.append(((f * g) / g, f))
+    for x, y in same:
+        assert x == y and hash(x) == hash(y)
