@@ -12,6 +12,7 @@ byte-identical JSON output (keys sorted, forms canonical).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .massengine import (
     builtin_profile,
     hilbert_counts,
     kedlaya_masses,
+    mass_from_json,
     profile_from_json,
     profile_total_masses,
     tame_involution_check,
@@ -69,19 +71,71 @@ def _emit(obj: dict, report: str) -> None:
     _write(lines)
 
 
-class _StdinCache:
-    """Read stdin at most once so `--mv - --mw -` sees one document."""
+_INPUT_ERRORS = (MassdualError, OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
 
-    def __init__(self):
-        self.text = None
 
-    def read(self, path: str) -> str:
-        if path == "-":
-            if self.text is None:
-                self.text = sys.stdin.read()
-            return self.text
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+def _text(exc: BaseException) -> str:
+    # a KeyError's text is only the key
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load(option: str, text: str, loader):
+    """loader(document in text), an input error prefixed by the option and the
+    JSON path of the value the loader read last.  The path is found by loading
+    once more over traced copies, so a document that loads pays nothing; a
+    MassdualError (a group too large, say) names only the option."""
+    doc, trail = None, [""]
+    try:
+        doc = json.loads(text)
+        return loader(doc)
+    except _INPUT_ERRORS as exc:
+        if doc is not None and not isinstance(exc, MassdualError):
+            with contextlib.suppress(Exception):  # the first error is the one reported
+                loader(_trace(doc, "", trail))
+        where = trail[0].lstrip(".")
+        raise ValueError(f"{option}: {where}{': ' * bool(where)}{_text(exc)}") from None
+
+
+def _trace(value, path: str, trail: list):
+    """value, a dict or list copied so that reading it records in trail[0] the
+    JSON path of each value read, such as .classes[0].den; a missing key or a
+    finished iteration leaves the path of the container."""
+    trail[0] = path
+    if isinstance(value, (dict, list)):
+        value = (_TracedDict if isinstance(value, dict) else _TracedList)(value)
+        value.path, value.trail = path, trail
+    return value
+
+
+class _TracedDict(dict):
+    __slots__ = ("path", "trail")
+
+    def __getitem__(self, key):
+        self.trail[0] = self.path
+        step = f".{key}" if isinstance(key, str) and key.isidentifier() else f"[{json.dumps(key)}]"
+        return _trace(dict.__getitem__(self, key), self.path + step, self.trail)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def items(self):
+        yield from ((key, self[key]) for key in self.keys())
+        self.trail[0] = self.path
+
+
+class _TracedList(list):
+    __slots__ = ("path", "trail")
+
+    def __iter__(self):
+        yield from (_trace(v, f"{self.path}[{i}]", self.trail) for i, v in enumerate(list.__iter__(self)))
+        self.trail[0] = self.path
 
 
 def _payload(doc: dict, kind: str) -> dict:
@@ -115,9 +169,7 @@ def _divergent(report: str, reason: str) -> int:
 
 
 def _cmd_tame(args) -> int:
-    cache = _StdinCache()
-    doc = json.loads(cache.read(args.group))
-    group, rep = group_from_json(_payload(doc, "tame"))
+    group, rep = _load("--group", _read(args.group), lambda d: group_from_json(_payload(d, "tame")))
     scenario = TameScenario(group, rep, args.q)
     masses = tame_total_masses(scenario)
     out = masses._asdict()
@@ -135,9 +187,7 @@ def _cmd_tame(args) -> int:
 
 def _cmd_profile(args) -> int:
     if args.file:
-        cache = _StdinCache()
-        doc = json.loads(cache.read(args.file))
-        profile = profile_from_json(_payload(doc, "profile"))
+        profile = _load("--file", _read(args.file), lambda d: profile_from_json(_payload(d, "profile")))
     else:
         profile = builtin_profile(args.builtin, n=args.n, m=args.m)
     masses = profile_total_masses(profile)
@@ -163,21 +213,18 @@ def _cmd_formula(args) -> int:
     return 0
 
 
+def _resolutions_from_json(doc) -> dict:
+    payload = _payload(doc, "stringy")
+    if "total" in payload or "origin" in payload:
+        return {role: resolution_from_json(payload[role]) for role in ("total", "origin") if role in payload}
+    return {"total": resolution_from_json(payload)}
+
+
 def _cmd_stringy(args) -> int:
     if args.builtin:
         fixtures = builtin_resolution(args.builtin)
     else:
-        cache = _StdinCache()
-        doc = json.loads(cache.read(args.file))
-        payload = _payload(doc, "stringy")
-        if "total" in payload or "origin" in payload:
-            fixtures = {
-                role: resolution_from_json(payload[role])
-                for role in ("total", "origin")
-                if role in payload
-            }
-        else:
-            fixtures = {"total": resolution_from_json(payload)}
+        fixtures = _load("--file", _read(args.file), _resolutions_from_json)
     counts = {}
     for role, data in fixtures.items():
         value = stringy_count(data)
@@ -207,13 +254,13 @@ def _cmd_stringy(args) -> int:
 
 
 def _cmd_duality(args) -> int:
-    cache = _StdinCache()
+    mv = _read(args.mv)  # stdin is read once, so `--mv - --mw -` sees one document
+    texts = (mv, mv if args.mv == args.mw == "-" else _read(args.mw))
     # each file holds a bare mass or a MassPair document with the side we want
-    docs = {}
-    for field, path in (("mass_v", args.mv), ("mass_w", args.mw)):
-        doc = json.loads(cache.read(path))
-        docs[field] = doc[field] if field in doc else doc
-    masses = MassPair.from_json(docs)
+    masses = MassPair(*(
+        _load(option, text, lambda d, f=field: mass_from_json(d[f] if f in d else d))
+        for option, field, text in zip(("--mv", "--mw"), ("mass_v", "mass_w"), texts)
+    ))
     if not masses.is_finite:
         return _divergent(args.report, "duality verdicts need finite masses")
     report = duality_report(masses, args.d)
@@ -319,11 +366,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        MassdualError, OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError
-    ) as exc:
-        # a KeyError's text is only the key
-        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {_text(exc)}", file=sys.stderr)
         return 2
 
 

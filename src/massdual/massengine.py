@@ -63,10 +63,12 @@ class MassPair(namedtuple("MassPair", "mass_v mass_w")):
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "MassPair":
-        def dec(m):
-            return Infinite if m == "infinite" else ClassFunction.from_json(m)
+        return cls(mass_from_json(obj["mass_v"]), mass_from_json(obj["mass_w"]))
 
-        return cls(dec(obj["mass_v"]), dec(obj["mass_w"]))
+
+def mass_from_json(m) -> MassValue:
+    """One side of a MassPair document: a ClassFunction document or "infinite"."""
+    return Infinite if m == "infinite" else ClassFunction.from_json(m)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

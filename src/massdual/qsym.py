@@ -13,7 +13,8 @@ rational function in x per residue class).  Construction always canonicalizes:
 
 * each class entry is a triple k*n/d (a Fraction k and coprime integer
   polynomials n and d, each primitive with a positive leading coefficient,
-  x not dividing d), built by ratfun,
+  x not dividing d), built by `_reduced` from integer dicts (ratfun reads
+  LaurentPolys over Q into them),
 * N is minimal (exponents rescaled by their gcd with N),
 * M is minimal (classes folded to the smallest divisor of M that repeats).
 
@@ -31,6 +32,7 @@ import decimal
 import heapq
 import math
 import os
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +57,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(x)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) with x = p/q and q >= 1; an int makes no Fraction."""
+    x = x if isinstance(x, int) else _frac(x)
+    return x.numerator, x.denominator
 
 
 def frac_str(x: Fraction) -> str:
@@ -94,8 +102,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial: dict {exponent: nonzero Fraction}.
 
     Products enter as the integer form P/L of `_ints` and leave through
-    `_fracs`, one Fraction per coefficient.  Class entries, the gcd over Z,
-    `_cyclotomic` and poly_divmod(over_z=True) keep int coefficients."""
+    `_fracs`, one Fraction per coefficient.  Class entries, the gcd over Z
+    and poly_divmod(over_z=True) keep int coefficients."""
 
     __slots__ = ("terms",)
 
@@ -378,9 +386,11 @@ class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
 
 
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
-    """Build the canonical entry num/den.
+    """Build the canonical entry num/den from LaurentPolys over Q.
 
-    Each side enters in its integer form (`_ints`); `_reduced` does the rest.
+    Each side is read into its integer form (`_ints`); `_reduced` does the
+    rest.  The builders in this module start from integers and call
+    `_reduced` directly.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -454,30 +464,41 @@ def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, by dividing x^n - 1 by lower ones."""
-    poly = LaurentPoly._of({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly_divmod(poly, _cyclotomic(d), over_z=True)[0]
-    return poly
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n, dense and lowest first: the product over squarefree t | n of
+    (x^(n/t) - 1)^mu(t) (Lang, Algebra, VI §3).  The factors with mu = 1
+    multiply in, then the others divide out exactly from the low end."""
+    primes: list[int] = []
+    for d in _divisors(n)[1:]:  # increasing: a divisor with no smaller prime factor is prime
+        primes += [d] if all(d % p for p in primes) else []
+    ups, downs = [n], []
+    for p in primes:
+        ups, downs = ups + [d // p for d in downs], downs + [d // p for d in ups]
+    poly = [1]
+    for d in ups:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in downs:  # poly = q * (x^d - 1), so q[i] = q[i - d] - poly[i]
+        poly = [-c for c in poly[:-d]]
+        for i in range(d, len(poly)):
+            poly[i] += poly[i - d]
+    return tuple(poly)
 
 
-def _rational_root_sum(pairs: Sequence[tuple[int, Fraction]], m: int) -> Optional[Fraction]:
-    """Exact value of sum c_i * zeta_m^(e_i) if rational, else None.
-
-    The remainder of sum c_i x^(e_i mod m) modulo the m-th cyclotomic
-    polynomial is the sum in the basis 1, zeta, ..., zeta^(phi(m)-1), so the
-    sum is rational exactly when that remainder is a constant: its value.
-    Denominators are cleared first, so the division by the monic, integral
-    Phi_m runs over Z.
-    """
-    den = math.lcm(*(c.denominator for _, c in pairs))
-    acc: dict[int, int] = {}
-    for e, c in pairs:
-        acc[e % m] = acc.get(e % m, 0) + c.numerator * (den // c.denominator)
-    rem = poly_divmod(LaurentPoly._of({e: c for e, c in acc.items() if c}), _cyclotomic(m), over_z=True)[1]
-    return Fraction(rem.terms.get(0, 0), den) if rem.terms.keys() <= {0} else None
+def _rational_root_sum(pairs: Iterable[tuple[int, int]], k: int) -> Optional[int]:
+    """sum c * zeta_k^b over int pairs (b, c) if rational, else None.  The
+    dense list acc[b % k], reduced top-down by the monic Phi_k, is the sum in
+    the basis 1, zeta, ..., zeta^(phi(k)-1): rational when only acc[0] is left."""
+    if k == 1:
+        return sum(c for _, c in pairs)
+    acc, phi = [0] * k, _cyclotomic(k)
+    for b, c in pairs:
+        acc[b % k] += c
+    deg, low = len(phi) - 1, [(j, f) for j, f in enumerate(phi[:-1]) if f]
+    for i in range(k - 1, deg - 1, -1):
+        if c := acc[i]:  # subtract c * x^(i - deg) * Phi_k, which clears acc[i]
+            for j, f in low:
+                acc[i - deg + j] -= c * f
+    return None if any(acc[1:deg]) else acc[0]
 
 
 def iroot(n: int, k: int) -> int:
@@ -525,7 +546,7 @@ class ClassFunction:
     __slots__ = ("modulus", "root_order", "classes")
 
     def __init__(self, modulus: int, root_order: int, entries: Sequence[RationalFunctionX]):
-        """One entry per residue class, each built by ratfun."""
+        """One entry per residue class, each built by ratfun or `_reduced`."""
         modulus = int(modulus)
         root_order = int(root_order)
         if modulus < 1 or root_order < 1:
@@ -560,7 +581,7 @@ class ClassFunction:
 
     @classmethod
     def constant(cls, c) -> "ClassFunction":
-        return cls.poly({Fraction(0): _frac(c)})
+        return cls.poly({0: c})
 
     @classmethod
     def poly(cls, terms: Mapping) -> "ClassFunction":
@@ -569,15 +590,21 @@ class ClassFunction:
 
     @classmethod
     def monomial(cls, exp, coeff=1) -> "ClassFunction":
-        return cls.poly({_frac(exp): _frac(coeff)})
+        return cls.poly({exp: coeff})
 
     @classmethod
     def from_class_polys(cls, modulus: int, class_polys: Sequence[Mapping]) -> "ClassFunction":
-        """One {rational Q-exponent: coeff} mapping per residue class."""
-        polys = [[(_frac(e), c) for e, c in d.items()] for d in class_polys]
-        n = math.lcm(1, *(e.denominator for p in polys for e, _ in p))
-        nums = [LaurentPoly((e.numerator * (n // e.denominator), c) for e, c in p) for p in polys]
-        return cls(modulus, n, [ratfun(p, _ONE) for p in nums])
+        """One {rational Q-exponent: coeff} mapping per residue class; with the
+        exponents over n and the coefficients over l, each is an int dict."""
+        polys = [[(_ratio(e), _ratio(c)) for e, c in d.items()] for d in class_polys]
+        n = math.lcm(1, *(eq for p in polys for (_, eq), _ in p))
+        l = math.lcm(1, *(cq for p in polys for _, (_, cq) in p))
+        sums: list[dict[int, int]] = [{} for _ in polys]
+        for num, p in zip(sums, polys):
+            for (ep, eq), (cp, cq) in p:
+                num[ep * (n // eq)] = num.get(ep * (n // eq), 0) + cp * (l // cq)
+        k = Fraction(1, l)
+        return cls(modulus, n, [_reduced({e: c for e, c in p.items() if c}, _ONE.terms, k) for p in sums])
 
     # -- structural helpers --------------------------------------------------
 
@@ -793,11 +820,31 @@ class ClassFunction:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClassFunction":
-        def side(pairs):
-            return LaurentPoly({_json_int(e): Fraction(str(c)) for c, e in pairs})
+        def side(pairs):  # (l, P) for the side P/l; a repeated exponent keeps its last value
+            terms = {_json_int(e): _json_ratio(c) for c, e in pairs}
+            l = math.lcm(1, *(q for _, q in terms.values()))
+            return l, {e: p * (l // q) for e, (p, q) in terms.items() if p}
 
-        sides = [(side(c["num"]), side(c["den"])) for c in obj["classes"]]
-        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), [ratfun(*s) for s in sides])
+        def entry(c):
+            (ln, n), (ld, d) = side(c["num"]), side(c["den"])
+            if not d:
+                raise ZeroDivisionError("zero denominator")
+            return _reduced(n, d, Fraction(ld, ln))
+
+        entries = [entry(c) for c in obj["classes"]]
+        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), entries)
+
+
+_P_OR_P_Q = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+
+
+def _json_ratio(c) -> tuple[int, int]:
+    """(p, q) for a JSON coefficient: an int or a "p"/"p/q" string straight
+    into ints, any other spelling through Fraction(str(c))."""
+    if type(c) is str and _P_OR_P_Q.fullmatch(c):
+        p, _, q = c.partition("/")
+        return int(p), int(q or 1)
+    return _ratio(c if type(c) is int else Fraction(str(c)))
 
 
 def _json_int(x) -> int:
@@ -848,11 +895,11 @@ Q = ClassFunction.monomial(1)
 
 
 def _as_root(root) -> Fraction:
-    """Normalize a root-of-unity spec to a Fraction in [0, 1)."""
+    """A root-of-unity spec as a Fraction b/M; only its class mod 1 matters."""
     if isinstance(root, tuple):
         b, m = root
         root = Fraction(int(b), int(m))
-    return _frac(root) % 1
+    return _frac(root)
 
 
 def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
@@ -871,28 +918,28 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
         den_exp = _frac(den_exp)
         if den_exp == 0:
             raise ZeroDenominatorExponent("denominator exponent c must be nonzero")
-    norm = [(_frac(coeff), _as_root(root), _frac(q_exp)) for coeff, root, q_exp in terms]
+    norm = [(_ratio(coeff), _as_root(root), _frac(q_exp)) for coeff, root, q_exp in terms]
     m = math.lcm(1, *(root.denominator for _, root, _ in norm))
     n = math.lcm(1 if den_exp is None else den_exp.denominator, *(q_exp.denominator for *_, q_exp in norm))
-    # zeta^(b*r) with b = root*m, q^(q_exp*r) = x^(q_exp*n): integers from here on
-    by_exp: dict[int, list[tuple[int, Fraction]]] = {}
-    for coeff, root, q_exp in norm:
-        by_exp.setdefault(int(q_exp * n), []).append((int(root * m), coeff))
-    den = LaurentPoly.one() if den_exp is None else LaurentPoly({int(den_exp * n): 1, 0: -1})
+    l = math.lcm(1, *(q for (_, q), _, _ in norm))
+    # coeff * zeta^(root*r) * q^(q_exp*r) = (c/l) * zeta_m^(b*r) * x^e for the integers b = root*m,
+    # c = coeff*l and e = q_exp*n; each entry is (1/l) * (integer root sums) / (x^(den_exp*n) - 1)
+    by_exp: dict[int, list[tuple[int, int]]] = {}
+    for (p, q), root, q_exp in norm:
+        e = q_exp.numerator * (n // q_exp.denominator)
+        by_exp.setdefault(e, []).append((root.numerator * (m // root.denominator), p * (l // q)))
+    den = {0: 1} if den_exp is None else {den_exp.numerator * (n // den_exp.denominator): 1, 0: -1}
+    k = Fraction(1, l)
     # zeta -> zeta^a (a a unit mod m) carries class j to a*j, fixes a rational sum and keeps an
     # irrational one irrational, so class g = gcd(j, m) decides and fills class j; at j = g,
     # zeta_m^(b*g) = zeta_(m/g)^b.  Class 0 (g = m) goes first, then g ascending, so the first
     # failure is the least failing class.
     by_gcd = {}
     for g in (m, *_divisors(m)[:-1]):
-        numdict: dict[int, Fraction] = {}
-        for e, pairs in by_exp.items():
-            numdict[e] = val = _rational_root_sum(pairs, m // g)
-            if val is None:
-                raise NonRealInput(
-                    f"coefficients on the class r = {g % m} (mod {m}) are not rational"
-                )
-        by_gcd[g] = ratfun(LaurentPoly(numdict), den)
+        sums = {e: _rational_root_sum(pairs, m // g) for e, pairs in by_exp.items()}
+        if None in sums.values():
+            raise NonRealInput(f"coefficients on the class r = {g % m} (mod {m}) are not rational")
+        by_gcd[g] = _reduced({e: v for e, v in sums.items() if v}, den, k)
     return ClassFunction(m, n, [by_gcd[math.gcd(j, m)] for j in range(m)])
 
 

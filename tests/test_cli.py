@@ -27,7 +27,10 @@ from massdual import (
     resolution_to_json,
 )
 from massdual.cli import run
-from massdual.stringy import builtin_resolution
+from massdual.errors import MassdualError
+from massdual.grouprep import group_from_json
+from massdual.massengine import mass_from_json, profile_from_json
+from massdual.stringy import builtin_resolution, resolution_from_json
 
 F = Fraction
 
@@ -482,7 +485,23 @@ TAME = ("tame", "--group", FILE, "--q", "3")
 EVAL_SQRT2 = ("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "2", "1")
 # the start of stderr where a case checks more than the "error:" prefix
 ERROR_TEXT = {
-    "missing-classes": "error: missing key 'classes'\n",
+    "empty-den": "error: --mv: classes[0].den: zero denominator\n",
+    "zero-den": "error: --mv: classes[0].den: zero denominator\n",
+    "coefficient-1/0": "error: --mv: classes[0].num[0]: Fraction(1, 0)\n",
+    "exponent-1.7": "error: --mv: classes[0].num[0]: expected an integer, got 1.7\n",
+    "exponent-true": "error: --mv: classes[0].num[0]: expected an integer, got True\n",
+    "root_order-2.9": "error: --mv: root_order: expected an integer, got 2.9\n",
+    "modulus-1.0": "error: --mv: modulus: expected an integer, got 1.0\n",
+    "v_exp-1/0": "error: --file: families[0].v_exp[0]: Fraction(1, 0)\n",
+    "stringy-c-1/0": "error: --file: horizontal[0].c: Fraction(1, 0)\n",
+    "nested-200000-deep": "error: --mv: maximum recursion depth exceeded",
+    "group_order-1.9": "error: --file: group_order: expected an integer, got 1.9\n",
+    "exps-true": "error: --group: rep.matrices[0].exps[0]: expected an integer, got True\n",
+    "degree-2.5": "error: --group: degree: expected an integer, got 2.5\n",
+    "cycle-point-2.2": "error: --group: generators[0][0][1]: expected an integer, got 2.2\n",
+    "dim-2.9": "error: --file: dim: expected an integer, got 2.9\n",
+    "stratum-key-1.7": 'error: --file: strata["[1.7]"]: expected an integer, got 1.7\n',
+    "missing-classes": "error: --mv: missing key 'classes'\n",
     "GML_PRECISION-0": "error: GML_PRECISION",
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
@@ -649,6 +668,21 @@ def mass_documents(draw):
     return {"mass_v": _mass(draw, 50), "mass_w": _mass(draw, 50)}
 
 
+def loader_error(load, doc):
+    """The error text the CLI prints after its prefix when load(doc) raises, else None."""
+    try:
+        load(json.loads(json.dumps(doc)))
+    except (MassdualError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+        return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return None
+
+
+def assert_names_the_culprit(code, err, option, text):
+    """A document the loader refuses exits 2 with "error: <option>: [<JSON path>: ]<text>"."""
+    assert code == 2
+    assert err.startswith(f"error: {option}: ") and err.endswith(f"{text}\n"), (err, text)
+
+
 @given(mv=mass_documents(), mw=mass_documents(), d=st.integers(-3, 6))
 @settings(max_examples=150, deadline=None)
 def test_fuzz_duality_documents_end_in_a_documented_exit_code(tmp_path_factory, mv, mw, d):
@@ -656,9 +690,14 @@ def test_fuzz_duality_documents_end_in_a_documented_exit_code(tmp_path_factory, 
     mv_path, mw_path = tmp / "mv.json", tmp / "mw.json"
     mv_path.write_text(json.dumps(mv))
     mw_path.write_text(json.dumps(mw))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = run(["duality", "--mv", str(mv_path), "--mw", str(mw_path), "--d", str(d)])
     assert code in (0, 1, 2, 3)
+    for option, doc, field in (("--mv", mv, "mass_v"), ("--mw", mw, "mass_w")):
+        text = loader_error(lambda m: mass_from_json(m[field] if field in m else m), doc)
+        if text is not None:
+            assert_names_the_culprit(code, err.getvalue(), option, text)
+            break
 
 
 @st.composite
@@ -757,9 +796,17 @@ def test_fuzz_loader_documents_end_in_a_documented_exit_code(tmp_path_factory, c
     argv, doc = case
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
         code = run([str(path) if a == FILE else a for a in argv])
     assert code in (0, 1, 2, 3)
+    option, load = {
+        "profile": ("--file", profile_from_json),
+        "stringy": ("--file", resolution_from_json),
+        "tame": ("--group", group_from_json),
+    }[argv[0]]
+    text = loader_error(load, doc)
+    if text is not None:
+        assert_names_the_culprit(code, err.getvalue(), option, text)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from massdual.qsym import (
     _cyclotomic,
     _divisors,
     _gcd_prs,
+    _json_ratio,
     _primitive,
     _rational_root_sum,
     _rf_add,
@@ -96,8 +98,30 @@ def primitive_exponents(m):
 
 def test_sum_of_primitive_roots_is_mobius():
     for m, mu in enumerate(MOBIUS, start=1):
-        pairs = [(k, F(1)) for k in primitive_exponents(m)]
+        pairs = [(k, 1) for k in primitive_exponents(m)]
         assert _rational_root_sum(pairs, m) == mu
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_oracle(n):
+    """Phi_n by its recursive definition: x^n - 1 divided by every lower Phi_d, d | n."""
+    poly = LaurentPoly({n: 1, 0: -1})
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly_divmod(poly, _cyclotomic_oracle(d))[0]
+    return poly
+
+
+def _root_sum_oracle(pairs, m):
+    """sum c * zeta_m^e over Q: the remainder of sum c * x^(e mod m) modulo Phi_m, if constant."""
+    rem = poly_divmod(LaurentPoly((e % m, c) for e, c in pairs), _cyclotomic_oracle(m))[1]
+    return rem.coeff(0) if rem.terms.keys() <= {0} else None
+
+
+def test_moebius_cyclotomic_matches_the_recursive_definition():
+    for n in range(1, 201):
+        want = _cyclotomic_oracle(n)
+        assert _cyclotomic(n) == tuple(want.coeff(i) for i in range(want.max_exp + 1)), n
 
 
 def test_cyclotomic_polynomial_vanishes_at_the_primitive_roots():
@@ -105,13 +129,14 @@ def test_cyclotomic_polynomial_vanishes_at_the_primitive_roots():
     for m in range(1, 31):
         phi = _cyclotomic(m)
         roots = primitive_exponents(m)
-        assert phi.min_exp == 0 and phi.max_exp == len(roots) and phi.coeff(len(roots)) == 1
+        assert phi[0] != 0 and len(phi) - 1 == len(roots) and phi[-1] == 1
         for k in roots:
             zeta = cmath.exp(2j * cmath.pi * k / m)
-            assert abs(sum(float(c) * zeta**e for e, c in phi.items())) < 1e-9
+            assert abs(sum(c * zeta**e for e, c in enumerate(phi))) < 1e-9
 
 
 def test_root_sum_ignores_multiples_of_the_cyclotomic_polynomial():
+    # the root sum takes integer coefficients: the rational ones here are taken times 60
     rng = random.Random(4)
     for m in range(1, 31):
         for _ in range(5):
@@ -120,20 +145,22 @@ def test_root_sum_ignores_multiples_of_the_cyclotomic_polynomial():
             for _ in range(rng.randint(1, 3)):
                 c, k = F(rng.randint(-4, 4), rng.randint(1, 3)), rng.randrange(m)
                 pairs += [
-                    (e + k + m * rng.randint(-3, 3), c * b) for e, b in _cyclotomic(m).items()
+                    (e + k + m * rng.randint(-3, 3), c * b) for e, b in enumerate(_cyclotomic(m))
                 ]
             rng.shuffle(pairs)
-            assert _rational_root_sum(pairs, m) == v
+            assert _rational_root_sum([(e, int(c * 60)) for e, c in pairs], m) == v * 60
+            assert _root_sum_oracle(pairs, m) == v
 
 
 def test_root_sum_with_a_primitive_root_is_irrational():
     for m in range(1, 31):
-        got = _rational_root_sum([(0, F(3, 2)), (1, F(1))], m)
-        assert got == {1: F(5, 2), 2: F(1, 2)}.get(m)
+        got = _rational_root_sum([(0, 3), (1, 2)], m)
+        assert got == {1: 5, 2: 1}.get(m)
 
 
 def _per_residue(terms, den_exp=None):
-    """The oracle for cf_from_terms: one root sum per residue class j, not per divisor."""
+    """The oracle for cf_from_terms: one root sum per residue class j, not per divisor,
+    each by division by the recursive Phi_m over Q."""
     norm = [(F(c), F(root) % 1, F(q_exp)) for c, root, q_exp in terms]
     m = math.lcm(1, *(root.denominator for _, root, _ in norm))
     n = math.lcm(1 if den_exp is None else F(den_exp).denominator, *(q_exp.denominator for *_, q_exp in norm))
@@ -145,7 +172,7 @@ def _per_residue(terms, den_exp=None):
             by_exp.setdefault(int(q_exp * n), []).append((int(root * m) * j, c))
         values = {}
         for e, pairs in by_exp.items():
-            values[e] = _rational_root_sum(pairs, m)
+            values[e] = _root_sum_oracle(pairs, m)
             if values[e] is None:
                 raise NonRealInput(f"coefficients on the class r = {j} (mod {m}) are not rational")
         entries.append(ratfun(LaurentPoly(values), den))
@@ -160,7 +187,7 @@ def rooted_term_lists(draw):
     orders = [d for d in range(1, m + 1) if m % d == 0]
     terms = []
     for _ in range(draw(st.integers(1, 3))):
-        coeff = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+        coeff = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
         order, q_exp = draw(st.sampled_from(orders)), F(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2])))
         b = draw(st.integers(0, order - 1))
         units = primitive_exponents(order) if draw(st.booleans()) else [1]
@@ -627,6 +654,81 @@ def test_json_roundtrip_and_hash():
     for bad in ({**doc, "root_order": 2.0}, {**doc, "modulus": True}):
         with pytest.raises(ValueError):
             ClassFunction.from_json(bad)
+
+
+# JSON coefficients: ints, the fast path's "p" and "p/q", near misses of it, and other values
+json_coefficients = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.from_regex(r"-?\d+(/[1-9]\d*)?", fullmatch=True),
+    st.from_regex(r"[-+ ]?[0-9]{0,3}([./eE_][-+0-9]{0,3})?[ \n]?", fullmatch=True),
+    st.text(alphabet="0123456789/-+.e_ \n\u0663", max_size=7),
+    st.floats(width=32),
+    st.booleans(),
+    st.none(),
+)
+
+
+@given(json_coefficients)
+@example(" 7 ")
+@example("1/0")
+@example("0/05")
+@example("-0")
+@settings(max_examples=300, deadline=None)
+def test_json_coefficients_read_like_fraction_of_their_str(c):
+    try:
+        want = F(str(c))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            _json_ratio(c)
+        assert str(caught.value) == str(exc)
+    else:
+        p, q = _json_ratio(c)
+        assert q > 0 and F(p, q) == want
+        doc = {"modulus": 1, "root_order": 1, "classes": [{"num": [[c, 1], ["1", 0]], "den": [["2", 0]]}]}
+        assert ClassFunction.from_json(doc) == (want * Q + 1) / 2
+
+
+def _class_polys_oracle(modulus, class_polys):
+    """from_class_polys by the route over Q: LaurentPolys of Fractions, then ratfun."""
+    polys = [[(F(e), F(c)) for e, c in d.items()] for d in class_polys]
+    n = math.lcm(1, *(e.denominator for p in polys for e, _ in p))
+    nums = [LaurentPoly((int(e * n), c) for e, c in p) for p in polys]
+    return ClassFunction(modulus, n, [ratfun(p, LaurentPoly.one()) for p in nums])
+
+
+@st.composite
+def spelled_rationals(draw):
+    """p/q as an int, a Fraction, its str, or the unreduced string "p/q"."""
+    p, q = draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 4, 6]))
+    kind = draw(st.sampled_from(["int", "fraction", "str", "unreduced"]))
+    if kind == "int":
+        return p
+    return {"fraction": F(p, q), "str": str(F(p, q)), "unreduced": f"{p}/{q}"}[kind]
+
+
+@given(st.lists(st.dictionaries(spelled_rationals(), spelled_rationals(), max_size=6), min_size=1, max_size=3))
+@example([{}])  # an empty mapping
+@example([{1: 1, "1": -1, F(1, 2): 2, "2/4": -2}])  # exponents that meet after scaling, cancelling to zero
+@example([{"3/6": "1/3", F(1, 2): "2/6", 0: 5}, {}, {"-4/4": F(-3, 2), -1: "3/2"}])
+@settings(max_examples=200, deadline=None)
+def test_from_class_polys_matches_the_route_over_q(polys):
+    got = ClassFunction.from_class_polys(len(polys), polys)
+    want = _class_polys_oracle(len(polys), polys)
+    assert got == want and hash(got) == hash(want)
+
+
+def test_builders_refuse_floats():
+    for build in (
+        lambda: ClassFunction.from_class_polys(2, [{0: 1}, {0.5: 1}]),
+        lambda: ClassFunction.from_class_polys(1, [{F(1, 2): 1, 2: 1.5}]),
+        lambda: ClassFunction.poly({1: 0.25}),
+        lambda: ClassFunction.monomial(1.5),
+        lambda: ClassFunction.monomial(1, 2.0),
+        lambda: ClassFunction.constant(0.5),
+        lambda: cf_from_terms([(0.5, 0, 1)]),
+    ):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            build()
 
 
 def test_immutability():
