@@ -40,6 +40,12 @@ def perm_mul(a: Perm, b: Perm) -> Perm:
     return tuple([a[i] for i in b])
 
 
+def _reader(idx: Sequence[int]):
+    """g -> tuple(g[i] for i in idx), so _reader(b)(a) == perm_mul(a, b)."""
+    # itemgetter returns a tuple only for two or more indices
+    return itemgetter(*idx) if len(idx) > 1 else lambda g, idx=tuple(idx): tuple([g[i] for i in idx])
+
+
 def perm_inv(a: Perm) -> Perm:
     out = [0] * len(a)
     for i, j in enumerate(a):
@@ -150,14 +156,28 @@ class FiniteGroup:
     def __init__(
         self, degree: int, elements: Sequence[Perm], generators: Optional[Sequence[Perm]] = None
     ):
+        self._setup(degree, tuple(elements), None, generators, None)
+
+    @classmethod
+    def _closed(
+        cls, degree: int, index: dict[Perm, int], generators: Sequence[Perm], right: list[list[int]]
+    ) -> "FiniteGroup":
+        """The group a closure found, its index and right Cayley table taken as they are."""
+        group = cls.__new__(cls)
+        group._setup(degree, tuple(index), index, generators, right)
+        return group
+
+    def _setup(self, degree, elements, index, generators, right):
         self.degree = degree
-        self.elements = tuple(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.elements = elements
+        self.index = {g: i for i, g in enumerate(elements)} if index is None else index
         if perm_identity(degree) not in self.index:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
+        # right[k][i] = index of elements[i] * generators[k]
+        self._right: Optional[list[list[int]]] = right
         self._classes: Optional[list[list[Perm]]] = None
-        self._class_of: dict[Perm, int] = {}
+        self._class_of: list[int] = []
 
     def __len__(self):
         return len(self.elements)
@@ -213,32 +233,69 @@ class FiniteGroup:
             m >>= 1
         return out
 
+    def _right_table(self) -> list[list[int]]:
+        """right[k][i] = index of elements[i] * generators[k]: kept by the
+        closure, filled here once (perm_mul per entry) for an element list."""
+        if self._right is None:
+            index = self.index
+            self._right = [
+                [index[g] for g in map(_reader(s), self.elements)] for s in self.generators
+            ]
+        return self._right
+
     def conjugacy_classes(self) -> list[list[Perm]]:
         """Classes in order of first appearance in the element list, each
         sorted.  Each class is the orbit of its first element under
-        conjugation by the generators, found breadth-first."""
+        conjugation by the generators, walked on element indices.
+
+        A breadth-first tree g_j = g_i * s_k from the identity, read off the
+        right Cayley table, gives for each generator t left[j] = index of
+        t * g_j as right[k][left[i]], starting from t * 1 = t; the inverse
+        of right[t] then takes t * g_j to t * g_j * t^-1."""
         if self._classes is None:
-            # s x s^-1 maps s[i] to s[x[i]], i.e. i to s[x[s^-1[i]]]
-            conj = [(s, perm_inv(s)) for s in self.generators]
+            right = self._right_table()
+            n, one = len(self.elements), self.index[self.identity]
+            tree, order, reached = [], [one], [False] * n
+            reached[one] = True
+            for i in order:
+                for col in right:
+                    j = col[i]
+                    if not reached[j]:
+                        reached[j] = True
+                        order.append(j)
+                        tree.append((j, i, col))
+            if len(order) < n:
+                raise ValueError("the generators do not generate the group")
+            conj = []
+            for col_t in right:
+                left = [0] * n
+                left[one] = col_t[one]
+                for j, i, col in tree:
+                    left[j] = col[left[i]]
+                undo = [0] * n  # y * t -> y
+                for y, yt in enumerate(col_t):
+                    undo[yt] = y
+                conj.append([undo[x] for x in left])
+            class_of = [-1] * n
             classes: list[list[Perm]] = []
-            for g in self.elements:
-                if g not in self._class_of:
-                    self._class_of[g] = len(classes)
-                    orbit = [g]
+            for start in range(n):
+                if class_of[start] < 0:
+                    class_of[start] = len(classes)
+                    orbit = [start]
                     for x in orbit:
-                        for s, s_inv in conj:
-                            y = tuple([s[x[j]] for j in s_inv])
-                            if y not in self._class_of:
-                                self._class_of[y] = len(classes)
+                        for c in conj:
+                            y = c[x]
+                            if class_of[y] < 0:
+                                class_of[y] = len(classes)
                                 orbit.append(y)
-                    classes.append(sorted(orbit))
-            self._classes = classes
+                    classes.append(sorted([self.elements[x] for x in orbit]))
+            self._class_of, self._classes = class_of, classes
         return self._classes
 
     def class_index(self, g: Perm) -> int:
         """Position in conjugacy_classes() of the class holding g."""
         self.conjugacy_classes()
-        return self._class_of[g]
+        return self._class_of[self.index[g]]
 
 
 class MonomialRep:
@@ -267,10 +324,17 @@ class MonomialRep:
 
     def tame_weights(self, g: Perm) -> TameWeights:
         """Weights (v, w, a) of g: v = sum of eigenvalue exponents,
-        a = number of nonzero exponents, w = a - v."""
-        fr = self.eigen_exponents(g)
-        v = sum(fr, Fraction(0))
-        a = sum(1 for x in fr if x)
+        a = number of nonzero exponents, w = a - v.
+
+        Summed per cycle: a c-cycle whose exponents sum to s has the
+        exponents (s mod e + e*u)/(c*e), u = 0..c-1, which add up to
+        (s mod e)/e + (c-1)/2, and exactly one of them is 0 when e | s."""
+        m = self.matrix(g)
+        e, exps = m.root_order, m.exps
+        cycles = perm_cycles(m.perm)
+        residues = [sum([exps[j] for j in cyc]) % e for cyc in cycles]
+        a = len(exps) - residues.count(0)
+        v = Fraction(2 * sum(residues) + e * (len(exps) - len(cycles)), 2 * e)
         return TameWeights(v, a - v, Fraction(a))
 
 
@@ -291,14 +355,15 @@ class _ReducedEntry(dict):
 class _ClosureMatrices(Mapping):
     """The matrices of a closure, kept as rows and decoded on first lookup."""
 
-    def __init__(self, rows: dict[Perm, tuple[int, ...]], degree: int, root_order: int):
-        self._rows, self._degree, self._root_order = rows, degree, root_order
+    def __init__(self, rows: list[tuple[int, ...]], index: dict[Perm, int], degree: int, root_order: int):
+        self._rows, self._index = rows, index
+        self._degree, self._root_order = degree, root_order
         self._decoded: dict[Perm, MonomialMatrix] = {}
 
     def __getitem__(self, g: Perm) -> MonomialMatrix:
         m = self._decoded.get(g)
         if m is None:
-            tail = self._rows[g][self._degree :]
+            tail = self._rows[self._index[g]][self._degree :]
             cols = [divmod(c - self._degree, 2 * self._root_order) for c in tail]
             m = self._decoded[g] = MonomialMatrix(
                 tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order
@@ -306,7 +371,7 @@ class _ClosureMatrices(Mapping):
         return m
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._index)
 
     def __len__(self):
         return len(self._rows)
@@ -327,10 +392,14 @@ def group_closure(
     sum cannot spill into the next row, so an edge costs O(degree + dim)
     whatever e is.  Matrices are decoded from the rows only when looked up.
 
-    Walks the Cayley graph breadth-first from the identity.  Whenever two
-    words reach the same permutation with different matrices the assignment
-    extends to no homomorphism and InconsistentRepresentation is raised.
-    GroupTooLarge is raised once the element count passes max_size.
+    Walks the Cayley graph breadth-first from the identity, taking the
+    rows in the order they are found.  Each product g*s is looked up once,
+    and its index is kept: the returned group carries this right Cayley
+    table, from which its conjugacy classes are found on element indices.
+    Whenever two words reach the same permutation with different matrices
+    the assignment extends to no homomorphism and InconsistentRepresentation
+    is raised.  GroupTooLarge is raised once the element count passes
+    max_size.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -348,39 +417,35 @@ def group_closure(
         dim, root_order, mats = dims.pop(), orders.pop(), rep_generators
     # g*s reads g's row at idx and adds off: perm_mul on the points, and the
     # matrix product's perm[s.perm[j]] and exps[s.perm[j]] + s.exps[j]; with
-    # no offset (s.exps all 0) no exponent can reach e and g*s is a pure read
+    # no offset (s.exps all 0) no exponent can reach e and g*s is a pure read;
+    # right[k] collects the index of g*s for each row g in turn
+    right: list[list[int]] = [[] for _ in generators]
     steps = []
-    for s, m in zip(generators, mats):
-        idx = tuple(s) + tuple(degree + p for p in m.perm)
-        # itemgetter returns a tuple only for two or more indices
-        read = itemgetter(*idx) if len(idx) > 1 else lambda g, idx=idx: tuple([g[i] for i in idx])
-        steps.append((read, (0,) * degree + m.exps if any(m.exps) else None))
+    for s, m, col in zip(generators, mats, right):
+        read = _reader(tuple(s) + tuple(degree + p for p in m.perm))
+        steps.append((read, (0,) * degree + m.exps if any(m.exps) else None, col.append))
     reduce = _ReducedEntry(degree, root_order).__getitem__
     ident = perm_identity(degree) + tuple(degree + 2 * root_order * j for j in range(dim))
-    rows = {ident[:degree]: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for read, off in steps:
-                h = read(g) if off is None else tuple(map(reduce, map(add, read(g), off)))
-                head = h[:degree]
-                known = rows.get(head)
-                if known is not None:
-                    if known != h:
-                        raise InconsistentRepresentation(
-                            "two words for one element got different matrices"
-                        )
-                    continue
-                if len(rows) >= max_size:
+    rows = [ident]
+    index = {ident[:degree]: 0}
+    for g in rows:  # the list grows as it is walked: breadth-first order
+        for read, off, put in steps:
+            h = read(g) if off is None else tuple(map(reduce, map(add, read(g), off)))
+            head = h[:degree]
+            j = index.get(head)
+            if j is None:
+                j = len(rows)
+                if j >= max_size:
                     raise GroupTooLarge(f"closure exceeded {max_size} elements")
-                rows[head] = h
-                nxt.append(h)
-        frontier = nxt
-    group = FiniteGroup(degree, rows, generators)
+                index[head] = j
+                rows.append(h)
+            elif rows[j] != h:
+                raise InconsistentRepresentation("two words for one element got different matrices")
+            put(j)
+    group = FiniteGroup._closed(degree, index, generators, right)
     rep = None
     if rep_generators is not None:
-        rep = MonomialRep(dim, root_order, _ClosureMatrices(rows, degree, root_order))
+        rep = MonomialRep(dim, root_order, _ClosureMatrices(rows, index, degree, root_order))
     return group, rep
 
 

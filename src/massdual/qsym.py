@@ -831,8 +831,9 @@ class ClassFunction:
                 raise ZeroDivisionError("zero denominator")
             return _reduced(n, d, Fraction(ld, ln))
 
-        entries = [entry(c) for c in obj["classes"]]
-        return cls(_json_int(obj["modulus"]), _json_int(obj["root_order"]), entries)
+        modulus, root_order = _json_int(obj["modulus"]), _json_int(obj["root_order"])
+        # classes is read last, so a wrong count is reported against it
+        return cls(modulus, root_order, [entry(c) for c in obj["classes"]])
 
 
 _P_OR_P_Q = re.compile(r"-?\d+(?:/[1-9]\d*)?")

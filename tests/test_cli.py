@@ -450,6 +450,20 @@ def test_fraction_exponent_in_json_is_a_usage_error(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+def test_inconsistent_group_matrices_exit_2_in_a_fresh_process(tmp_path):
+    # a swap of two points cannot act on a line by a primitive cube root of unity
+    doc = {
+        "degree": 2,
+        "generators": [[[1, 2]]],
+        "rep": {"dim": 1, "root_order": 3, "matrices": [{"perm": [1], "exps": [1]}]},
+    }
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    proc = run_fresh("tame", "--group", str(path), "--q", "5")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --group: two words for one element got different matrices\n"
+
+
 FILE = "<input file>"  # stands for the path the test writes the document to
 
 
@@ -502,6 +516,7 @@ ERROR_TEXT = {
     "dim-2.9": "error: --file: dim: expected an integer, got 2.9\n",
     "stratum-key-1.7": 'error: --file: strata["[1.7]"]: expected an integer, got 1.7\n',
     "missing-classes": "error: --mv: missing key 'classes'\n",
+    "class-count": "error: --mv: mass_v.classes: need exactly one class entry per residue class\n",
     "GML_PRECISION-0": "error: GML_PRECISION",
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
@@ -558,6 +573,15 @@ ERROR_TEXT = {
         ),
         pytest.param(("stringy", "--builtin", "a1_cone", "--check-gm"), None, id="check-gm-no-d"),
         pytest.param(DUALITY, {"modulus": 1, "root_order": 1}, id="missing-classes"),
+        # the count of classes is checked against modulus once classes is read
+        pytest.param(
+            DUALITY,
+            {
+                "mass_v": {**one_class([["1", 0]], [["1", 0]]), "modulus": 2},
+                "mass_w": one_class([["1", 0]], [["1", 0]]),
+            },
+            id="class-count",
+        ),
         # a leading NAME=value sets that environment variable, as in a shell
         pytest.param(("GML_PRECISION=0", *EVAL_SQRT2), None, id="GML_PRECISION-0"),
         pytest.param(("GML_PRECISION=-5", *EVAL_SQRT2), None, id="GML_PRECISION--5"),

@@ -91,6 +91,10 @@ def test_closure_size_limit():
     c = perm_from_cycles(5, [[1, 2, 3, 4, 5]])
     with pytest.raises(GroupTooLarge):
         group_closure([t, c], max_size=10)
+    # the bound is inclusive: a group of exactly max_size elements closes
+    assert len(group_closure([t, c], max_size=120)[0]) == 120
+    with pytest.raises(GroupTooLarge):
+        group_closure([t, c], max_size=119)
 
 
 def test_closure_rejects_mixed_degrees():
@@ -207,6 +211,13 @@ def test_classes_agree_however_the_group_is_built(gens, sizes):
         assert len(group.generators) <= 3
         assert all(group.class_index(g) == k for k, c in enumerate(group.conjugacy_classes()) for g in c)
     assert closed.exponent() == listed.exponent() == regular.exponent()
+
+
+def test_classes_refuse_generators_of_a_subgroup():
+    closed, _ = group_closure(s4_gens())
+    group = FiniteGroup(4, closed.elements, [perm_from_cycles(4, [[1, 2]])])
+    with pytest.raises(ValueError, match="do not generate"):
+        group.conjugacy_classes()
 
 
 def test_group_json_roundtrip():
@@ -378,3 +389,75 @@ def test_closure_of_rows_shorter_than_two_entries():
         oracle_closure([()], sign)
     with pytest.raises(InconsistentRepresentation):
         group_closure([()], sign)
+
+
+# -- classes on element indices against the tuple-orbit loop -----------------
+
+
+def oracle_classes(group):
+    """Conjugacy classes by conjugating element tuples: each class is the
+    orbit of its first element under x -> s x s^-1 for the generators s,
+    classes in order of first appearance and sorted; with the class of each
+    element."""
+    conj = [(s, perm_inv(s)) for s in group.generators]
+    class_of, classes = {}, []
+    for g in group.elements:
+        if g not in class_of:
+            class_of[g] = len(classes)
+            orbit = [g]
+            for x in orbit:
+                for s, s_inv in conj:  # s x s^-1 sends i to s[x[s^-1[i]]]
+                    y = tuple([s[x[j]] for j in s_inv])
+                    if y not in class_of:
+                        class_of[y] = len(classes)
+                        orbit.append(y)
+            classes.append(sorted(orbit))
+    return classes, class_of
+
+
+@given(
+    st.one_of(closure_inputs(), st.sampled_from([(s4_gens(), None), (f21_gens(), None)])),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_classes_on_indices_match_the_tuple_orbit_oracle(inputs, data):
+    gens, mats = inputs
+    try:
+        closed, _ = group_closure(gens, mats)
+    except InconsistentRepresentation:
+        closed, _ = group_closure(gens)
+    elements = closed.elements
+    index = {g: i for i, g in enumerate(elements)}
+    assert closed._right == [[index[perm_mul(g, s)] for g in elements] for s in gens]
+
+    shuffled = [elements[i] for i in data.draw(st.permutations(range(len(elements))))]
+    listed = FiniteGroup(closed.degree, shuffled)
+    table = [[index[perm_mul(g, h)] for h in elements] for g in elements]
+    for group in (closed, listed, from_cayley_table(table)):
+        classes, class_of = oracle_classes(group)
+        assert group.conjugacy_classes() == classes
+        assert all(group.class_index(g) == class_of[g] for g in group)
+    listed_index = listed.index
+    assert listed._right_table() == [
+        [listed_index[perm_mul(g, s)] for g in shuffled] for s in listed.generators
+    ]
+
+
+# -- tame weights summed per cycle against the eigenvalue exponents ----------
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.integers(1, 12).flatmap(lambda e: monomial_matrices(dim, e))
+    )
+    | st.builds(MonomialMatrix.identity, st.integers(0, 6), st.integers(1, 12))
+)
+@settings(max_examples=300, deadline=None)
+def test_tame_weights_match_eigen_exponents(m):
+    rep = MonomialRep(m.dim, m.root_order, {m.perm: m})
+    exps = rep.eigen_exponents(m.perm)
+    wt = rep.tame_weights(m.perm)
+    assert wt.v == sum(exps, F(0))
+    assert wt.a == sum(1 for x in exps if x)
+    assert wt.w == wt.a - wt.v
+    assert all(type(x) is F for x in wt)
