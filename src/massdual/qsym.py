@@ -11,19 +11,19 @@ serialization format.
 Canonical form.  A ClassFunction stores (modulus M, root_order N, one reduced
 rational function in x per residue class).  Construction always canonicalizes:
 
-* each class entry is a triple k*n/d (a Fraction k and coprime integer
-  polynomials n and d, each primitive with a positive leading coefficient,
-  x not dividing d), built by `_reduced` from integer dicts (ratfun reads
-  LaurentPolys over Q into them),
+* each class entry is a triple k*n/d: a Fraction k and coprime integer
+  polynomials n and d, plain dicts {exponent: int}, each primitive with a
+  positive leading coefficient, x not dividing d.  `_reduced` builds it from
+  integer dicts; ratfun reads LaurentPolys over Q into them,
 * N is minimal (exponents rescaled by their gcd with N),
 * M is minimal (classes folded to the smallest divisor of M that repeats).
 
 Two ClassFunctions are equal as functions of r exactly when their canonical
 forms are equal componentwise, so `==` decides function equality.
 
-Arithmetic runs over Z: products, sums, reductions, root-of-unity sums and
-exact evaluation work on the integer polynomials n and d, and only k is a
-Fraction.
+Arithmetic runs over Z: products, sums, reductions, gcds, root-of-unity sums
+and exact evaluation work on the int dicts n and d, and only k is a Fraction.
+LaurentPoly is always a polynomial over Q: the num/den views of an entry.
 """
 
 from __future__ import annotations
@@ -99,11 +99,11 @@ def is_infinite(x) -> bool:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: dict {exponent: nonzero Fraction}.
+    """Sparse Laurent polynomial over Q: dict {exponent: nonzero Fraction}.
 
     Products enter as the integer form P/L of `_ints` and leave through
-    `_fracs`, one Fraction per coefficient.  Class entries, the gcd over Z
-    and poly_divmod(over_z=True) keep int coefficients."""
+    `_fracs`, one Fraction per coefficient.  The integer kernel (class
+    entries, the gcd over Z) works on plain int dicts instead."""
 
     __slots__ = ("terms",)
 
@@ -210,50 +210,6 @@ class LaurentPoly:
         return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
 
-def poly_divmod(a: LaurentPoly, b: LaurentPoly, over_z: bool = False) -> Optional[tuple[LaurentPoly, LaurentPoly]]:
-    """Division with remainder; both arguments must be honest polynomials.
-
-    With over_z the coefficients are integers and so must be the quotient's:
-    None is returned at the first quotient coefficient that is not."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    assert a.is_zero or a.min_exp >= 0
-    assert b.min_exp >= 0
-    db = b.max_exp
-    lb = b.terms[db]
-    quo: dict[int, Fraction] = {}
-    rem = dict(a.terms)
-    # max-heap of rem's exponents; each step cancels e and adds only exponents
-    # below it, so an exponent popped but no longer in rem is just skipped
-    pending = [-e for e in rem]
-    heapq.heapify(pending)
-    while pending and -pending[0] >= db:
-        e = -heapq.heappop(pending)
-        if e not in rem:
-            continue
-        c = quo[e - db] = rem[e] // lb if over_z else rem[e] / lb
-        if over_z and c * lb != rem[e]:
-            return None
-        for eb, cb in b.terms.items():
-            ne = e - db + eb
-            if ne in rem:
-                acc = rem[ne] - c * cb
-            else:
-                acc = -c * cb
-                heapq.heappush(pending, -ne)
-            if acc:
-                rem[ne] = acc
-            else:
-                del rem[ne]
-    return LaurentPoly._of(quo), LaurentPoly._of(rem)
-
-
-def _div_z(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
-    """a / b for integer polynomials, or None when b does not divide a over Z."""
-    qr = poly_divmod(a, b, over_z=True)
-    return None if qr is None or qr[1].terms else qr[0]
-
-
 def _ints(p: LaurentPoly) -> tuple[int, dict]:
     """The integer form (L, P) of p = P/L: L the lcm of the denominators, P
     an integer dict.  gcd(content of P, L) = 1, so the form is canonical."""
@@ -290,23 +246,65 @@ def _fracs(p: dict, k: Fraction) -> LaurentPoly:
     return LaurentPoly._of({e: Fraction(c * kn, kd) for e, c in p.items()})
 
 
-def _split(p: dict) -> tuple[int, int, LaurentPoly]:
+def _shift(p: dict, k: int) -> dict:
+    """x^k * p for an integer dict p."""
+    return {e + k: c for e, c in p.items()} if k else p
+
+
+def _divmod_z(a: dict, b: dict) -> Optional[tuple[dict, dict]]:
+    """(quotient, remainder) of int dicts a and b != 0 with no negative exponent,
+    or None at the first quotient coefficient that is not an integer."""
+    db = max(b)
+    lb = b[db]
+    quo: dict[int, int] = {}
+    rem = dict(a)
+    # max-heap of rem's exponents; each step cancels e and adds only exponents
+    # below it, so an exponent popped but no longer in rem is just skipped
+    pending = [-e for e in rem]
+    heapq.heapify(pending)
+    while pending and -pending[0] >= db:
+        e = -heapq.heappop(pending)
+        if e not in rem:
+            continue
+        c = quo[e - db] = rem[e] // lb
+        if c * lb != rem[e]:
+            return None
+        for eb, cb in b.items():
+            ne = e - db + eb
+            if ne in rem:
+                acc = rem[ne] - c * cb
+            else:
+                acc = -c * cb
+                heapq.heappush(pending, -ne)
+            if acc:
+                rem[ne] = acc
+            else:
+                del rem[ne]
+    return quo, rem
+
+
+def _div_z(a: dict, b: dict) -> Optional[dict]:
+    """a / b for integer polynomials, or None when b does not divide a over Z."""
+    qr = _divmod_z(a, b)
+    return None if qr is None or qr[1] else qr[0]
+
+
+def _split(p: dict) -> tuple[int, int, dict]:
     """(g, v, P) with p = g*x^v*P for an integer dict p: g the content, signed
     like the leading coefficient, v the least exponent, P primitive with P(0) != 0."""
     g, v = math.gcd(*p.values()), min(p)
     g = g if p[max(p)] > 0 else -g
-    return g, v, LaurentPoly._of(p if g == 1 and v == 0 else {e - v: c // g for e, c in p.items()})
+    return g, v, p if g == 1 and v == 0 else {e - v: c // g for e, c in p.items()}
 
 
-def _primitive(p: LaurentPoly) -> tuple[Fraction, LaurentPoly]:
-    """(c, P) with p = c*P and P integral, primitive, leading coefficient > 0."""
-    den, ints = _ints(p)
-    g, v, prim = _split(ints)
-    return Fraction(g, den), prim.shift(v)
+def _primitive(p: dict) -> dict:
+    """p over its content: primitive, leading coefficient > 0, x^v kept."""
+    _, v, prim = _split(p)
+    return _shift(prim, v)
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-    """(g, a/g, b/g): g the gcd over Z of nonzero integer polynomials a and b.
+def poly_gcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
+    """(g, a/g, b/g): g the gcd over Z of nonzero int dicts a and b, no exponent negative.
 
     g is primitive with a positive leading coefficient.  GCDHEU (Char, Geddes
     and Gonnet 1989): for xi >= 2*min(|a|, |b|) + 2 in the max norm, the
@@ -315,19 +313,18 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, 
     where spurious integer factors are rare; after six points `_gcd_prs`
     decides.  One pow per term keeps sparse inputs sparse.
     """
-    ta, tb = a.terms, b.terms
-    xi = 2 * min(max(map(abs, ta.values())), max(map(abs, tb.values()))) + 29
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(6):
-        h = math.gcd(sum(c * pow(xi, e) for e, c in ta.items()),
-                     sum(c * pow(xi, e) for e, c in tb.items()))
+        h = math.gcd(sum(c * pow(xi, e) for e, c in a.items()),
+                     sum(c * pow(xi, e) for e, c in b.items()))
         digits, e, half = {}, 0, xi // 2
         while h:
             d = (h + half) % xi - half  # the balanced digit
             if d:
                 digits[e] = d
             h, e = (h - d) // xi, e + 1
-        g = _primitive(LaurentPoly._of(digits))[1]
-        if g.terms == {0: 1}:
+        g = _primitive(digits)
+        if g == {0: 1}:
             return g, a, b
         if (qa := _div_z(a, g)) is not None and (qb := _div_z(b, g)) is not None:
             return g, qa, qb
@@ -335,18 +332,18 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, 
     return _gcd_prs(a, b)
 
 
-def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+def _gcd_prs(a: dict, b: dict) -> tuple[dict, dict, dict]:
     """poly_gcd by the primitive remainder sequence over Z, in polynomial time.
 
     Each step takes the pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g,
     an exact division over Z, and removes its content (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 6)."""
-    f, g = (a, b) if a.max_exp >= b.max_exp else (b, a)
-    f, g = _primitive(f)[1], _primitive(g)[1]
-    while g.terms:
-        k = g.terms[g.max_exp] ** (f.max_exp - g.max_exp + 1)
-        r = poly_divmod(LaurentPoly._of({e: c * k for e, c in f.terms.items()}), g, over_z=True)[1]
-        f, g = g, _primitive(r)[1] if r.terms else r
+    Gerhard, Modern Computer Algebra, ch. 6).  Each x^v stays, or gcd(x, x) would be 1."""
+    f, g = (a, b) if max(a) >= max(b) else (b, a)
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        k = g[max(g)] ** (max(f) - max(g) + 1)
+        r = _divmod_z({e: c * k for e, c in f.items()}, g)[1]
+        f, g = g, _primitive(r) if r else r
     return f, _div_z(a, f), _div_z(b, f)
 
 
@@ -357,24 +354,28 @@ def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, 
 class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
     """The rational function k*n/d in x, in the canonical form ratfun builds.
 
-    k is a Fraction; n and d are LaurentPolys with int coefficients, each
-    primitive with a positive leading coefficient, coprime, and x does not
-    divide d (n may carry x^v).  The zero entry is (0, 0, 1).  The triple is
-    unique, so tuple equality and hashing are exact.  The constructor does
-    not check any of this; build entries with ratfun.
+    k is a Fraction; n and d are int dicts {exponent: int}, each primitive
+    with a positive leading coefficient, coprime, and x does not divide d
+    (n may carry x^v).  The zero entry is (0, {}, {0: 1}).  The triple is
+    unique, so equality and the hash over the dicts' items are exact.  Dicts
+    are shared (`_ONE`, cf_from_terms's `den`, `_split`'s pass-through), so
+    none may be mutated after `_reduced`.  Nothing is checked: use ratfun.
     """
 
     __slots__ = ()
 
+    def __hash__(self):
+        return hash((self.k, frozenset(self.n.items()), frozenset(self.d.items())))
+
     @property
     def num(self) -> LaurentPoly:
         """The numerator over Q, for the denominator `den`."""
-        return _fracs(self.n.terms, self.k / self.d.terms[self.d.max_exp])
+        return _fracs(self.n, self.k / self.d[max(self.d)])
 
     @property
     def den(self) -> LaurentPoly:
         """The denominator over Q: minimal exponent 0, leading coefficient 1."""
-        return _fracs(self.d.terms, Fraction(1, self.d.terms[self.d.max_exp]))
+        return _fracs(self.d, Fraction(1, self.d[max(self.d)]))
 
     @property
     def is_zero(self) -> bool:
@@ -382,7 +383,7 @@ class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
 
     @property
     def is_poly(self) -> bool:
-        return self.d.terms == {0: 1}
+        return self.d == {0: 1}
 
 
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
@@ -410,35 +411,31 @@ def _reduced(n: dict, d: dict, k: Fraction) -> RationalFunctionX:
     (gn, vn, n0), (gd, vd, d0) = _split(n), _split(d)
     if len(n) > 1 and len(d) > 1:  # else one side is x^k times a constant, a unit
         _, n0, d0 = poly_gcd(n0, d0)
-    return RationalFunctionX(Fraction(k.numerator * gn, k.denominator * gd), n0.shift(vn - vd), d0)
+    return RationalFunctionX(Fraction(k.numerator * gn, k.denominator * gd), _shift(n0, vn - vd), d0)
 
 
-_ONE = LaurentPoly._of({0: 1})
-_RF_ZERO = RationalFunctionX(Fraction(0), LaurentPoly.zero(), _ONE)
+_ONE = {0: 1}
+_RF_ZERO = RationalFunctionX(Fraction(0), {}, _ONE)
 _RF_ONE = RationalFunctionX(Fraction(1), _ONE, _ONE)
 
 
 def _rf_add(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     (pa, qa), (pb, qb) = (a.k.numerator, a.k.denominator), (b.k.numerator, b.k.denominator)
     m = math.lcm(qa, qb)  # k_a*n_a*d_b + k_b*n_b*d_a over the one denominator m
-    num = _zmul(b.n.terms, a.d.terms, pb * (m // qb), _zmul(a.n.terms, b.d.terms, pa * (m // qa)))
-    return _reduced(num, _zmul(a.d.terms, b.d.terms), Fraction(1, m))
+    num = _zmul(b.n, a.d, pb * (m // qb), _zmul(a.n, b.d, pa * (m // qa)))
+    return _reduced(num, _zmul(a.d, b.d), Fraction(1, m))
 
 
 def _rf_mul(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     if a == _RF_ONE or b == _RF_ONE:  # both are reduced already
         return b if a == _RF_ONE else a
-    return _reduced(_zmul(a.n.terms, b.n.terms), _zmul(a.d.terms, b.d.terms), a.k * b.k)
+    return _reduced(_zmul(a.n, b.n), _zmul(a.d, b.d), a.k * b.k)
 
 
 def _rf_div(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
     if b.is_zero:
         raise ZeroDivisionError("division by the zero class function")
-    return _reduced(_zmul(a.n.terms, b.d.terms), _zmul(a.d.terms, b.n.terms), a.k / b.k)
-
-
-def _rf_neg(a: RationalFunctionX) -> RationalFunctionX:
-    return RationalFunctionX(-a.k, a.n, a.d)
+    return _reduced(_zmul(a.n, b.d), _zmul(a.d, b.n), a.k / b.k)
 
 
 def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
@@ -446,17 +443,17 @@ def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
     # leading coefficients, the old lowest ones, move into k
     if a.is_zero:
         return a
-    top = a.d.max_exp
-    n, d = a.n.mirror().shift(top), a.d.mirror().shift(top)
-    sn, sd = n.terms[n.max_exp] < 0, d.terms[top] < 0
-    return RationalFunctionX(-a.k if sn != sd else a.k, -n if sn else n, -d if sd else d)
+    top, sn, sd = max(a.d), a.n[min(a.n)] < 0, a.d[0] < 0
+    n = {top - e: -c if sn else c for e, c in a.n.items()}
+    d = {top - e: -c if sd else c for e, c in a.d.items()}
+    return RationalFunctionX(-a.k if sn != sd else a.k, n, d)
 
 
 def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
     # substituting x -> x^k keeps the triple canonical
     if k == 1:
         return a
-    return RationalFunctionX(a.k, a.n.stretch(k), a.d.stretch(k))
+    return RationalFunctionX(a.k, *({e * k: c for e, c in p.items()} for p in (a.n, a.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +553,11 @@ class ClassFunction:
         # minimal root order: rescale exponents by their gcd with N
         g = root_order
         for e in entries:
-            g = math.gcd(g, *e.n.terms, *e.d.terms)
+            g = math.gcd(g, *e.n, *e.d)
         if g > 1:
             root_order //= g
-            entries = [RationalFunctionX(e.k, e.n.stretch_div(g), e.d.stretch_div(g)) for e in entries]
+            entries = [RationalFunctionX(e.k, *({x // g: c for x, c in p.items()} for p in (e.n, e.d)))
+                       for e in entries]
         # minimal modulus: fold classes onto the smallest repeating divisor
         for d in _divisors(modulus):
             if all(entries[j] == entries[j % d] for j in range(modulus)):
@@ -604,7 +602,7 @@ class ClassFunction:
             for (ep, eq), (cp, cq) in p:
                 num[ep * (n // eq)] = num.get(ep * (n // eq), 0) + cp * (l // cq)
         k = Fraction(1, l)
-        return cls(modulus, n, [_reduced({e: c for e, c in p.items() if c}, _ONE.terms, k) for p in sums])
+        return cls(modulus, n, [_reduced({e: c for e, c in p.items() if c}, _ONE, k) for p in sums])
 
     # -- structural helpers --------------------------------------------------
 
@@ -617,7 +615,7 @@ class ClassFunction:
 
     def degree_span(self) -> int:
         """Largest exponent span across all numerators and denominators."""
-        return max(max(e.n.span, e.d.span) for e in self.classes)
+        return max(max(p) - min(p) if p else 0 for e in self.classes for p in (e.n, e.d))
 
     def _aligned_with(self, other: "ClassFunction"):
         m = math.lcm(self.modulus, other.modulus)
@@ -647,7 +645,8 @@ class ClassFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return ClassFunction(self.modulus, self.root_order, [_rf_neg(e) for e in self.classes])
+        entries = [RationalFunctionX(-e.k, e.n, e.d) for e in self.classes]  # n and d stay reduced
+        return ClassFunction(self.modulus, self.root_order, entries)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -702,7 +701,7 @@ class ClassFunction:
         k = int(c * n)
         # x^k is a unit, so shifting the numerator keeps the entry reduced
         stretched = (_rf_stretch(e, n // self.root_order) for e in self.classes)
-        return ClassFunction(self.modulus, n, [RationalFunctionX(e.k, e.n.shift(k), e.d) for e in stretched])
+        return ClassFunction(self.modulus, n, [RationalFunctionX(e.k, _shift(e.n, k), e.d) for e in stretched])
 
     # -- evaluation -------------------------------------------------------------
 
@@ -724,21 +723,21 @@ class ClassFunction:
         precision = int(precision)
         entry = self.class_entry(r0)
         # q^(e*r0/N) = y^k, k = e*r0/g, y = q0^(1/b) = s^(d/b): b = N/g least, d | b largest with q0 = s^d
-        b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.n.terms, *entry.d.terms)))
+        b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.n, *entry.d)))
         d, s = next(((d, r) for d in range(min(b, q0.numerator.bit_length()), 1, -1)
                      if b % d == 0 and (r := _root(q0, d))), (1, q0))
         if d == b:  # s = a/z > 1; scaled by a^-lo * z^hi, n and d give integer sums
             a, z = s.numerator, s.denominator
-            ks = [e * r0 // g for e in (*entry.n.terms, *entry.d.terms)]
+            ks = [e * r0 // g for e in (*entry.n, *entry.d)]
             lo, hi = min(ks), max(ks)
             if (hi - lo) * a.bit_length() > EXACT_EVAL_MAX_BITS:
                 raise ValueError(f"the exact value at q0={q0}, r0={r0} would exceed {EXACT_EVAL_MAX_BITS} bits")
-            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.terms.items())
+            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.items())
                         for p in (entry.n, entry.d))
             if den == 0:
                 raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
             return Fraction(entry.k.numerator * num, entry.k.denominator * den)
-        b, top = b // d, max(abs(e) for e in (*entry.n.terms, *entry.d.terms)) * r0 // g + b  # above |k|, j
+        b, top = b // d, max(abs(e) for e in (*entry.n, *entry.d)) * r0 // g + b  # above |k|, j
         wide = dict(Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.Overflow, decimal.Underflow])
 
         def value(guard):  # y^k = s^m * y^j, k = m*b + j: one sum per j, as the y^j are independent
@@ -781,9 +780,9 @@ class ClassFunction:
         if c == 0:
             raise ValueError("witness exponent c must be nonzero")
         n = math.lcm(self.root_order, c.denominator)
-        factor = LaurentPoly._of({abs(int(c * n)): 1, 0: -1})
+        factor = {abs(int(c * n)): 1, 0: -1}
         stretch = n // self.root_order
-        return all(_div_z(factor, e.d.stretch(stretch)) is not None for e in self.classes)
+        return all(_div_z(factor, {x * stretch: v for x, v in e.d.items()}) is not None for e in self.classes)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -831,8 +830,9 @@ class ClassFunction:
                 raise ZeroDivisionError("zero denominator")
             return _reduced(n, d, Fraction(ld, ln))
 
-        modulus, root_order = _json_int(obj["modulus"]), _json_int(obj["root_order"])
-        # classes is read last, so a wrong count is reported against it
+        # each value is checked as it is read, classes last, so an error is reported against its key
+        if (modulus := _json_int(obj["modulus"])) < 1 or (root_order := _json_int(obj["root_order"])) < 1:
+            raise ValueError("modulus and root_order must be positive")
         return cls(modulus, root_order, [entry(c) for c in obj["classes"]])
 
 
@@ -988,7 +988,7 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
         head = a * i0 + b
         root_order = math.lcm(head.denominator, a.denominator)
         e0, step = int(head * root_order), int(a * root_order)
-        num = LaurentPoly._of(dict.fromkeys(range(e0, e0 + n * step, step), 1))
+        num = dict.fromkeys(range(e0, e0 + n * step, step), 1)
         return coeff * ClassFunction(1, root_order, [RationalFunctionX(Fraction(1), num, _ONE)])
     if coeff.is_zero:
         return ClassFunction.zero()

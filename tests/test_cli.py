@@ -517,6 +517,8 @@ ERROR_TEXT = {
     "stratum-key-1.7": 'error: --file: strata["[1.7]"]: expected an integer, got 1.7\n',
     "missing-classes": "error: --mv: missing key 'classes'\n",
     "class-count": "error: --mv: mass_v.classes: need exactly one class entry per residue class\n",
+    "modulus--1": "error: --mv: mass_v.modulus: modulus and root_order must be positive\n",
+    "root_order-0": "error: --mv: mass_v.root_order: modulus and root_order must be positive\n",
     "GML_PRECISION-0": "error: GML_PRECISION",
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
@@ -581,6 +583,23 @@ ERROR_TEXT = {
                 "mass_w": one_class([["1", 0]], [["1", 0]]),
             },
             id="class-count",
+        ),
+        # modulus and root_order are checked where each is read, so the error names the right one
+        pytest.param(
+            DUALITY,
+            {
+                "mass_v": {**one_class([["1", 0]], [["1", 0]]), "modulus": -1},
+                "mass_w": one_class([["1", 0]], [["1", 0]]),
+            },
+            id="modulus--1",
+        ),
+        pytest.param(
+            DUALITY,
+            {
+                "mass_v": {**one_class([["1", 0]], [["1", 0]]), "root_order": 0},
+                "mass_w": one_class([["1", 0]], [["1", 0]]),
+            },
+            id="root_order-0",
         ),
         # a leading NAME=value sets that environment variable, as in a shell
         pytest.param(("GML_PRECISION=0", *EVAL_SQRT2), None, id="GML_PRECISION-0"),

@@ -1,4 +1,5 @@
 import cmath
+import heapq
 import math
 import random
 import subprocess
@@ -31,7 +32,9 @@ from massdual.qsym import (
     RationalFunctionX,
     _cyclotomic,
     _divisors,
+    _divmod_z,
     _gcd_prs,
+    _ints,
     _json_ratio,
     _primitive,
     _rational_root_sum,
@@ -40,7 +43,6 @@ from massdual.qsym import (
     _rf_mirror,
     _rf_mul,
     iroot,
-    poly_divmod,
     poly_gcd,
     ratfun,
 )
@@ -100,6 +102,38 @@ def test_sum_of_primitive_roots_is_mobius():
     for m, mu in enumerate(MOBIUS, start=1):
         pairs = [(k, 1) for k in primitive_exponents(m)]
         assert _rational_root_sum(pairs, m) == mu
+
+
+def poly_divmod(a, b):
+    """The oracle: division with remainder over Q of polynomials with no negative exponent."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    assert a.is_zero or a.min_exp >= 0
+    assert b.min_exp >= 0
+    db = b.max_exp
+    lb = b.terms[db]
+    quo, rem = {}, dict(a.terms)
+    # max-heap of rem's exponents; each step cancels e and adds only exponents
+    # below it, so an exponent popped but no longer in rem is just skipped
+    pending = [-e for e in rem]
+    heapq.heapify(pending)
+    while pending and -pending[0] >= db:
+        e = -heapq.heappop(pending)
+        if e not in rem:
+            continue
+        c = quo[e - db] = rem[e] / lb
+        for eb, cb in b.terms.items():
+            ne = e - db + eb
+            if ne in rem:
+                acc = rem[ne] - c * cb
+            else:
+                acc = -c * cb
+                heapq.heappush(pending, -ne)
+            if acc:
+                rem[ne] = acc
+            else:
+                del rem[ne]
+    return LaurentPoly(quo), LaurentPoly(rem)
 
 
 @lru_cache(maxsize=None)
@@ -849,6 +883,24 @@ def test_divmod_is_division_with_remainder(a, b):
     _check_divmod(a, b)
 
 
+int_polys = st.dictionaries(st.integers(0, 12), st.integers(-5, 5).filter(bool), max_size=8)
+
+
+@given(int_polys, int_polys.filter(bool), int_polys)
+@settings(max_examples=150, deadline=None)
+def test_divmod_z_matches_division_over_q(a, b, q):
+    # a plus a multiple of b as well: its quotient over Q is more often integral
+    multiple = LaurentPoly(a) + _schoolbook(LaurentPoly(b), LaurentPoly(q))
+    for dividend in (a, {e: int(c) for e, c in multiple.terms.items()}):
+        want_q, want_r = poly_divmod(LaurentPoly(dividend), LaurentPoly(b))
+        got = _divmod_z(dividend, b)
+        if all(c.denominator == 1 for c in want_q.terms.values()):
+            assert got == (want_q.terms, want_r.terms)
+            assert all(type(c) is int for p in got for c in p.values())
+        else:
+            assert got is None
+
+
 def test_divmod_edge_cases():
     a = LaurentPoly({0: 1, 3: F(2, 3), 7: -4})
     # constant and non-monic divisors
@@ -936,20 +988,24 @@ sparse_polys = st.dictionaries(
 ).map(LaurentPoly)
 
 
+# gcd(x, x) = x and a planted x^3: a gcd that drops the x^v of its inputs or remainders fails these
 @given(sparse_polys, sparse_polys, sparse_polys)
+@example(LaurentPoly({1: 1}), LaurentPoly({1: 1}), LaurentPoly({1: 1}))
+@example(LaurentPoly({0: 2, 1: 1}), LaurentPoly({0: F(1, 3), 2: -1}), LaurentPoly({3: 1}))
 @settings(max_examples=150, deadline=None)
 def test_gcd_over_z_matches_euclid_over_q(a, b, planted):
     a, b = a * planted, b * planted
     want = _euclid_gcd(a, b)
-    ca, pa = _primitive(a)
-    cb, pb = _primitive(b)
-    assert pa.scale(ca) == a and pb.scale(cb) == b
+    pa, pb = _primitive(_ints(a)[1]), _primitive(_ints(b)[1])
+    for p, over_q in ((pa, a), (pb, b)):  # p = c * over_q, primitive
+        assert _monic(LaurentPoly(p)) == _monic(over_q) and p[max(p)] > 0 and math.gcd(*p.values()) == 1
     for gcd in (poly_gcd, _gcd_prs):
         g, qa, qb = gcd(pa, pb)
-        assert all(type(c) is int for p in (g, qa, qb) for c in p.terms.values())
-        assert g.terms[g.max_exp] > 0 and _primitive(g)[0] == 1
-        assert _monic(g) == want
-        assert (g * qa).terms == pa.terms and (g * qb).terms == pb.terms
+        assert all(type(c) is int for p in (g, qa, qb) for c in p.values())
+        assert g[max(g)] > 0 and math.gcd(*g.values()) == 1
+        assert _monic(LaurentPoly(g)) == want
+        assert _schoolbook(LaurentPoly(g), LaurentPoly(qa)).terms == pa
+        assert _schoolbook(LaurentPoly(g), LaurentPoly(qb)).terms == pb
     # ratfun's normal form is the one the oracle's gcd gives
     got = ratfun(a, b)
     assert (got.num, got.den) == _normal_form(a, b)
@@ -1001,12 +1057,12 @@ def test_entry_ring_ops_over_z_match_fraction_products(a, b):
 
 
 def test_gcd_of_sparse_binomials_stays_sparse():
-    a, b = LaurentPoly._of({20000: 1, 0: -1}), LaurentPoly._of({12000: 1, 0: -1})
+    a, b = {20000: 1, 0: -1}, {12000: 1, 0: -1}
     for gcd in (poly_gcd, _gcd_prs):
         g, qa, qb = gcd(a, b)
-        assert g.terms == {4000: 1, 0: -1}
-        assert qa.terms == {e: 1 for e in range(0, 20000, 4000)}
-        assert qb.terms == {8000: 1, 4000: 1, 0: 1}
+        assert g == {4000: 1, 0: -1}
+        assert qa == {e: 1 for e in range(0, 20000, 4000)}
+        assert qb == {8000: 1, 4000: 1, 0: 1}
     (entry,) = ((Q**20000 - 1) / (Q**12000 - 1)).classes
     assert entry.num.terms == {e: 1 for e in range(0, 20000, 4000)}
     assert entry.den.terms == {8000: 1, 4000: 1, 0: 1}
@@ -1055,13 +1111,14 @@ def _assert_canonical(entry):
     """k a Fraction; n, d int, primitive, coprime, positive leading coefficients; x does not divide d."""
     k, n, d = entry
     assert type(entry) is RationalFunctionX and type(k) is Fraction
-    assert all(type(c) is int for p in (n, d) for c in p.terms.values())
-    assert d.min_exp == 0 and d.terms[d.max_exp] > 0 and math.gcd(*d.terms.values()) == 1
+    assert type(n) is dict and type(d) is dict
+    assert all(type(c) is int for p in (n, d) for c in p.values())
+    assert min(d) == 0 and d[max(d)] > 0 and math.gcd(*d.values()) == 1
     if not k:
-        assert n.is_zero and d.terms == {0: 1}
+        assert n == {} and d == {0: 1}
         return
-    assert n.terms[n.max_exp] > 0 and math.gcd(*n.terms.values()) == 1
-    assert _gcd_prs(n.shift(-n.min_exp), d)[0].terms == {0: 1}
+    assert n[max(n)] > 0 and math.gcd(*n.values()) == 1
+    assert _gcd_prs({e - min(n): c for e, c in n.items()}, d)[0] == {0: 1}
 
 
 @st.composite

@@ -16,7 +16,6 @@ from massdual import (
     DualityReport,
     GeometricFamily,
     InvalidParams,
-    LaurentPoly,
     MassPair,
     MonomialMatrix,
     NotTame,
@@ -56,7 +55,7 @@ RECORDS = {
         i0=1, i1=None, coeff=2 * (Q - 1), count_exp=(F(1), F(-1)), v_exp=(F(2), F(0)), w_exp=(F(-2), F(2))
     ),
     RamificationProfile: dict(group_order=2, strata=(STRATUM,), families=()),
-    RationalFunctionX: dict(k=F(1, 2), n=LaurentPoly({-1: 2, 0: 1}), d=LaurentPoly({0: 1, 1: 1})),
+    RationalFunctionX: dict(k=F(1, 2), n={-1: 2, 0: 1}, d={0: 1, 1: 1}),
     VerticalRow: dict(a=F(1), counts={frozenset([1]): Q}),
     ResolutionData: dict(
         dim=2, horizontal=(F(1),), strata={frozenset(): Q**2}, vertical=(ROW,), mode="closed"
