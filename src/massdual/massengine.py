@@ -458,22 +458,24 @@ def profile_to_json(profile: RamificationProfile) -> dict:
 
 
 def profile_from_json(obj: Mapping) -> RamificationProfile:
+    # each record reads the value its constructor checks last (a stratum's count,
+    # a family's i1), so an error is reported against that value
     strata = tuple(
         ProfileStratum(
-            ClassFunction.from_json(s["count"]),
-            Fraction(str(s["v"])),
-            Fraction(str(s["w"])),
+            v=Fraction(str(s["v"])),
+            w=Fraction(str(s["w"])),
+            count=ClassFunction.from_json(s["count"]),
         )
         for s in obj.get("strata", ())
     )
     families = tuple(
         GeometricFamily(
-            i0=_json_int(f["i0"]),
-            i1=None if f.get("i1") is None else _json_int(f["i1"]),
             coeff=ClassFunction.from_json(f["coeff"]),
             count_exp=tuple(Fraction(str(x)) for x in f["count_exp"]),
             v_exp=tuple(Fraction(str(x)) for x in f["v_exp"]),
             w_exp=tuple(Fraction(str(x)) for x in f["w_exp"]),
+            i0=_json_int(f["i0"]),
+            i1=None if f.get("i1") is None else _json_int(f["i1"]),
         )
         for f in obj.get("families", ())
     )

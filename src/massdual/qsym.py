@@ -399,18 +399,22 @@ def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
     return _reduced(n, d, Fraction(ld, ln))
 
 
-def _reduced(n: dict, d: dict, k: Fraction) -> RationalFunctionX:
+def _reduced(n: dict, d: dict, k: Fraction, bound: Optional[dict] = None) -> RationalFunctionX:
     """ratfun(k*n, d) for integer dicts n and d != 0.
 
-    Each side is an integer content times x^v times a primitive polynomial;
-    poly_gcd cancels the common factor over Z and returns the cofactors, and
-    the contents go into k.
+    Each side is an integer content times x^v times a primitive polynomial,
+    and the contents go into k.  Every common factor of the primitive parts
+    must divide `bound`, a primitive polynomial with a nonzero constant term
+    (d's primitive part when omitted): poly_gcd cancels gcd(n, bound) over Z
+    and d is divided by it.  `_ONE` says they are coprime, so no gcd runs.
     """
     if not n:
         return _RF_ZERO
     (gn, vn, n0), (gd, vd, d0) = _split(n), _split(d)
-    if len(n) > 1 and len(d) > 1:  # else one side is x^k times a constant, a unit
-        _, n0, d0 = poly_gcd(n0, d0)
+    bound = d0 if bound is None else bound
+    if len(n0) > 1 and len(bound) > 1:  # else one side is x^k times a constant, a unit
+        h, n0, rest = poly_gcd(n0, bound)
+        d0 = rest if bound is d0 else d0 if h == _ONE else _div_z(d0, h)
     return RationalFunctionX(Fraction(k.numerator * gn, k.denominator * gd), _shift(n0, vn - vd), d0)
 
 
@@ -419,23 +423,44 @@ _RF_ZERO = RationalFunctionX(Fraction(0), {}, _ONE)
 _RF_ONE = RationalFunctionX(Fraction(1), _ONE, _ONE)
 
 
+def _gcd(a: dict, b: dict) -> tuple[dict, dict, dict]:
+    """poly_gcd(a, b) for b with a nonzero constant term: a's x^v, which b cannot
+    share, is kept aside for poly_gcd, and a constant side gives 1 at no cost."""
+    if len(a) == 1 or len(b) == 1:
+        return _ONE, a, b
+    g, a0, b0 = poly_gcd(_shift(a, -(v := min(a))), b)
+    return g, _shift(a0, v), b0
+
+
 def _rf_add(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
+    """a + b by Henrici's rule (Knuth, TAOCP 2, 4.5.1): with g = gcd(d_a, d_b),
+    t = k_a*n_a*(d_b/g) + k_b*n_b*(d_a/g) over d_a*(d_b/g).  A factor t shares
+    with that denominator divides g, so t is reduced against g alone."""
+    if a.is_zero or b.is_zero:
+        return b if a.is_zero else a
     (pa, qa), (pb, qb) = (a.k.numerator, a.k.denominator), (b.k.numerator, b.k.denominator)
-    m = math.lcm(qa, qb)  # k_a*n_a*d_b + k_b*n_b*d_a over the one denominator m
-    num = _zmul(b.n, a.d, pb * (m // qb), _zmul(a.n, b.d, pa * (m // qa)))
-    return _reduced(num, _zmul(a.d, b.d), Fraction(1, m))
+    m = math.lcm(qa, qb)  # m*t has integer coefficients
+    g, da, db = (a.d, _ONE, _ONE) if a.d == b.d else _gcd(a.d, b.d)
+    num = _zmul(b.n, da, pb * (m // qb), _zmul(a.n, db, pa * (m // qa)))
+    return _reduced(num, a.d if db is _ONE else _zmul(a.d, db), Fraction(1, m), g)
 
 
 def _rf_mul(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
-    if a == _RF_ONE or b == _RF_ONE:  # both are reduced already
-        return b if a == _RF_ONE else a
-    return _reduced(_zmul(a.n, b.n), _zmul(a.d, b.d), a.k * b.k)
+    """a*b by Henrici's rule: n_a cancels against d_b and n_b against d_a, so the
+    product of the cofactors is coprime, primitive (Gauss's lemma) and canonical."""
+    if a == _RF_ONE or b.is_zero:
+        return b
+    if b == _RF_ONE or a.is_zero:
+        return a
+    (_, na, db), (_, nb, da) = _gcd(a.n, b.d), _gcd(b.n, a.d)
+    return RationalFunctionX(a.k * b.k, _zmul(na, nb), _zmul(da, db))
 
 
 def _rf_div(a: RationalFunctionX, b: RationalFunctionX) -> RationalFunctionX:
+    """a * (1/b): for b = k*x^v*n0/d the inverse (1/k)*x^-v*d/n0 is canonical as it stands."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero class function")
-    return _reduced(_zmul(a.n, b.d), _zmul(a.d, b.n), a.k / b.k)
+    return _rf_mul(a, RationalFunctionX(1 / b.k, _shift(b.d, -(v := min(b.n))), _shift(b.n, -v)))
 
 
 def _rf_mirror(a: RationalFunctionX) -> RationalFunctionX:
@@ -552,14 +577,14 @@ class ClassFunction:
             raise ValueError("need exactly one class entry per residue class")
         # minimal root order: rescale exponents by their gcd with N
         g = root_order
-        for e in entries:
+        for e in entries if root_order > 1 else ():
             g = math.gcd(g, *e.n, *e.d)
         if g > 1:
             root_order //= g
             entries = [RationalFunctionX(e.k, *({x // g: c for x, c in p.items()} for p in (e.n, e.d)))
                        for e in entries]
         # minimal modulus: fold classes onto the smallest repeating divisor
-        for d in _divisors(modulus):
+        for d in _divisors(modulus) if modulus > 1 else ():
             if all(entries[j] == entries[j % d] for j in range(modulus)):
                 entries = entries[:d]
                 modulus = d

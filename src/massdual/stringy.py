@@ -59,13 +59,10 @@ class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertica
     __slots__ = ()
 
     def __new__(cls, dim: int, horizontal=(), strata: Mapping = None, vertical=(), mode: str = "open"):
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        _positive_dim(dim)
         if mode not in ("open", "closed"):
             raise ValueError("mode must be 'open' or 'closed'")
-        horizontal = tuple(Fraction(c) for c in horizontal)
-        if any(c == 0 for c in horizontal):
-            raise ValueError("divisors with multiplicity 0 must be dropped")
+        horizontal = tuple(map(_multiplicity, horizontal))
         return super().__new__(cls, dim, horizontal, _normalize_strata(strata or {}), tuple(vertical), mode)
 
     def rows(self) -> list[tuple[Fraction, dict]]:
@@ -76,6 +73,19 @@ class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertica
         for row in self.vertical:
             out.append((row.a, row.counts))
         return out
+
+
+def _positive_dim(dim: int) -> int:
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
+    return dim
+
+
+def _multiplicity(c) -> Fraction:
+    """A divisor multiplicity c_j as a Fraction; a divisor with c_j = 0 is no divisor."""
+    if (c := Fraction(c)) == 0:
+        raise ValueError("divisors with multiplicity 0 must be dropped")
+    return c
 
 
 def _normalize_strata(counts: Mapping) -> dict:
@@ -270,9 +280,11 @@ def resolution_to_json(data: ResolutionData) -> dict:
 
 
 def resolution_from_json(obj: Mapping) -> ResolutionData:
+    # dim and each c are checked where they are read, mode is read last, so an
+    # error is reported against its key
     return ResolutionData(
-        dim=_json_int(obj["dim"]),
-        horizontal=tuple(Fraction(str(h["c"])) for h in obj.get("horizontal", ())),
+        dim=_positive_dim(_json_int(obj["dim"])),
+        horizontal=tuple(_multiplicity(str(h["c"])) for h in obj.get("horizontal", ())),
         strata=_strata_from_json(obj.get("strata", {})),
         vertical=tuple(
             VerticalRow(Fraction(str(r["a"])), _strata_from_json(r["strata"]))

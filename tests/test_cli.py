@@ -471,7 +471,7 @@ def one_class(num, den) -> dict:
     return {"modulus": 1, "root_order": 1, "classes": [{"num": num, "den": den}]}
 
 
-def family_profile(v_exp, w_exp) -> dict:
+def family_profile(v_exp, w_exp, **fields) -> dict:
     family = {
         "i0": 1,
         "i1": None,
@@ -479,6 +479,7 @@ def family_profile(v_exp, w_exp) -> dict:
         "count_exp": ["1", "-1"],
         "v_exp": v_exp,
         "w_exp": w_exp,
+        **fields,
     }
     return {"group_order": 1, "strata": [], "families": [family]}
 
@@ -519,6 +520,11 @@ ERROR_TEXT = {
     "class-count": "error: --mv: mass_v.classes: need exactly one class entry per residue class\n",
     "modulus--1": "error: --mv: mass_v.modulus: modulus and root_order must be positive\n",
     "root_order-0": "error: --mv: mass_v.root_order: modulus and root_order must be positive\n",
+    "dim-0": "error: --file: dim: dim must be a positive integer\n",
+    "stringy-c-0": "error: --file: horizontal[0].c: divisors with multiplicity 0 must be dropped\n",
+    "i1-below-i0": "error: --file: families[0].i1: family range is empty",
+    # a count's read ends in its classes, where the values that evaluate negative are
+    "negative-count": "error: --file: strata[0].count.classes: stratum count is negative at q0=2, r0=1\n",
     "GML_PRECISION-0": "error: GML_PRECISION",
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
@@ -600,6 +606,23 @@ ERROR_TEXT = {
                 "mass_w": one_class([["1", 0]], [["1", 0]]),
             },
             id="root_order-0",
+        ),
+        # each record's checks run where the checked value is read, so the error names it
+        pytest.param(
+            ("stringy", "--file", FILE), {"dim": 0, "horizontal": [{"c": "1/2"}], "strata": {}}, id="dim-0"
+        ),
+        pytest.param(
+            ("stringy", "--file", FILE), {"dim": 2, "horizontal": [{"c": "0"}], "strata": STRATA}, id="stringy-c-0"
+        ),
+        pytest.param(
+            ("profile", "--file", FILE),
+            family_profile(["-1", "0"], ["0", "0"], i0=3, i1=1),
+            id="i1-below-i0",
+        ),
+        pytest.param(
+            ("profile", "--file", FILE),
+            {"group_order": 1, "strata": [{"count": (-Q - 1).to_json(), "v": "1/2", "w": "0"}]},
+            id="negative-count",
         ),
         # a leading NAME=value sets that environment variable, as in a shell
         pytest.param(("GML_PRECISION=0", *EVAL_SQRT2), None, id="GML_PRECISION-0"),

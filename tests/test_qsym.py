@@ -42,6 +42,8 @@ from massdual.qsym import (
     _rf_div,
     _rf_mirror,
     _rf_mul,
+    _reduced,
+    _zmul,
     iroot,
     poly_gcd,
     ratfun,
@@ -1037,9 +1039,38 @@ laurent_polys = st.dictionaries(
 entries = st.builds(ratfun, laurent_polys, laurent_polys.filter(lambda p: not p.is_zero))
 
 
+def _rf(num, den):
+    return ratfun(LaurentPoly(num), LaurentPoly(den))
+
+
+def _full_gcd_route(a, b):
+    """a + b, a*b and a/b as the whole products, each reduced by one full gcd over Z."""
+    (pa, qa), (pb, qb) = (a.k.numerator, a.k.denominator), (b.k.numerator, b.k.denominator)
+    add = _reduced(_zmul(a.n, b.d, pa * qb, _zmul(b.n, a.d, pb * qa)), _zmul(a.d, b.d), F(1, qa * qb))
+    div = {_rf_div: _reduced(_zmul(a.n, b.d), _zmul(a.d, b.n), a.k / b.k)} if b.k else {}
+    return {_rf_add: add, _rf_mul: _reduced(_zmul(a.n, b.n), _zmul(a.d, b.d), a.k * b.k), **div}
+
+
 @given(entries, entries)
 @settings(max_examples=150, deadline=None)
+# equal denominators whose sum cancels a factor: x/(x^2 - 1) - 1/(x^2 - 1) = 1/(x + 1)
+@example(_rf({1: 1}, {2: 1, 0: -1}), _rf({0: -1}, {2: 1, 0: -1}))
+# denominators sharing a factor with multiplicity: 1/(x - 1)^2 + 1/((x - 1)(x + 1))
+@example(_rf({0: 1}, {2: 1, 1: -2, 0: 1}), _rf({0: 1}, {2: 1, 0: -1}))
+# unequal denominators whose sum cancels their shared factor:
+# 1/((x - 1)(x + 1)) - (3/2)/((x - 1)(x + 2)) = (-1/2)/((x + 1)(x + 2))
+@example(_rf({0: 1}, {2: 1, 0: -1}), _rf({0: F(-3, 2)}, {2: 1, 1: 1, 0: -2}))
+# a sum that is exactly zero
+@example(_rf({1: F(3, 2), 0: 1}, {1: 1, 0: 2}), _rf({1: F(-3, 2), 0: -1}, {1: 1, 0: 2}))
+# a product that cancels on both cross pairs: (x + 1)(x + 3)/(x - 2) * (2/3)(x - 2)(x + 5)/((x + 1)(x + 7))
+@example(_rf({2: 1, 1: 4, 0: 3}, {1: 1, 0: -2}), _rf({2: 2, 1: 6, 0: -20}, {2: 3, 1: 24, 0: 21}))
+# a numerator carrying x^-2 against a nontrivial denominator: x^-2 (x + 1)/(x - 1) and (x - 1)/(x + 1)
+@example(_rf({-1: 1, -2: 1}, {1: 1, 0: -1}), _rf({1: 1, 0: -1}, {1: 1, 0: 1}))
+# division by an entry whose numerator carries x^3: (x + 1)/(x - 2) / (x^3 (x + 1)/(x - 2))
+@example(_rf({1: 1, 0: 1}, {1: 1, 0: -2}), _rf({4: 5, 3: 5}, {1: 1, 0: -2}))
 def test_entry_ring_ops_over_z_match_fraction_products(a, b):
+    for op, expected in _full_gcd_route(a, b).items():
+        assert op(a, b) == expected
     want = {
         _rf_add: _normal_form(_schoolbook(a.num, b.den) + _schoolbook(b.num, a.den), _schoolbook(a.den, b.den)),
         _rf_mul: _normal_form(_schoolbook(a.num, b.num), _schoolbook(a.den, b.den)),
