@@ -2,7 +2,7 @@
 
 Subcommands load scenario files, run the engines, and emit reports as text
 or JSON.  Exit codes: 0 success, 1 check failure (verify and the duality
-verdict), 2 input or usage error, 3 divergent mass.
+verdict), 2 input or usage error or an input too large to compute, 3 divergent mass.
 
 JSON documents may be wrapped as {"kind": ..., "payload": ..., "metadata":
 ...}; the payload is what the engines read.  Identical inputs produce
@@ -368,6 +368,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {_text(exc)}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:  # an input too large to compute, like GroupTooLarge
+        print(f"error: input too large to compute: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
@@ -355,44 +357,49 @@ def builtin_profile(name: str, n: Optional[int] = None, m: Optional[int] = None)
 # Partition-indexed mass formulas
 
 
-def _partition_table(n: int) -> list[list[int]]:
-    """P[m][k] = partitions of m into exactly k parts, 0 <= k <= m <= n,
-    row by row: those with a part 1 plus those with all parts >= 2."""
-    table = [[1]]
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal recurrence: p(m) is the signed sum
+    of p(m - g) over the pentagonal numbers g = j(3j - 1)/2 and j(3j + 1)/2."""
+    p = [1] + [0] * n
     for m in range(1, n + 1):
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = table[m - 1][k - 1] + (table[m - k][k] if 2 * k <= m else 0)
-        table.append(row)
-    return table
+        j, g = 1, 1
+        while g <= m:
+            t = p[m - g] + (p[m - g - j] if g + j <= m else 0)
+            p[m] += t if j % 2 else -t
+            j, g = j + 1, g + 3 * j + 1
+    return p
+
+
+def _euler_pass(n: int, p: Optional[list[int]] = None) -> tuple[list[int], dict[int, int]]:
+    """[P(n, 0), ..., P(n, n)], P(m, k) the partitions of m into exactly k parts, and given
+    p(0..n) Kedlaya's {n - k: sum over j of P(j, k) * p(n - j)}, in O(n) memory by one pass
+    of Euler's product prod 1/(1 - x^k) (Andrews, The Theory of Partitions, ch. 1):
+    at step k, b[m] counts partitions of m <= n - k into parts <= k, so P(t + k, k) = b[t]."""
+    b, row, w = [1] + [0] * n, [], {}
+    for k in range(n + 1):
+        if k:  # times 1/(1 - x^k), in place with m increasing
+            b.pop()
+            for m in range(k, len(b)):
+                b[m] += b[m - k]
+        row.append(b[-1])
+        if p is not None:
+            w[n - k] = sum(map(mul, b, p[n - k :: -1]))
+    return row, w
 
 
 def partition_count(n: int, k: Optional[int] = None) -> int:
     """Partitions of n, or partitions of n into exactly k parts."""
     if n < 0 or (k is not None and not 0 <= k <= n):
         return 0
-    row = _partition_table(n)[n]
-    return sum(row) if k is None else row[k]
+    return _partition_numbers(n)[n] if k is None else _euler_pass(n)[0][k]
 
 
 def bhargava_masses(n: int) -> MassPair:
     """Masses of degree-n etale algebras: sums of P(n, n-m) Q^(-+m)."""
     if n < 1:
         raise InvalidParams("n must be a positive integer")
-    row = _partition_table(n)[n]
-    mv = {Fraction(-m): Fraction(row[n - m]) for m in range(n)}
-    mw = {Fraction(m): Fraction(row[n - m]) for m in range(n)}
-    return MassPair(ClassFunction.poly(mv), ClassFunction.poly(mw))
-
-
-def _kedlaya_w(table: list[list[int]], n: int) -> dict[int, int]:
-    """{n - i: sum over j of P(j, i) * P(n - j)}, in integers."""
-    w = dict.fromkeys(range(n + 1), 0)
-    for j in range(n + 1):
-        tail = sum(table[n - j])
-        for i, p in enumerate(table[j]):
-            w[n - i] += p * tail
-    return w
+    row = _euler_pass(n)[0]
+    return MassPair(*(ClassFunction.poly({s * m: row[n - m] for m in range(n)}) for s in (-1, 1)))
 
 
 def kedlaya_masses(n: int) -> MassPair:
@@ -400,8 +407,24 @@ def kedlaya_masses(n: int) -> MassPair:
     P(j, i) * P(n - j) * Q^(i - n) against v, Q^(n - i) against w."""
     if n < 1:
         raise InvalidParams("n must be a positive integer")
-    w = _kedlaya_w(_partition_table(n), n)
+    w = _euler_pass(n, _partition_numbers(n))[1]
     return MassPair(ClassFunction.poly({-e: c for e, c in w.items()}), ClassFunction.poly(w))
+
+
+class _Strata(Sequence):
+    """The ClassFunctions make(0), ..., make(n), each built when it is read."""
+
+    def __init__(self, n: int, make):
+        self._range, self._make = range(n + 1), make
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, m):
+        return list(map(self._make, self._range[m])) if isinstance(m, slice) else self._make(self._range[m])
+
+    def __eq__(self, other):  # as the lists it stands for, so equal HilbertCounts compare equal
+        return list(self) == (list(other) if isinstance(other, _Strata) else other)
 
 
 HilbertCounts = namedtuple("HilbertCounts", ["hilb_plane", "fiber", "c_strata", "d_strata"])
@@ -414,14 +437,16 @@ def hilbert_counts(n: int) -> HilbertCounts:
     P(m) Q^m points, the graded piece D_m has sum_i P(m, i) Q^(m-i), and
     fiber = sum_j C_(n-j) * D_j recovers the count over a fixed fiber:
     its Q^(n-i) coefficient is the sum of P(n-j) * P(j, i), as in kedlaya_masses.
+    c_strata and d_strata build C_m and D_m when they are read.
     """
     if n < 1:
         raise InvalidParams("n must be a positive integer")
-    table = _partition_table(n)
-    hilb = ClassFunction.poly({2 * n - m: table[n][n - m] for m in range(n + 1)})
-    c_strata = [ClassFunction.poly({m: sum(table[m])}) for m in range(n + 1)]
-    d_strata = [ClassFunction.poly({m - i: c for i, c in enumerate(table[m]) if c}) for m in range(n + 1)]
-    return HilbertCounts(hilb, ClassFunction.poly(_kedlaya_w(table, n)), c_strata, d_strata)
+    p = _partition_numbers(n)
+    row, w = _euler_pass(n, p)
+    hilb = ClassFunction.poly(dict(enumerate(row, n)))  # P(n, k) Q^(n + k)
+    c_strata = _Strata(n, lambda m: ClassFunction.poly({m: p[m]}))
+    d_strata = _Strata(n, lambda m: ClassFunction.poly(dict(enumerate(reversed(_euler_pass(m)[0])))))
+    return HilbertCounts(hilb, ClassFunction.poly(w), c_strata, d_strata)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +482,16 @@ def profile_to_json(profile: RamificationProfile) -> dict:
     }
 
 
+def _stratum_from_json(s: Mapping) -> ProfileStratum:
+    v, w, count = Fraction(str(s["v"])), Fraction(str(s["w"])), ClassFunction.from_json(s["count"])
+    s.get("count")  # the count is checked as a whole: read it once more, after its parts
+    return ProfileStratum(count, v, w)
+
+
 def profile_from_json(obj: Mapping) -> RamificationProfile:
     # each record reads the value its constructor checks last (a stratum's count,
     # a family's i1), so an error is reported against that value
-    strata = tuple(
-        ProfileStratum(
-            v=Fraction(str(s["v"])),
-            w=Fraction(str(s["w"])),
-            count=ClassFunction.from_json(s["count"]),
-        )
-        for s in obj.get("strata", ())
-    )
+    strata = tuple(map(_stratum_from_json, obj.get("strata", ())))
     families = tuple(
         GeometricFamily(
             coeff=ClassFunction.from_json(f["coeff"]),

@@ -642,15 +642,6 @@ class ClassFunction:
         """Largest exponent span across all numerators and denominators."""
         return max(max(p) - min(p) if p else 0 for e in self.classes for p in (e.n, e.d))
 
-    def _aligned_with(self, other: "ClassFunction"):
-        m = math.lcm(self.modulus, other.modulus)
-        n = math.lcm(self.root_order, other.root_order)
-
-        def side(f):
-            return [_rf_stretch(f.classes[j % f.modulus], n // f.root_order) for j in range(m)]
-
-        return m, n, side(self), side(other)
-
     @staticmethod
     def _coerce(other) -> "ClassFunction":
         if isinstance(other, ClassFunction):
@@ -661,8 +652,15 @@ class ClassFunction:
 
     def _binop(self, other, op) -> "ClassFunction":
         other = self._coerce(other)
-        m, n, mine, theirs = self._aligned_with(other)
-        return ClassFunction(m, n, [op(a, b) for a, b in zip(mine, theirs)])
+        if self.modulus == other.modulus and self.root_order == other.root_order:
+            return ClassFunction(self.modulus, self.root_order, list(map(op, self.classes, other.classes)))
+        m = math.lcm(self.modulus, other.modulus)
+        n = math.lcm(self.root_order, other.root_order)
+
+        def side(f):
+            return [_rf_stretch(f.classes[j % f.modulus], n // f.root_order) for j in range(m)]
+
+        return ClassFunction(m, n, list(map(op, side(self), side(other))))
 
     def __add__(self, other):
         return self._binop(other, _rf_add)

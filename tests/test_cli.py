@@ -368,6 +368,37 @@ def test_bhargava_large_n_in_a_fresh_process():
     assert MassPair.from_json(json.loads(proc.stdout)) == bhargava_masses(500)
 
 
+def test_bhargava_6000_in_linear_memory_in_a_fresh_process():
+    # the n^2/2 table of P(m, k) needed about 1 GB here and ended in a MemoryError traceback
+    resource = pytest.importorskip("resource")
+    limit = 500 * 2**20
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "massdual.cli", "formula", "bhargava", "--n", "6000"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("mass_v = 1 + Q^-1 + ") and proc.stdout.endswith("strong = True\n")
+
+
+def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr("massdual.cli.bhargava_masses", exhausted)
+    assert run(["formula", "bhargava", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: input too large to compute: out of memory\n"
+    # a list of 10^20 entries is refused before any allocation
+    assert run(["formula", "hilbert", "--n", str(10**20)]) == 2
+    assert capsys.readouterr().err.startswith("error: input too large to compute: ")
+
+
 @pytest.mark.parametrize(
     "n, read, code",
     [
@@ -523,8 +554,8 @@ ERROR_TEXT = {
     "dim-0": "error: --file: dim: dim must be a positive integer\n",
     "stringy-c-0": "error: --file: horizontal[0].c: divisors with multiplicity 0 must be dropped\n",
     "i1-below-i0": "error: --file: families[0].i1: family range is empty",
-    # a count's read ends in its classes, where the values that evaluate negative are
-    "negative-count": "error: --file: strata[0].count.classes: stratum count is negative at q0=2, r0=1\n",
+    # the check is on the whole count, so the error names the count, not the classes read last inside it
+    "negative-count": "error: --file: strata[0].count: stratum count is negative at q0=2, r0=1\n",
     "GML_PRECISION-0": "error: GML_PRECISION",
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
@@ -889,7 +920,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 # argv for all six subcommands: huge, negative and junk values and missing
-# flags.  --n stays <= 60 (the partition table is O(n^2)) and --m <= 200 (a
+# flags.  --n stays <= 60 (the formulas take O(n^2) time) and --m <= 200 (a
 # finite family of m strata has about m terms); a huge --q costs a primality
 # test, so those stay below 10^30, past which only junk strings are drawn.
 _junk_args = st.sampled_from(["", "x", "-", "1.5", "1e3", "0x10", "1/0", "nan", "--n", "9" * 5000])

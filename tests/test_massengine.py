@@ -34,7 +34,14 @@ from massdual import (
     tame_total_masses,
 )
 from massdual.grouprep import perm_inv, perm_mul, perm_order
-from massdual.massengine import _bpsw, _is_prime, _is_prime_power, _strong_lucas_probable_prime
+from massdual.massengine import (
+    _bpsw,
+    _euler_pass,
+    _is_prime,
+    _is_prime_power,
+    _partition_numbers,
+    _strong_lucas_probable_prime,
+)
 from massdual.qsym import Infinite
 from massdual.verify import tame_catalog
 
@@ -58,6 +65,69 @@ def enumerate_partitions(n):
 
 
 # -- partition formulas ------------------------------------------------------
+
+
+def partition_table(n):
+    """P[m][k] = partitions of m into exactly k parts, 0 <= k <= m <= n, row by
+    row: those with a part 1 plus those with all parts >= 2 (O(n^2) memory)."""
+    table = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            row[k] = table[m - 1][k - 1] + (table[m - k][k] if 2 * k <= m else 0)
+        table.append(row)
+    return table
+
+
+def check_formulas_against_the_table(n):
+    table = partition_table(n)
+    parts = [sum(row) for row in table]
+    row = table[n]
+    assert _partition_numbers(n) == parts
+    assert [partition_count(n, k) for k in range(n + 1)] == row
+    assert partition_count(n) == parts[n]
+    assert bhargava_masses(n) == MassPair(
+        ClassFunction.poly({-m: row[n - m] for m in range(n)}), ClassFunction.poly({m: row[n - m] for m in range(n)})
+    )
+    # Kedlaya's w[n - i] = sum over j of P(j, i) * p(n - j)
+    w = dict.fromkeys(range(n + 1), 0)
+    for j in range(n + 1):
+        for i, c in enumerate(table[j]):
+            w[n - i] += c * parts[n - j]
+    assert _euler_pass(n, parts) == (row, w)
+    assert kedlaya_masses(n) == MassPair(ClassFunction.poly({-e: c for e, c in w.items()}), ClassFunction.poly(w))
+    counts = hilbert_counts(n)
+    assert counts.hilb_plane == ClassFunction.poly({2 * n - m: row[n - m] for m in range(n + 1)})
+    assert counts.fiber == ClassFunction.poly(w)
+    assert len(counts.c_strata) == len(counts.d_strata) == n + 1
+    for m in range(n + 1):
+        assert counts.c_strata[m] == ClassFunction.poly({m: parts[m]})
+        assert counts.d_strata[m] == ClassFunction.poly({m - i: c for i, c in enumerate(table[m]) if c})
+
+
+def test_formulas_match_the_table_for_every_n_up_to_60():
+    for n in range(1, 61):
+        check_formulas_against_the_table(n)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(61, 300))
+@example(300)
+def test_formulas_match_the_table_up_to_300(n):
+    check_formulas_against_the_table(n)
+
+
+def test_hilbert_strata_are_sequences_built_when_read():
+    counts = hilbert_counts(4)
+    d = [ClassFunction.poly({m - i: c for i, c in enumerate(row) if c}) for m, row in enumerate(partition_table(4))]
+    assert list(counts.d_strata) == d and counts.d_strata[1:4] == d[1:4] and counts.d_strata[::-2] == d[::-2]
+    assert counts.d_strata == d and counts == hilbert_counts(4) and counts != hilbert_counts(5)
+    assert counts.d_strata[-1] == d[4] and counts.c_strata[-5] == one
+    assert d[2] in counts.d_strata and counts.d_strata.index(d[3]) == 3
+    with pytest.raises(IndexError):
+        counts.c_strata[5]
+    with pytest.raises(IndexError):
+        counts.d_strata[-6]
 
 
 def test_partition_count_against_enumeration():
