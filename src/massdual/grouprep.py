@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupTooLarge, InconsistentRepresentation
@@ -159,15 +159,14 @@ class FiniteGroup:
         self._setup(degree, tuple(elements), None, generators, None)
 
     @classmethod
-    def _closed(
-        cls, degree: int, index: dict[Perm, int], generators: Sequence[Perm], right: list[list[int]]
-    ) -> "FiniteGroup":
-        """The group a closure found, its index and right Cayley table taken as they are."""
+    def _closed(cls, degree: int, index: dict[Perm, int], generators, right, tree) -> "FiniteGroup":
+        """The group a closure found, its index, right Cayley table and
+        breadth-first tree (see conjugacy_classes) taken as they are."""
         group = cls.__new__(cls)
-        group._setup(degree, tuple(index), index, generators, right)
+        group._setup(degree, tuple(index), index, generators, right, tree)
         return group
 
-    def _setup(self, degree, elements, index, generators, right):
+    def _setup(self, degree, elements, index, generators, right, tree=None):
         self.degree = degree
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)} if index is None else index
@@ -176,6 +175,7 @@ class FiniteGroup:
         self._generators = None if generators is None else tuple(generators)
         # right[k][i] = index of elements[i] * generators[k]
         self._right: Optional[list[list[int]]] = right
+        self._tree: Optional[list[tuple[int, int, list[int]]]] = tree
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
 
@@ -248,24 +248,28 @@ class FiniteGroup:
         sorted.  Each class is the orbit of its first element under
         conjugation by the generators, walked on element indices.
 
-        A breadth-first tree g_j = g_i * s_k from the identity, read off the
-        right Cayley table, gives for each generator t left[j] = index of
-        t * g_j as right[k][left[i]], starting from t * 1 = t; the inverse
-        of right[t] then takes t * g_j to t * g_j * t^-1."""
+        A spanning tree of triples (j, i, right[k]) with g_j = g_i * s_k,
+        rooted at the identity, gives for each generator t left[j] = index
+        of t * g_j as right[k][left[i]], starting from t * 1 = t; the inverse
+        of right[t] then takes t * g_j to t * g_j * t^-1.  A closure hands
+        over the breadth-first tree it walked; for an element list it is
+        read off the right Cayley table here."""
         if self._classes is None:
             right = self._right_table()
             n, one = len(self.elements), self.index[self.identity]
-            tree, order, reached = [], [one], [False] * n
-            reached[one] = True
-            for i in order:
-                for col in right:
-                    j = col[i]
-                    if not reached[j]:
-                        reached[j] = True
-                        order.append(j)
-                        tree.append((j, i, col))
-            if len(order) < n:
-                raise ValueError("the generators do not generate the group")
+            tree = self._tree
+            if tree is None:
+                tree, order, reached = [], [one], [False] * n
+                reached[one] = True
+                for i in order:
+                    for col in right:
+                        j = col[i]
+                        if not reached[j]:
+                            reached[j] = True
+                            order.append(j)
+                            tree.append((j, i, col))
+                if len(order) < n:
+                    raise ValueError("the generators do not generate the group")
             conj = []
             for col_t in right:
                 left = [0] * n
@@ -387,15 +391,16 @@ def group_closure(
     Each element (g, rho(g)) is one flat row: the degree points of g, then
     one entry degree + 2e*perm[j] + exps[j] per matrix column j, where e
     is the root order.  Right multiplication by a generator s reads row
-    entries at fixed indices, adds fixed exponent offsets and takes a
-    column's exponent back below e; with columns 2e apart the unreduced
-    sum cannot spill into the next row, so an edge costs O(degree + dim)
+    entries at fixed indices, adds s's nonzero exponent offsets and takes
+    those columns back below e; with columns 2e apart the unreduced sum
+    cannot spill into the next row, so an edge costs O(degree + dim)
     whatever e is.  Matrices are decoded from the rows only when looked up.
 
     Walks the Cayley graph breadth-first from the identity, taking the
     rows in the order they are found.  Each product g*s is looked up once,
     and its index is kept: the returned group carries this right Cayley
-    table, from which its conjugacy classes are found on element indices.
+    table and its breadth-first tree, from which its conjugacy classes are
+    found on element indices.
     Whenever two words reach the same permutation with different matrices
     the assignment extends to no homomorphism and InconsistentRepresentation
     is raised.  GroupTooLarge is raised once the element count passes
@@ -415,22 +420,29 @@ def group_closure(
         if len(dims) != 1 or len(orders) != 1:
             raise ValueError("generator matrices disagree in shape")
         dim, root_order, mats = dims.pop(), orders.pop(), rep_generators
-    # g*s reads g's row at idx and adds off: perm_mul on the points, and the
-    # matrix product's perm[s.perm[j]] and exps[s.perm[j]] + s.exps[j]; with
-    # no offset (s.exps all 0) no exponent can reach e and g*s is a pure read;
-    # right[k] collects the index of g*s for each row g in turn
+    # g*s reads g's row at idx: perm_mul on the points, and the matrix product's
+    # perm[s.perm[j]] and exps[s.perm[j]], plus s.exps[j] at the columns nz where
+    # it is nonzero; right[k] collects the index of g*s for each row g in turn,
+    # and tree the (j, i, right[k]) that found row j
     right: list[list[int]] = [[] for _ in generators]
     steps = []
     for s, m, col in zip(generators, mats, right):
         read = _reader(tuple(s) + tuple(degree + p for p in m.perm))
-        steps.append((read, (0,) * degree + m.exps if any(m.exps) else None, col.append))
+        nz = [(degree + j, x) for j, x in enumerate(m.exps) if x]
+        steps.append((read, nz, col, col.append))
     reduce = _ReducedEntry(degree, root_order).__getitem__
     ident = perm_identity(degree) + tuple(degree + 2 * root_order * j for j in range(dim))
     rows = [ident]
     index = {ident[:degree]: 0}
-    for g in rows:  # the list grows as it is walked: breadth-first order
-        for read, off, put in steps:
-            h = read(g) if off is None else tuple(map(reduce, map(add, read(g), off)))
+    tree = []
+    for i, g in enumerate(rows):  # the list grows as it is walked: breadth-first order
+        for read, nz, col, put in steps:
+            h = read(g)
+            if nz:
+                h = list(h)
+                for p, x in nz:
+                    h[p] = reduce(h[p] + x)
+                h = tuple(h)
             head = h[:degree]
             j = index.get(head)
             if j is None:
@@ -439,10 +451,11 @@ def group_closure(
                     raise GroupTooLarge(f"closure exceeded {max_size} elements")
                 index[head] = j
                 rows.append(h)
+                tree.append((j, i, col))
             elif rows[j] != h:
                 raise InconsistentRepresentation("two words for one element got different matrices")
             put(j)
-    group = FiniteGroup._closed(degree, index, generators, right)
+    group = FiniteGroup._closed(degree, index, generators, right, tree)
     rep = None
     if rep_generators is not None:
         rep = MonomialRep(dim, root_order, _ClosureMatrices(rows, index, degree, root_order))

@@ -191,13 +191,18 @@ def _multiplicative_order(q: int, e: int) -> int:
 
 def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
     """For each residue class j = 0..m0-1 of r, the indices of the conjugacy
-    classes C with C^t = C, where t = q^j mod exp(G)."""
-    reps = [c[0] for c in group.conjugacy_classes()]
-    e = group.exponent()
-    return [
-        [i for i, g in enumerate(reps) if group.class_index(group.power(g, pow(q, j, e))) == i]
-        for j in range(_multiplicative_order(q, e))
-    ]
+    classes C with C^t = C, where t = q^j mod exp(G).  C -> C^q permutes the
+    classes (one power per class), and C^t = C exactly when the length of
+    C's cycle under it divides j."""
+    frob = [group.class_index(group.power(c[0], q)) for c in group.conjugacy_classes()]
+    length = []  # each cycle is at most m0 long, so this walk is no longer than the answer
+    for i, x in enumerate(frob):
+        k = 1
+        while x != i:
+            x, k = frob[x], k + 1
+        length.append(k)
+    m0 = _multiplicative_order(q, group.exponent())
+    return [[i for i, c in enumerate(length) if j % c == 0] for j in range(m0)]
 
 
 def tame_total_masses(
@@ -222,16 +227,17 @@ def tame_total_masses(
 def tame_involution_check(scenario: TameScenario) -> bool:
     """Check on every residue class that C -> C^(-1) maps the stable
     conjugacy classes to stable classes, and that the sorted v(C^(-1))
-    equal the sorted w(C) over them."""
+    equal the sorted w(C) over them.  The inverse map on classes and the
+    weights are found once per class: rho is a homomorphism (the closure
+    checks it), so the weights are class functions."""
     group, rep = scenario.group, scenario.rep
     classes = group.conjugacy_classes()
+    weights = [rep.tame_weights(c[0]) for c in classes]
+    inverse = [group.class_index(perm_inv(c[0])) for c in classes]
     for stable in _stable_classes(group, scenario.q):
-        inverses = [perm_inv(classes[i][0]) for i in stable]
-        if {group.class_index(g) for g in inverses} != set(stable):
+        if {inverse[i] for i in stable} != set(stable):
             return False
-        v_of_inverses = sorted(rep.tame_weights(g).v for g in inverses)
-        w_of_classes = sorted(rep.tame_weights(classes[i][0]).w for i in stable)
-        if v_of_inverses != w_of_classes:
+        if sorted(weights[inverse[i]].v for i in stable) != sorted(weights[i].w for i in stable):
             return False
     return True
 

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from massdual import (
@@ -21,6 +22,7 @@ from massdual import (
     rep_direct_sum,
 )
 from massdual.grouprep import perm_inv, perm_mul, perm_order
+from massdual.massengine import _stable_classes
 
 F = Fraction
 
@@ -180,13 +182,33 @@ def f21_gens():
     return [perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]), perm_from_cycles(7, [[2, 3, 5], [4, 7, 6]])]
 
 
+def b3_gens():
+    """B3 on the six signed basis vectors (+e_i is point i, -e_i point i + 3):
+    swap e_1 and e_2, rotate the three, and negate e_1 (the one offset)."""
+    gens = [
+        perm_from_cycles(6, [[1, 2], [4, 5]]),
+        perm_from_cycles(6, [[1, 2, 3], [4, 5, 6]]),
+        perm_from_cycles(6, [[1, 4]]),
+    ]
+    mats = [
+        MonomialMatrix((1, 0, 2), (0, 0, 0), 2),
+        MonomialMatrix((1, 2, 0), (0, 0, 0), 2),
+        MonomialMatrix((0, 1, 2), (1, 0, 0), 2),
+    ]
+    return gens, mats
+
+
 @pytest.mark.parametrize(
-    "gens,sizes",
-    [(s4_gens(), [1, 6, 6, 8, 3]), (f21_gens(), [1, 3, 7, 7, 3])],
-    ids=["S4", "F21"],
+    "gens,mats,sizes",
+    [
+        (s4_gens(), None, [1, 6, 6, 8, 3]),
+        (f21_gens(), None, [1, 3, 7, 7, 3]),
+        (*b3_gens(), [1, 6, 8, 3, 6, 8, 6, 3, 6, 1]),
+    ],
+    ids=["S4", "F21", "B3"],
 )
-def test_classes_agree_however_the_group_is_built(gens, sizes):
-    closed, _ = group_closure(gens)
+def test_classes_agree_however_the_group_is_built(gens, mats, sizes):
+    closed, _ = group_closure(gens, mats)
     elements = closed.elements
     listed = FiniteGroup(closed.degree, elements)
     index = {g: i for i, g in enumerate(elements)}
@@ -377,6 +399,34 @@ def test_closure_cost_does_not_grow_with_root_order():
     assert rep.eigen_exponents(z) == (F(1, 7), F(2, 7), F(4, 7))
 
 
+def c7_gens():
+    """C7 acting on zeta_7 with weights (1, 2, 4): every exponent an offset."""
+    return [perm_from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]])], [MonomialMatrix((0, 1, 2), (1, 2, 4), 7)]
+
+
+def one_offset_gens():
+    m = MonomialMatrix((1, 2, 0), (0, 3, 0), 4)  # one nonzero exponent of three
+    return [wreath_point_action(m, 12)], [m]
+
+
+@pytest.mark.parametrize("gens,mats", [one_offset_gens(), c7_gens(), b3_gens()], ids=["one", "all", "mixed"])
+def test_offsets_on_nonzero_columns_match_the_oracle(gens, mats):
+    elements, matrices = oracle_closure(gens, mats)
+    group, rep = group_closure(gens, mats)
+    assert list(group.elements) == elements
+    assert all(rep.matrix(g) == matrices[g] for g in elements)
+
+
+def test_offsets_on_nonzero_columns_still_see_inconsistent_words():
+    gens, mats = b3_gens()
+    # negating e_1 and e_2 together does not commute with swapping e_2 and e_3
+    mats[2] = MonomialMatrix((0, 1, 2), (1, 1, 0), 2)
+    with pytest.raises(InconsistentRepresentation):
+        oracle_closure(gens, mats)
+    with pytest.raises(InconsistentRepresentation):
+        group_closure(gens, mats)
+
+
 def test_closure_of_rows_shorter_than_two_entries():
     # rows of degree + dim < 2 entries: no points, or one point and no matrix
     assert group_closure([(0,)])[0].elements == ((0,),)
@@ -440,6 +490,30 @@ def test_classes_on_indices_match_the_tuple_orbit_oracle(inputs, data):
     listed_index = listed.index
     assert listed._right_table() == [
         [listed_index[perm_mul(g, s)] for g in shuffled] for s in listed.generators
+    ]
+
+
+# -- Frobenius-stable classes against their definition -----------------------
+
+
+@given(
+    st.one_of(closure_inputs(), st.sampled_from([(s4_gens(), None), (f21_gens(), None), b3_gens()])),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+)
+@settings(max_examples=100, deadline=None)
+def test_stable_classes_match_their_definition(inputs, q):
+    gens, mats = inputs
+    try:
+        group, _ = group_closure(gens, mats)
+    except InconsistentRepresentation:
+        group, _ = group_closure(gens)
+    assume(math.gcd(q, len(group)) == 1)
+    reps = [c[0] for c in group.conjugacy_classes()]
+    e = group.exponent()
+    m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
+    assert _stable_classes(group, q) == [
+        [i for i, g in enumerate(reps) if group.class_index(group.power(g, pow(q, j, e))) == i]
+        for j in range(m0)
     ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from massdual import (
     ClassFunction,
+    FiniteGroup,
     GeometricFamily,
     InvalidParams,
     MassPair,
     MonomialMatrix,
+    MonomialRep,
     NotTame,
     ProfileStratum,
     Q,
@@ -303,6 +306,64 @@ def test_class_engine_matches_pair_count_oracle(name, scenario):
     assert involution
     assert tame_total_masses(scenario) == masses
     assert tame_involution_check(scenario) is involution
+
+
+def per_residue_masses(scenario):
+    """Masses from the definition, one residue class j of r at a time: the
+    class of g contributes when g^t, t = q^j mod exp(G), lies in it again."""
+    group, rep, q = scenario.group, scenario.rep, scenario.q
+    reps = [c[0] for c in group.conjugacy_classes()]
+    e = math.lcm(*(perm_order(g) for g in reps))
+    m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
+    polys_v, polys_w = [], []
+    for j in range(m0):
+        stable = [g for i, g in enumerate(reps) if group.class_index(group.power(g, pow(q, j, e))) == i]
+        polys_v.append(Counter(-rep.tame_weights(g).v for g in stable))
+        polys_w.append(Counter(rep.tame_weights(g).w for g in stable))
+    masses = MassPair(ClassFunction.from_class_polys(m0, polys_v), ClassFunction.from_class_polys(m0, polys_w))
+    return m0, masses
+
+
+def test_tame_engine_takes_one_power_per_class(monkeypatch):
+    # C_101 with q = 2, a primitive root mod 101: 101 classes, m0 = 100, and
+    # Frobenius moves the 100 nontrivial classes round one cycle; taking a
+    # power per class and residue costs m0 * 101 powers and grows as p^3
+    p, q = 101, 2
+    group, rep = group_closure(
+        [perm_from_cycles(p, [list(range(1, p + 1))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), p)]
+    )
+    scenario = TameScenario(group, rep, q)
+    m0, expected = per_residue_masses(scenario)
+    assert m0 == p - 1 and len(group.conjugacy_classes()) == p
+
+    calls = []
+    power = FiniteGroup.power
+    monkeypatch.setattr(FiniteGroup, "power", lambda self, g, m: calls.append(g) or power(self, g, m))
+    assert tame_total_masses(scenario) == expected
+    assert len(calls) <= p
+    calls.clear()
+    assert tame_involution_check(scenario)
+    assert len(calls) <= p
+
+
+class ShiftedV(MonomialRep):
+    """A representation whose v is 1 too large away from the identity."""
+
+    def tame_weights(self, g):
+        wt = super().tame_weights(g)
+        return wt if g == tuple(range(len(g))) else wt._replace(v=wt.v + 1)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [TameScenario(*z3_plane(), 2), TameScenario(*z3_plane(), 7), symmetric_doubled(4, 5), frobenius21(2)],
+    ids=["Z3-q2", "Z3-q7", "S4-doubled-q5", "F21-q2"],
+)
+def test_involution_check_fails_when_v_and_w_do_not_match(scenario):
+    assert tame_involution_check(scenario)
+    rep = scenario.rep
+    shifted = TameScenario(scenario.group, ShiftedV(rep.dim, rep.root_order, rep.matrices), scenario.q)
+    assert not tame_involution_check(shifted)
 
 
 def test_prime_power_test_is_fast_and_exact():
