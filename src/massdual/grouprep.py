@@ -159,25 +159,27 @@ class FiniteGroup:
         self._setup(degree, tuple(elements), None, generators, None)
 
     @classmethod
-    def _closed(cls, degree: int, index: dict[Perm, int], generators, right, tree) -> "FiniteGroup":
-        """The group a closure found, its index, right Cayley table and
+    def _closed(cls, degree: int, index: dict[Perm, int], generators, table, tree) -> "FiniteGroup":
+        """The group a closure found, its index, left Cayley table and
         breadth-first tree (see conjugacy_classes) taken as they are."""
         group = cls.__new__(cls)
-        group._setup(degree, tuple(index), index, generators, right, tree)
+        group._setup(degree, tuple(index), index, generators, table, tree)
         return group
 
-    def _setup(self, degree, elements, index, generators, right, tree=None):
+    def _setup(self, degree, elements, index, generators, table, tree=None):
         self.degree = degree
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)} if index is None else index
         if perm_identity(degree) not in self.index:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
-        # right[k][i] = index of elements[i] * generators[k]
-        self._right: Optional[list[list[int]]] = right
+        # table[k][i] = index of generators[k] * elements[i] (closure) or of
+        # elements[i] * generators[k] (element list)
+        self._table: Optional[list[list[int]]] = table
         self._tree: Optional[list[tuple[int, int, list[int]]]] = tree
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
+        self._exponent: Optional[int] = None
 
     def __len__(self):
         return len(self.elements)
@@ -217,13 +219,15 @@ class FiniteGroup:
         return self._generators
 
     def exponent(self) -> int:
-        return math.lcm(*(perm_order(c[0]) for c in self.conjugacy_classes()))
+        if self._exponent is None:
+            self._exponent = math.lcm(*(perm_order(c[0]) for c in self.conjugacy_classes()))
+        return self._exponent
 
     def power(self, g: Perm, m: int) -> Perm:
         """g^m by square and multiply; m may be any integer."""
         if g not in self.index:
             raise ValueError("element not in group")
-        m %= perm_order(g)
+        m %= self.exponent()
         out = self.identity
         base = g
         while m:
@@ -233,36 +237,40 @@ class FiniteGroup:
             m >>= 1
         return out
 
-    def _right_table(self) -> list[list[int]]:
-        """right[k][i] = index of elements[i] * generators[k]: kept by the
-        closure, filled here once (perm_mul per entry) for an element list."""
-        if self._right is None:
+    def _cayley_table(self) -> list[list[int]]:
+        """One-sided Cayley table: the closure keeps the left one,
+        table[k][i] = index of generators[k] * elements[i]; for an element
+        list the right one, elements[i] * generators[k], is filled here once."""
+        if self._table is None:
             index = self.index
-            self._right = [
+            self._table = [
                 [index[g] for g in map(_reader(s), self.elements)] for s in self.generators
             ]
-        return self._right
+        return self._table
 
     def conjugacy_classes(self) -> list[list[Perm]]:
         """Classes in order of first appearance in the element list, each
         sorted.  Each class is the orbit of its first element under
         conjugation by the generators, walked on element indices.
 
-        A spanning tree of triples (j, i, right[k]) with g_j = g_i * s_k,
-        rooted at the identity, gives for each generator t left[j] = index
-        of t * g_j as right[k][left[i]], starting from t * 1 = t; the inverse
-        of right[t] then takes t * g_j to t * g_j * t^-1.  A closure hands
-        over the breadth-first tree it walked; for an element list it is
-        read off the right Cayley table here."""
+        Any one-sided Cayley table with a matching spanning tree will do.
+        For the right table, triples (j, i, table[k]) with g_j = g_i * s_k,
+        rooted at the identity, give for each generator t other[j] = index
+        of t * g_j as table[k][other[i]], starting from t * 1 = t; the
+        inverse of table[t] then takes t * g_j to t * g_j * t^-1.  For the
+        left table (g_j = s_k * g_i) the same steps give g_j * t and then
+        t^-1 * g_j * t: conjugation by t^-1, with the same orbits.  A closure
+        hands over the breadth-first tree it walked; for an element list it
+        is read off the table here."""
         if self._classes is None:
-            right = self._right_table()
+            table = self._cayley_table()
             n, one = len(self.elements), self.index[self.identity]
             tree = self._tree
             if tree is None:
                 tree, order, reached = [], [one], [False] * n
                 reached[one] = True
                 for i in order:
-                    for col in right:
+                    for col in table:
                         j = col[i]
                         if not reached[j]:
                             reached[j] = True
@@ -271,15 +279,15 @@ class FiniteGroup:
                 if len(order) < n:
                     raise ValueError("the generators do not generate the group")
             conj = []
-            for col_t in right:
-                left = [0] * n
-                left[one] = col_t[one]
+            for col_t in table:
+                other = [0] * n
+                other[one] = col_t[one]
                 for j, i, col in tree:
-                    left[j] = col[left[i]]
-                undo = [0] * n  # y * t -> y
+                    other[j] = col[other[i]]
+                undo = [0] * n  # y * t -> y (t * y -> y for the left table)
                 for y, yt in enumerate(col_t):
                     undo[yt] = y
-                conj.append([undo[x] for x in left])
+                conj.append([undo[x] for x in other])
             class_of = [-1] * n
             classes: list[list[Perm]] = []
             for start in range(n):
@@ -342,24 +350,27 @@ class MonomialRep:
         return TameWeights(v, a - v, Fraction(a))
 
 
-class _ReducedEntry(dict):
-    """Memo of a row entry after a product: a point below degree stays, and
-    a column entry degree + 2e*row + x with e <= x < 2e loses e."""
+class _LeftAction(dict):
+    """T_s for rows too wide for bytes: an entry of g's row -> the entry in
+    the same place of s*g's row (see group_closure), each computed when first
+    read, so that building it costs nothing however large the root order."""
 
-    def __init__(self, degree: int, root_order: int):
-        super().__init__((i, i) for i in range(degree))
-        self.degree, self.root_order = degree, root_order
+    def __init__(self, s: Perm, m: MonomialMatrix, degree: int):
+        super().__init__(enumerate(s))
+        self.m, self.degree = m, degree
 
     def __missing__(self, v: int) -> int:
-        e = self.root_order
-        out = self[v] = v - e if (v - self.degree) % (2 * e) >= e else v
+        e = self.m.root_order
+        p, x = divmod(v - self.degree, e)
+        out = self[v] = self.degree + e * self.m.perm[p] + (x + self.m.exps[p]) % e
         return out
 
 
 class _ClosureMatrices(Mapping):
-    """The matrices of a closure, kept as rows and decoded on first lookup."""
+    """The matrices of a closure, kept as rows (bytes or tuples) and decoded
+    on first lookup."""
 
-    def __init__(self, rows: list[tuple[int, ...]], index: dict[Perm, int], degree: int, root_order: int):
+    def __init__(self, rows: list, index: dict[Perm, int], degree: int, root_order: int):
         self._rows, self._index = rows, index
         self._degree, self._root_order = degree, root_order
         self._decoded: dict[Perm, MonomialMatrix] = {}
@@ -368,7 +379,7 @@ class _ClosureMatrices(Mapping):
         m = self._decoded.get(g)
         if m is None:
             tail = self._rows[self._index[g]][self._degree :]
-            cols = [divmod(c - self._degree, 2 * self._root_order) for c in tail]
+            cols = [divmod(c - self._degree, self._root_order) for c in tail]
             m = self._decoded[g] = MonomialMatrix(
                 tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order
             )
@@ -389,16 +400,18 @@ def group_closure(
     """Close generators under multiplication, carrying matrices along.
 
     Each element (g, rho(g)) is one flat row: the degree points of g, then
-    one entry degree + 2e*perm[j] + exps[j] per matrix column j, where e
-    is the root order.  Right multiplication by a generator s reads row
-    entries at fixed indices, adds s's nonzero exponent offsets and takes
-    those columns back below e; with columns 2e apart the unreduced sum
-    cannot spill into the next row, so an edge costs O(degree + dim)
-    whatever e is.  Matrices are decoded from the rows only when looked up.
+    one entry degree + e*perm[j] + exps[j] per matrix column j, where e is
+    the root order.  A generator s multiplies on the left, and s*g sends
+    every entry v of g's row through one table T_s: a point v goes to s[v],
+    and degree + e*p + x goes to degree + e*s.perm[p] + (x + s.exps[p]) mod e.
+    When the width degree + e*dim is at most 256 the rows are bytes and an
+    edge is one bytes.translate; wider rows are tuples read through a T_s
+    filled lazily, so an edge costs O(degree + dim) whatever e is.  Matrices
+    are decoded from the rows only when looked up.
 
     Walks the Cayley graph breadth-first from the identity, taking the
-    rows in the order they are found.  Each product g*s is looked up once,
-    and its index is kept: the returned group carries this right Cayley
+    rows in the order they are found.  Each product s*g is looked up once,
+    and its index is kept: the returned group carries this left Cayley
     table and its breadth-first tree, from which its conjugacy classes are
     found on element indices.
     Whenever two words reach the same permutation with different matrices
@@ -411,7 +424,7 @@ def group_closure(
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    dim, root_order, mats = 0, 1, [MonomialMatrix.identity(0)] * len(generators)
+    dim, e, mats = 0, 1, [MonomialMatrix.identity(0)] * len(generators)
     if rep_generators is not None:
         if len(rep_generators) != len(generators):
             raise ValueError("need exactly one matrix per generator")
@@ -419,46 +432,44 @@ def group_closure(
         orders = {m.root_order for m in rep_generators}
         if len(dims) != 1 or len(orders) != 1:
             raise ValueError("generator matrices disagree in shape")
-        dim, root_order, mats = dims.pop(), orders.pop(), rep_generators
-    # g*s reads g's row at idx: perm_mul on the points, and the matrix product's
-    # perm[s.perm[j]] and exps[s.perm[j]], plus s.exps[j] at the columns nz where
-    # it is nonzero; right[k] collects the index of g*s for each row g in turn,
-    # and tree the (j, i, right[k]) that found row j
-    right: list[list[int]] = [[] for _ in generators]
+        dim, e, mats = dims.pop(), orders.pop(), rep_generators
+    # s*g is act(g, T_s); left[k] collects the index of s_k*g for each row g in
+    # turn, and tree the (j, i, left[k]) that found row j
+    small = degree + e * dim <= 256
+    left: list[list[int]] = [[] for _ in generators]
     steps = []
-    for s, m, col in zip(generators, mats, right):
-        read = _reader(tuple(s) + tuple(degree + p for p in m.perm))
-        nz = [(degree + j, x) for j, x in enumerate(m.exps) if x]
-        steps.append((read, nz, col, col.append))
-    reduce = _ReducedEntry(degree, root_order).__getitem__
-    ident = perm_identity(degree) + tuple(degree + 2 * root_order * j for j in range(dim))
-    rows = [ident]
-    index = {ident[:degree]: 0}
+    for s, m, col in zip(generators, mats, left):
+        if small:
+            cols = [degree + e * p + (x + y) % e for p, y in zip(m.perm, m.exps) for x in range(e)]
+            steps.append(((bytes(s) + bytes(cols)).ljust(256, b"\0"), col, col.append))
+        else:
+            steps.append((_LeftAction(s, m, degree).__getitem__, col, col.append))
+    act = bytes.translate if small else lambda g, get: tuple(map(get, g))
+    ident = perm_identity(degree) + tuple(range(degree, degree + e * dim, e))
+    rows = [bytes(ident) if small else ident]
+    found = {rows[0][:degree]: 0}
     tree = []
     for i, g in enumerate(rows):  # the list grows as it is walked: breadth-first order
-        for read, nz, col, put in steps:
-            h = read(g)
-            if nz:
-                h = list(h)
-                for p, x in nz:
-                    h[p] = reduce(h[p] + x)
-                h = tuple(h)
+        for table, col, put in steps:
+            h = act(g, table)
             head = h[:degree]
-            j = index.get(head)
+            j = found.get(head)
             if j is None:
                 j = len(rows)
                 if j >= max_size:
                     raise GroupTooLarge(f"closure exceeded {max_size} elements")
-                index[head] = j
+                found[head] = j
                 rows.append(h)
                 tree.append((j, i, col))
             elif rows[j] != h:
                 raise InconsistentRepresentation("two words for one element got different matrices")
             put(j)
-    group = FiniteGroup._closed(degree, index, generators, right, tree)
+    if small:  # bytes heads become tuples in one pass: zip reads degree points at a time
+        found = dict(zip(zip(*[iter(b"".join(found))] * degree) if degree else [()], range(len(rows))))
+    group = FiniteGroup._closed(degree, found, generators, left, tree)
     rep = None
     if rep_generators is not None:
-        rep = MonomialRep(dim, root_order, _ClosureMatrices(rows, index, degree, root_order))
+        rep = MonomialRep(dim, e, _ClosureMatrices(rows, found, degree, e))
     return group, rep
 
 

@@ -288,9 +288,10 @@ def test_matrix_of_product_is_product_of_matrices(pa, pb):
 
 
 def oracle_closure(generators, rep_generators):
-    """Breadth-first closure with one MonomialMatrix product per Cayley edge:
-    (elements in order, matrix of each element), or InconsistentRepresentation
-    when two words for one permutation get different matrices."""
+    """Breadth-first closure with one MonomialMatrix product per Cayley edge,
+    each generator multiplying on the left: (elements in order, matrix of
+    each element), or InconsistentRepresentation when two words for one
+    permutation get different matrices."""
     ident = tuple(range(len(generators[0])))
     matrices = {ident: MonomialMatrix.identity(rep_generators[0].dim, rep_generators[0].root_order)}
     elements, frontier = [ident], [ident]
@@ -298,7 +299,7 @@ def oracle_closure(generators, rep_generators):
         nxt = []
         for g in frontier:
             for s, m in zip(generators, rep_generators):
-                h, mh = perm_mul(g, s), matrices[g] * m
+                h, mh = perm_mul(s, g), m * matrices[g]
                 if h in matrices:
                     if matrices[h] != mh:
                         raise InconsistentRepresentation("oracle")
@@ -441,6 +442,42 @@ def test_closure_of_rows_shorter_than_two_entries():
         group_closure([()], sign)
 
 
+# -- both row types at the byte boundary --------------------------------------
+
+
+def cycle_with_sign(n, sign, root_order):
+    """C_n on n points with its permutation matrix, the first column scaled
+    by zeta^sign: for sign = 1 and root_order = 2 the matrix's n-th power
+    is -1 on an odd cycle, so no homomorphism."""
+    c = perm_from_cycles(n, [list(range(1, n + 1))])
+    return [c], [MonomialMatrix(c, (sign,) + (0,) * (n - 1), root_order)]
+
+
+@pytest.mark.parametrize("n,row_type", [(128, bytes), (129, tuple)])  # width n + n: 256 and 258
+def test_closure_on_both_sides_of_the_byte_boundary_matches_the_oracle(n, row_type):
+    gens, mats = cycle_with_sign(n, 0, 1)
+    elements, matrices = oracle_closure(gens, mats)
+    group, rep = group_closure(gens, mats)
+    assert type(rep.matrices._rows[0]) is row_type
+    assert list(group.elements) == elements
+    assert all(rep.matrix(g) == matrices[g] for g in elements)
+    with pytest.raises(GroupTooLarge):
+        group_closure(gens, mats, max_size=n - 1)
+
+
+@pytest.mark.parametrize("n,row_type", [(85, bytes), (129, tuple)])  # width n + 2n: 255 and 387
+def test_inconsistent_words_are_seen_on_both_row_types(n, row_type):
+    gens, mats = cycle_with_sign(n, 0, 2)
+    assert type(group_closure(gens, mats)[1].matrices._rows[0]) is row_type
+    gens, mats = cycle_with_sign(n, 1, 2)
+    with pytest.raises(InconsistentRepresentation):
+        oracle_closure(gens, mats)
+    with pytest.raises(InconsistentRepresentation):
+        group_closure(gens, mats)
+    with pytest.raises(GroupTooLarge):
+        group_closure(gens, mats, max_size=n - 1)
+
+
 # -- classes on element indices against the tuple-orbit loop -----------------
 
 
@@ -478,7 +515,7 @@ def test_classes_on_indices_match_the_tuple_orbit_oracle(inputs, data):
         closed, _ = group_closure(gens)
     elements = closed.elements
     index = {g: i for i, g in enumerate(elements)}
-    assert closed._right == [[index[perm_mul(g, s)] for g in elements] for s in gens]
+    assert closed._table == [[index[perm_mul(s, g)] for g in elements] for s in gens]
 
     shuffled = [elements[i] for i in data.draw(st.permutations(range(len(elements))))]
     listed = FiniteGroup(closed.degree, shuffled)
@@ -488,7 +525,7 @@ def test_classes_on_indices_match_the_tuple_orbit_oracle(inputs, data):
         assert group.conjugacy_classes() == classes
         assert all(group.class_index(g) == class_of[g] for g in group)
     listed_index = listed.index
-    assert listed._right_table() == [
+    assert listed._cayley_table() == [
         [listed_index[perm_mul(g, s)] for g in shuffled] for s in listed.generators
     ]
 

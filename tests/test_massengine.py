@@ -36,6 +36,7 @@ from massdual import (
     tame_involution_check,
     tame_total_masses,
 )
+from massdual import grouprep
 from massdual.grouprep import perm_inv, perm_mul, perm_order
 from massdual.massengine import (
     _bpsw,
@@ -344,6 +345,23 @@ def test_tame_engine_takes_one_power_per_class(monkeypatch):
     calls.clear()
     assert tame_involution_check(scenario)
     assert len(calls) <= p
+
+
+def test_tame_engine_takes_one_element_order_per_class(monkeypatch):
+    # exponent() is kept on the group and power() reduces modulo it, so both
+    # engine calls on C_101 (q = 2) need the order of each class once; with an
+    # order per exponent() call and per power() they took 4 * 101
+    p = 101
+    group, rep = group_closure(
+        [perm_from_cycles(p, [list(range(1, p + 1))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), p)]
+    )
+    scenario = TameScenario(group, rep, 2)
+    calls = []
+    order = grouprep.perm_order
+    monkeypatch.setattr(grouprep, "perm_order", lambda g: calls.append(g) or order(g))
+    tame_total_masses(scenario)
+    assert tame_involution_check(scenario)
+    assert len(calls) <= len(group.conjugacy_classes()) == p
 
 
 class ShiftedV(MonomialRep):
