@@ -75,19 +75,21 @@ def perm_order(a: Perm) -> int:
 
 
 def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]], one_based: bool = True) -> Perm:
-    """Build a permutation from disjoint cycles (1-based by default)."""
+    """Build a permutation from disjoint cycles (1-based by default); a point
+    met twice, in one cycle or in two, is refused."""
     out = list(range(degree))
     offset = 1 if one_based else 0
+    seen: set[int] = set()
     for cyc in cycles:
         pts = [_json_int(p) - offset for p in cyc]
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"cycle point out of range for degree {degree}")
+        if len(set(pts)) < len(pts) or not seen.isdisjoint(pts):
+            raise ValueError("cycles are not disjoint")
+        seen.update(pts)
         for i, p in enumerate(pts):
             out[p] = pts[(i + 1) % len(pts)]
-    perm = tuple(out)
-    if sorted(perm) != list(range(degree)):
-        raise ValueError("cycles are not disjoint")
-    return perm
+    return tuple(out)
 
 
 class MonomialMatrix(namedtuple("MonomialMatrix", "perm exps root_order")):
@@ -170,6 +172,8 @@ class FiniteGroup:
         self.degree = degree
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)} if index is None else index
+        if len(self.index) < len(elements):
+            raise ValueError("the element list repeats an element")
         if perm_identity(degree) not in self.index:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
@@ -194,9 +198,6 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return perm_identity(self.degree)
 
-    def inverse(self, g: Perm) -> Perm:
-        return perm_inv(g)
-
     @property
     def generators(self) -> tuple[Perm, ...]:
         """The given generators, or else the elements that the span of those
@@ -214,6 +215,8 @@ class FiniteGroup:
                             coset = [perm_mul(r, h) for h in sub]
                             span += coset
                             seen.update(coset)
+                            if len(span) > len(self.elements):  # else span is S_degree at worst
+                                raise ValueError("the element list is not closed under multiplication")
                             reps += [perm_mul(s, r) for s in gens]
             self._generators = tuple(gens)
         return self._generators
@@ -243,9 +246,12 @@ class FiniteGroup:
         list the right one, elements[i] * generators[k], is filled here once."""
         if self._table is None:
             index = self.index
-            self._table = [
-                [index[g] for g in map(_reader(s), self.elements)] for s in self.generators
-            ]
+            try:
+                self._table = [
+                    [index[g] for g in map(_reader(s), self.elements)] for s in self.generators
+                ]
+            except KeyError:
+                raise ValueError("the element list is not closed under multiplication") from None
         return self._table
 
     def conjugacy_classes(self) -> list[list[Perm]]:

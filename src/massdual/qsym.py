@@ -67,9 +67,12 @@ def _ratio(x) -> tuple[int, int]:
 
 def frac_str(x: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q' (used by every JSON emitter here)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _ratio_str(a: int, b: int) -> str:
+    """frac_str of a/b for a pair in lowest terms, b >= 1."""
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 class _InfiniteType:
@@ -101,9 +104,8 @@ def is_infinite(x) -> bool:
 class LaurentPoly:
     """Sparse Laurent polynomial over Q: dict {exponent: nonzero Fraction}.
 
-    Products enter as the integer form P/L of `_ints` and leave through
-    `_fracs`, one Fraction per coefficient.  The integer kernel (class
-    entries, the gcd over Z) works on plain int dicts instead."""
+    Products run on the integer form P/L of `_ints`.  The integer kernel
+    (class entries, the gcd over Z) works on plain int dicts instead."""
 
     __slots__ = ("terms",)
 
@@ -130,10 +132,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff=1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,10 +143,6 @@ class LaurentPoly:
     @property
     def max_exp(self) -> int:
         return max(self.terms)
-
-    @property
-    def span(self) -> int:
-        return 0 if self.is_zero else self.max_exp - self.min_exp
 
     def coeff(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
@@ -177,15 +171,9 @@ class LaurentPoly:
                 del data[e]
         return LaurentPoly._of(data)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         (la, a), (lb, b) = _ints(self), _ints(other)
-        return _fracs(_zmul(a, b), Fraction(1, la * lb))
+        return LaurentPoly._of({e: Fraction(c, la * lb) for e, c in _zmul(a, b).items()})
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
@@ -196,14 +184,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k."""
         return self if not k else LaurentPoly._of({e + k: c for e, c in self.terms.items()})
-
-    def stretch(self, k: int) -> "LaurentPoly":
-        """Substitute x -> x^k (k >= 1)."""
-        return LaurentPoly._of({e * k: c for e, c in self.terms.items()})
-
-    def stretch_div(self, k: int) -> "LaurentPoly":
-        """Substitute x^k -> x; every exponent must be divisible by k."""
-        return LaurentPoly._of({e // k: c for e, c in self.terms.items()})
 
     def mirror(self) -> "LaurentPoly":
         """Substitute x -> x^-1."""
@@ -238,12 +218,15 @@ def _zmul(a: dict, b: dict, k: int = 1, acc: Optional[dict] = None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _fracs(p: dict, k: Fraction) -> LaurentPoly:
-    """k*p for an integer dict p, one Fraction per coefficient."""
+def _terms(p: dict, k: Fraction) -> list[tuple[int, int, int]]:
+    """The terms of k*p for an integer dict p, in p's order: (e, a, b) with
+    a/b the coefficient in lowest terms and b >= 1, one gcd each and no Fraction."""
     kn, kd = k.numerator, k.denominator
-    if kd == 1:
-        return LaurentPoly._of({e: Fraction(c * kn) for e, c in p.items()})
-    return LaurentPoly._of({e: Fraction(c * kn, kd) for e, c in p.items()})
+    out = []
+    for e, c in p.items():
+        g = math.gcd(a := c * kn, kd)
+        out.append((e, a // g, kd // g))
+    return out
 
 
 def _shift(p: dict, k: int) -> dict:
@@ -370,12 +353,12 @@ class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
     @property
     def num(self) -> LaurentPoly:
         """The numerator over Q, for the denominator `den`."""
-        return _fracs(self.n, self.k / self.d[max(self.d)])
+        return LaurentPoly._of({e: Fraction(a, b) for e, a, b in _sides(self)[0]})
 
     @property
     def den(self) -> LaurentPoly:
         """The denominator over Q: minimal exponent 0, leading coefficient 1."""
-        return _fracs(self.d, Fraction(1, self.d[max(self.d)]))
+        return LaurentPoly._of({e: Fraction(a, b) for e, a, b in _sides(self)[1]})
 
     @property
     def is_zero(self) -> bool:
@@ -384,6 +367,13 @@ class RationalFunctionX(namedtuple("RationalFunctionX", "k n d")):
     @property
     def is_poly(self) -> bool:
         return self.d == {0: 1}
+
+
+def _sides(entry: RationalFunctionX) -> tuple[list, list]:
+    """The `_terms` of the numerator and the denominator, scaled so that the
+    denominator is monic: the one reader of an entry's coefficients."""
+    lc = entry.d[max(entry.d)]
+    return _terms(entry.n, entry.k / lc), _terms(entry.d, Fraction(1, lc))
 
 
 def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
@@ -769,10 +759,10 @@ class ClassFunction:
                 y, sums = (q.ln(low) / b).exp(low), ({}, {})
                 for _ in range(ctx.prec.bit_length()):  # Newton's method on y^b = s, from 20 digits on
                     y -= (y - q / y ** (b - 1)) / b
-                for by_j, p in zip(sums, (entry.num, entry.den)):
-                    for e, c in p.terms.items():
+                for by_j, side in zip(sums, _sides(entry)):
+                    for e, c, cd in side:
                         m, j = divmod(e * r0 // g, b)
-                        by_j[j] = by_j.get(j, 0) + c.numerator * q**m / c.denominator
+                        by_j[j] = by_j.get(j, 0) + c * q**m / cd
                 num, den = (sum(v * y**j for j, v in by_j.items()) for by_j in sums)
                 if abs(den) < decimal.Decimal(f"1e-{precision + 5}"):
                     raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
@@ -829,15 +819,13 @@ class ClassFunction:
     def to_json(self) -> dict:
         """JSON object; exponents are integers in units of 1/root_order."""
 
-        def side(p: LaurentPoly):
-            return [[frac_str(c), e] for e, c in p.items()]
+        def side(terms):
+            return [[_ratio_str(a, b), e] for e, a, b in sorted(terms)]
 
         return {
             "modulus": self.modulus,
             "root_order": self.root_order,
-            "classes": [
-                {"num": side(e.num), "den": side(e.den)} for e in self.classes
-            ],
+            "classes": [{"num": side(num), "den": side(den)} for num, den in map(_sides, self.classes)],
         }
 
     @classmethod
@@ -878,36 +866,31 @@ def _json_int(x) -> int:
     return int(x)
 
 
-def _render_exp(e: Fraction) -> str:
-    if e == 1:
-        return "Q"
-    if e.denominator == 1:
-        return f"Q^{e.numerator}"
-    return f"Q^({frac_str(e)})"
+def _render_exp(e: int, n: int) -> str:
+    """Q^(e/n) for e != 0."""
+    g = math.gcd(e, n)
+    return "Q" if e == n else f"Q^{e // g}" if g == n else f"Q^({e // g}/{n // g})"
 
 
-def _render_poly(p: LaurentPoly, n: int) -> str:
-    if p.is_zero:
+def _render_poly(terms: list, n: int) -> str:
+    if not terms:
         return "0"
     parts = []
-    for e, c in sorted(p.terms.items(), reverse=True):
-        exp = Fraction(e, n)
-        if exp == 0:
-            piece = frac_str(abs(c))
-        else:
-            mag = abs(c)
-            piece = _render_exp(exp) if mag == 1 else f"{frac_str(mag)}*{_render_exp(exp)}"
+    for e, a, b in sorted(terms, reverse=True):
+        mag = _ratio_str(abs(a), b)
+        piece = mag if e == 0 else _render_exp(e, n) if abs(a) == b == 1 else f"{mag}*{_render_exp(e, n)}"
         if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
+            parts.append(piece if a > 0 else f"-{piece}")
         else:
-            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+            parts.append(f"+ {piece}" if a > 0 else f"- {piece}")
     return " ".join(parts)
 
 
 def _render_entry(e: RationalFunctionX, n: int) -> str:
+    num, den = _sides(e)
     if e.is_poly:
-        return _render_poly(e.num, n)
-    return f"({_render_poly(e.num, n)}) / ({_render_poly(e.den, n)})"
+        return _render_poly(num, n)
+    return f"({_render_poly(num, n)}) / ({_render_poly(den, n)})"
 
 
 # module-level symbol for the monomial q^r, convenient in client code

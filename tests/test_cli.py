@@ -545,6 +545,9 @@ ERROR_TEXT = {
     "exps-true": "error: --group: rep.matrices[0].exps[0]: expected an integer, got True\n",
     "degree-2.5": "error: --group: degree: expected an integer, got 2.5\n",
     "cycle-point-2.2": "error: --group: generators[0][0][1]: expected an integer, got 2.2\n",
+    "cycles-that-meet": "error: --group: generators[0][1]: cycles are not disjoint\n",
+    "cycle-met-twice": "error: --group: generators[0][1]: cycles are not disjoint\n",
+    "point-twice-in-a-cycle": "error: --group: generators[0][0]: cycles are not disjoint\n",
     "dim-2.9": "error: --file: dim: expected an integer, got 2.9\n",
     "stratum-key-1.7": 'error: --file: strata["[1.7]"]: expected an integer, got 1.7\n',
     "missing-classes": "error: --mv: missing key 'classes'\n",
@@ -597,6 +600,11 @@ ERROR_TEXT = {
         pytest.param(TAME, z2_group(exps=[True]), id="exps-true"),
         pytest.param(TAME, z2_group(degree=2.5), id="degree-2.5"),
         pytest.param(TAME, z2_group(cycle=[1, 2.2]), id="cycle-point-2.2"),
+        # a point met twice used to pass: the first two as a transposition, which
+        # printed masses with exit 0, and [[1, 1]] as the identity
+        pytest.param(TAME, {**z2_group(), "generators": [[[1, 2], [2, 1]]]}, id="cycles-that-meet"),
+        pytest.param(TAME, {**z2_group(), "generators": [[[1, 2], [1, 2]]]}, id="cycle-met-twice"),
+        pytest.param(TAME, {**z2_group(), "generators": [[[1, 1]]]}, id="point-twice-in-a-cycle"),
         pytest.param(
             ("stringy", "--file", FILE),
             {"dim": 2.9, "horizontal": [{"c": "1/2"}], "strata": STRATA},

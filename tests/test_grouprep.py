@@ -47,6 +47,13 @@ def test_perm_basics():
     assert perm_mul(c, perm_inv(c)) == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("cycles", [[[1, 2], [2, 1]], [[1, 2], [1, 2]], [[1, 1]]])
+def test_cycles_that_meet_are_refused(cycles):
+    # each of these used to pass: the first two as a transposition, [[1, 1]] as the identity
+    with pytest.raises(ValueError, match="cycles are not disjoint"):
+        perm_from_cycles(3, cycles)
+
+
 def test_monomial_matrix_multiplication_tracks_composition():
     # (swap then flip) as matrices must equal the matrix of the composite
     swap = MonomialMatrix((1, 0), (0, 0), 2)
@@ -240,6 +247,31 @@ def test_classes_refuse_generators_of_a_subgroup():
     group = FiniteGroup(4, closed.elements, [perm_from_cycles(4, [[1, 2]])])
     with pytest.raises(ValueError, match="do not generate"):
         group.conjugacy_classes()
+
+
+def test_an_element_list_with_a_repeat_is_refused():
+    # len(group) would count the repeat, and the class walk would then blame the generators
+    with pytest.raises(ValueError, match="repeats an element"):
+        FiniteGroup(3, [(0, 1, 2), (1, 0, 2), (1, 0, 2)])
+    with pytest.raises(ValueError, match="repeats an element"):
+        from_cayley_table([[0, 1, 2], [1, 2, 0], [1, 2, 0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteGroup(3, [(0, 1, 2), (1, 0, 2), (2, 1, 0)]),
+        # with the generators given, a product leaves the list in the Cayley table
+        lambda: FiniteGroup(3, [(0, 1, 2), (1, 0, 2), (2, 1, 0)], [(1, 0, 2), (2, 1, 0)]),
+        # rows that are permutations but not a group table
+        lambda: from_cayley_table([[0, 1, 2], [1, 2, 0], [1, 0, 2]]),
+    ],
+)
+def test_an_element_list_that_is_not_closed_is_refused(build):
+    # a bare KeyError of the missing product used to escape
+    for read in (FiniteGroup.conjugacy_classes, FiniteGroup.exponent):
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            read(build())
 
 
 def test_group_json_roundtrip():

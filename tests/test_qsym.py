@@ -7,6 +7,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from massdual import (
     cf_geometric_sum,
     cf_ring,
 )
+from massdual import qsym
 from massdual.qsym import (
     EXACT_EVAL_MAX_BITS,
     LaurentPoly,
@@ -44,6 +46,7 @@ from massdual.qsym import (
     _rf_mul,
     _reduced,
     _zmul,
+    frac_str,
     iroot,
     poly_gcd,
     ratfun,
@@ -1188,3 +1191,131 @@ def test_every_route_keeps_entries_canonical(ta, tb):
         same.append(((f * g) / g, f))
     for x, y in same:
         assert x == y and hash(x) == hash(y)
+
+
+# str(f) as recorded before the printers read the integer triple; together the
+# cases reach every branch of the text report
+PINNED_TEXT = {
+    "zero": (ClassFunction.zero, "0"),
+    # a coefficient of +-1 at a nonzero exponent prints as the bare power
+    "unit-coefficients": (
+        lambda: Q**2 - Q + ClassFunction.monomial(F(1, 2)) - ClassFunction.monomial(F(-3, 2)) + Q**-1,
+        "Q^2 - Q + Q^(1/2) + Q^-1 - Q^(-3/2)",
+    ),
+    "fractional": (lambda: F(3, 2) * ClassFunction.monomial(F(1, 2)) - F(1, 3), "3/2*Q^(1/2) - 1/3"),
+    "negative-leading": (
+        lambda: -(Q**3) + F(5, 7) * ClassFunction.monomial(F(-2, 3)) - 1,
+        "-Q^3 - 1 + 5/7*Q^(-2/3)",
+    ),
+    "quotient": (lambda: (Q + F(1, 2)) / (2 * Q**2 - 3), "(1/2*Q + 1/4) / (Q^2 - 3/2)"),
+    "classes": (
+        lambda: cf_from_terms([(1, F(1, 3), 1), (1, F(2, 3), 1), (F(1, 2), 0, F(-1, 2))], 1)
+        + cf_from_terms([(2, F(1, 2), 0)]),
+        "r = 0 (mod 6): (4*Q - 2 + 1/2*Q^(-1/2)) / (Q - 1)\n"
+        "r = 1 (mod 6): (-3*Q + 2 + 1/2*Q^(-1/2)) / (Q - 1)\n"
+        "r = 2 (mod 6): (Q - 2 + 1/2*Q^(-1/2)) / (Q - 1)\n"
+        "r = 3 (mod 6): (2 + 1/2*Q^(-1/2)) / (Q - 1)\n"
+        "r = 4 (mod 6): (Q - 2 + 1/2*Q^(-1/2)) / (Q - 1)\n"
+        "r = 5 (mod 6): (-3*Q + 2 + 1/2*Q^(-1/2)) / (Q - 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TEXT)
+def test_text_reports_match_the_pinned_strings(name):
+    build, text = PINNED_TEXT[name]
+    f = build()
+    assert str(f) == text
+    assert repr(f) == "ClassFunction[" + text.replace("\n", "; ") + "]"
+
+
+# The route the printers took before they read the integer triple: the num/den
+# views, one Fraction(c*kn, kd) per coefficient in the order of the int dicts,
+# taken apart again by frac_str.  It is the oracle for to_json, render and eval.
+def _old_views(entry):
+    lc = entry.d[max(entry.d)]
+    return tuple(
+        LaurentPoly._of({e: F(c * k.numerator, k.denominator) for e, c in p.items()})
+        for p, k in ((entry.n, entry.k / lc), (entry.d, F(1, lc)))
+    )
+
+
+def _old_to_json(f):
+    def side(p):
+        return [[frac_str(c), e] for e, c in p.items()]
+
+    return {
+        "modulus": f.modulus,
+        "root_order": f.root_order,
+        "classes": [{"num": side(num), "den": side(den)} for num, den in map(_old_views, f.classes)],
+    }
+
+
+def _old_render_exp(e):
+    if e == 1:
+        return "Q"
+    if e.denominator == 1:
+        return f"Q^{e.numerator}"
+    return f"Q^({frac_str(e)})"
+
+
+def _old_render_poly(p, n):
+    if p.is_zero:
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items(), reverse=True):
+        exp = F(e, n)
+        if exp == 0:
+            piece = frac_str(abs(c))
+        else:
+            mag = abs(c)
+            piece = _old_render_exp(exp) if mag == 1 else f"{frac_str(mag)}*{_old_render_exp(exp)}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
+    return " ".join(parts)
+
+
+def _old_render(f):
+    def entry(e):
+        num, den = (_old_render_poly(p, f.root_order) for p in _old_views(e))
+        return num if e.is_poly else f"({num}) / ({den})"
+
+    if f.modulus == 1:
+        return entry(f.classes[0])
+    return "\n".join(f"r = {j} (mod {f.modulus}): {entry(e)}" for j, e in enumerate(f.classes))
+
+
+def _old_sides(entry):
+    """eval's terms as the old route read them: (e, c.numerator, c.denominator) off the views."""
+    return tuple([(e, c.numerator, c.denominator) for e, c in p.terms.items()] for p in _old_views(entry))
+
+
+def _eval_outcome(f, q0, r0, precision):
+    try:
+        value = f.eval(q0, r0, precision)
+    except PoleAtEvaluationPoint as exc:
+        return "pole", str(exc)
+    return type(value), str(value)
+
+
+@given(orbit_term_lists(), orbit_term_lists(), st.sampled_from(["+", "*", "/"]))
+@settings(max_examples=80, deadline=None)
+def test_printers_and_decimal_eval_match_the_route_through_the_views(ta, tb, op):
+    f, g = cf_from_terms(*ta), cf_from_terms(*tb)
+    if op == "/" and any(e.is_zero for e in g.classes):
+        op = "*"
+    h = f + g if op == "+" else f * g if op == "*" else f / g
+    for x in (f, h, h.dual()):
+        for e in x.classes:
+            old = _old_views(e)
+            assert (e.num, e.den) == old
+            assert [list(p.terms.items()) for p in (e.num, e.den)] == [list(p.terms.items()) for p in old]
+        assert x.to_json() == _old_to_json(x)
+        assert str(x) == _old_render(x)
+        # 2 and 5/2 have no rational root, so a root order above 1 takes the decimal branch
+        points = [(q0, r0, precision) for q0 in (2, F(5, 2), 4) for r0 in (1, 3) for precision in (5, 40)]
+        got = [_eval_outcome(x, *p) for p in points]
+        with mock.patch.object(qsym, "_sides", _old_sides):
+            assert got == [_eval_outcome(x, *p) for p in points]
