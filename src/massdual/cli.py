@@ -271,12 +271,7 @@ def _cmd_duality(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
     if args.report == "json":
-        out = {
-            "suite": args.suite,
-            "results": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-        }
+        out = {"suite": args.suite, "results": [r._asdict() for r in results]}
         _write([json.dumps(out, indent=2, sort_keys=True)])
     else:
         width = max(len(r.name) for r in results)

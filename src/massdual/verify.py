@@ -1,9 +1,10 @@
 """Acceptance fixtures: every claim the package is sold on, runnable at will.
 
-Each check function returns a CheckResult; suites group them so the command
-line can run `verify --suite tame` etc.  Frozen expected values were derived
-by hand or by an independent brute-force oracle before the engines existed;
-comments next to each fixture say which.
+A criterion returns the detail of its PASS line, and `_require` states a
+failure: its detail is the FAIL line.  `run_suite` alone builds CheckResults;
+suites group the criteria so the command line can run `verify --suite tame`.
+Frozen expected values were derived by hand or by an independent brute-force
+oracle before the engines existed; comments next to each fixture say which.
 """
 
 from __future__ import annotations
@@ -127,8 +128,6 @@ def _oracle_partition_counts(n: int) -> dict[int, int]:
         for p in range(min(left, maxp), 0, -1):
             rec(left - p, p, size + 1)
 
-    if n == 0:
-        return {0: 1}
     rec(n, n, 0)
     return counts
 
@@ -137,7 +136,17 @@ def _oracle_partition_counts(n: int) -> dict[int, int]:
 # criteria
 
 
-def criterion_1_bhargava() -> CheckResult:
+class _Failed(Exception):
+    """A requirement of a criterion does not hold; the message says which."""
+
+
+def _require(ok, detail: str) -> None:
+    # not `assert`, which `python -O` strips
+    if not ok:
+        raise _Failed(detail)
+
+
+def criterion_1_bhargava() -> str:
     """Degree-n etale masses match an enumerated partition oracle, N <= 20."""
     from . import cli  # deferred: cli imports this module
 
@@ -150,20 +159,17 @@ def criterion_1_bhargava() -> CheckResult:
             {Fraction(m): Fraction(oracle.get(n - m, 0)) for m in range(n + 1)}
         )
         masses = bhargava_masses(n)
-        if masses.mass_v != exp_v or masses.mass_w != exp_w:
-            return CheckResult("bhargava reproduction", False, f"mismatch at n={n}")
-        if not duality_report(masses, 2 * n).strong:
-            return CheckResult("bhargava reproduction", False, f"not strongly dual at n={n}")
+        _require(masses.mass_v == exp_v and masses.mass_w == exp_w, f"mismatch at n={n}")
+        _require(duality_report(masses, 2 * n).strong, f"not strongly dual at n={n}")
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.run(["formula", "bhargava", "--n", str(n), "--report", "json"])
         emitted = MassPair.from_json(json.loads(buf.getvalue()))
-        if code != 0 or emitted.mass_v != exp_v or emitted.mass_w != exp_w:
-            return CheckResult("bhargava reproduction", False, f"cli mismatch at n={n}")
-    return CheckResult("bhargava reproduction", True, "N = 1..20, library and cli")
+        _require(code == 0 and emitted.mass_v == exp_v and emitted.mass_w == exp_w, f"cli mismatch at n={n}")
+    return "N = 1..20, library and cli"
 
 
-def criterion_2_tame_vs_formula() -> CheckResult:
+def criterion_2_tame_vs_formula() -> str:
     """Tame enumeration reproduces the partition-indexed formulas."""
     g2, _ = _s2()
     g3, _ = _s3()
@@ -178,25 +184,21 @@ def criterion_2_tame_vs_formula() -> CheckResult:
     cases.append((TameScenario(gd, rep_direct_sum(gd, rd, rd), 3), kedlaya_masses(2)))
     for scenario, expected in cases:
         masses = tame_total_masses(scenario)
-        if masses.mass_v != expected.mass_v or masses.mass_w != expected.mass_w:
-            return CheckResult(
-                "tame vs formula", False, f"mismatch for |G|={len(scenario.group)}, q={scenario.q}"
-            )
-    return CheckResult("tame vs formula", True, f"{len(cases)} scenarios")
+        _require(masses == expected, f"mismatch for |G|={len(scenario.group)}, q={scenario.q}")
+    return f"{len(cases)} scenarios"
 
 
-def criterion_3_tame_duality() -> CheckResult:
+def criterion_3_tame_duality() -> str:
     """Involution and strong duality across the whole tame catalog."""
-    for name, scenario in tame_catalog():
-        if not tame_involution_check(scenario):
-            return CheckResult("tame duality suite", False, f"involution fails: {name}")
+    catalog = tame_catalog()
+    for name, scenario in catalog:
+        _require(tame_involution_check(scenario), f"involution fails: {name}")
         masses = tame_total_masses(scenario)
-        if masses.mass_w.dual() != masses.mass_v:
-            return CheckResult("tame duality suite", False, f"not strongly dual: {name}")
-    return CheckResult("tame duality suite", True, f"{len(tame_catalog())} scenarios")
+        _require(masses.mass_w.dual() == masses.mass_v, f"not strongly dual: {name}")
+    return f"{len(catalog)} scenarios"
 
 
-def criterion_4_char2() -> CheckResult:
+def criterion_4_char2() -> str:
     """Order-2 wild masses match their closed forms; n=1 diverges (exit 3)."""
     from . import cli
 
@@ -206,35 +208,26 @@ def criterion_4_char2() -> CheckResult:
         qm1 = Q - 1
         exp_v = one + qm1 * ClassFunction.monomial(-n) / (1 - ClassFunction.monomial(1 - n))
         exp_w = one + qm1 / (1 - ClassFunction.monomial(1 - n))
-        if masses.mass_v != exp_v or masses.mass_w != exp_w:
-            return CheckResult("char-2 quadratic", False, f"closed form mismatch at n={n}")
-        if not duality_report(masses, 2 * n).strong:
-            return CheckResult("char-2 quadratic", False, f"not strongly dual at n={n}")
+        _require(masses.mass_v == exp_v and masses.mass_w == exp_w, f"closed form mismatch at n={n}")
+        _require(duality_report(masses, 2 * n).strong, f"not strongly dual at n={n}")
     m1 = profile_total_masses(builtin_profile("quad_char2_sigma", n=1))
-    if not (is_infinite(m1.mass_v) and is_infinite(m1.mass_w)):
-        return CheckResult("char-2 quadratic", False, "n=1 should be Infinite")
+    _require(is_infinite(m1.mass_v) and is_infinite(m1.mass_w), "n=1 should be Infinite")
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.run(["profile", "--builtin", "quad_char2_sigma", "--n", "1", "--report", "json"])
-    if code != 3:
-        return CheckResult("char-2 quadratic", False, f"n=1 exit code {code}, want 3")
-    return CheckResult("char-2 quadratic", True, "n = 2..10 closed forms; n=1 divergent, exit 3")
+    _require(code == 3, f"n=1 exit code {code}, want 3")
+    return "n = 2..10 closed forms; n=1 divergent, exit 3"
 
 
-def criterion_5_weak_failure() -> CheckResult:
+def criterion_5_weak_failure() -> str:
     """The (m,n) = (1,1) two-parameter profile breaks even weak duality."""
     masses = profile_total_masses(builtin_profile("quad_char2_upsilon", m=1, n=1))
-    if masses.mass_v != ClassFunction.constant(2) or masses.mass_w != 2 * Q:
-        return CheckResult("weak-duality failure witness", False, "masses are not (2, 2Q)")
+    _require(masses.mass_v == ClassFunction.constant(2) and masses.mass_w == 2 * Q, "masses are not (2, 2Q)")
     report = duality_report(masses, 4)
-    if report.strong or report.weak:
-        return CheckResult(
-            "weak-duality failure witness", False, f"verdicts ({report.strong}, {report.weak})"
-        )
+    _require(not (report.strong or report.weak), f"verdicts ({report.strong}, {report.weak})")
     # hand value: 2Q^4 - 2Q - (2Q^3 - 2)
-    if report.weak_residual != 2 * Q**4 - 2 * Q**3 - 2 * Q + 2:
-        return CheckResult("weak-duality failure witness", False, "wrong weak residual")
-    return CheckResult("weak-duality failure witness", True, "masses (2, 2Q), both verdicts false")
+    _require(report.weak_residual == 2 * Q**4 - 2 * Q**3 - 2 * Q + 2, "wrong weak residual")
+    return "masses (2, 2Q), both verdicts false"
 
 
 # Verdicts below were derived by hand from the displayed closed forms:
@@ -255,7 +248,7 @@ CHAR0_VERDICTS = {
 }
 
 
-def criterion_6_char0() -> CheckResult:
+def criterion_6_char0() -> str:
     """Char-0 quadratic masses match the displayed forms; verdicts match the
     recorded hand derivation (CHAR0_VERDICTS), not any prose expectation."""
     for n in range(1, 7):
@@ -267,32 +260,26 @@ def criterion_6_char0() -> CheckResult:
             + ClassFunction.monomial(Fraction(-3 * n, 2) + 1)
         )
         exp_w = Q + ClassFunction.monomial(Fraction(-n, 2) + 1)
-        if masses.mass_v != exp_v or masses.mass_w != exp_w:
-            return CheckResult("char-0 quadratic", False, f"mass mismatch at n={n}")
+        _require(masses.mass_v == exp_v and masses.mass_w == exp_w, f"mass mismatch at n={n}")
         report = duality_report(masses, 2 * n)
-        if (report.strong, report.weak) != CHAR0_VERDICTS[n]:
-            return CheckResult(
-                "char-0 quadratic",
-                False,
-                f"verdict at n={n}: ({report.strong}, {report.weak}) != recorded",
-            )
+        _require(
+            (report.strong, report.weak) == CHAR0_VERDICTS[n],
+            f"verdict at n={n}: ({report.strong}, {report.weak}) != recorded",
+        )
     m1 = profile_total_masses(builtin_profile("quad_char0_sigma", n=1))
-    if duality_report(m1, 2).weak_residual != 2 * (Q - 1) ** 2:
-        return CheckResult("char-0 quadratic", False, "n=1 weak residual is not 2(Q-1)^2")
-    return CheckResult("char-0 quadratic", True, "n = 1..6 masses and recorded verdicts")
+    _require(duality_report(m1, 2).weak_residual == 2 * (Q - 1) ** 2, "n=1 weak residual is not 2(Q-1)^2")
+    return "n = 1..6 masses and recorded verdicts"
 
 
-def criterion_7_mckay_hilbert() -> CheckResult:
+def criterion_7_mckay_hilbert() -> str:
     """Hilbert-scheme counts tie to both mass formulas for n <= 10."""
     for n in range(1, 11):
         counts = hilbert_counts(n)
         bh = bhargava_masses(n)
         ke = kedlaya_masses(n)
-        if counts.hilb_plane != bh.mass_v * ClassFunction.monomial(2 * n):
-            return CheckResult("mckay-hilbert identity", False, f"plane count at n={n}")
-        if counts.fiber != ke.mass_w:
-            return CheckResult("mckay-hilbert identity", False, f"fiber count at n={n}")
-    return CheckResult("mckay-hilbert identity", True, "n = 1..10, both identities")
+        _require(counts.hilb_plane == bh.mass_v * ClassFunction.monomial(2 * n), f"plane count at n={n}")
+        _require(counts.fiber == ke.mass_w, f"fiber count at n={n}")
+    return "n = 1..10, both identities"
 
 
 def _random_strata_map(rng: random.Random) -> dict:
@@ -310,31 +297,26 @@ def _random_strata_map(rng: random.Random) -> dict:
     return out
 
 
-def criterion_8_stringy() -> CheckResult:
+def criterion_8_stringy() -> str:
     """A1-cone duality, the c = -1 divergence, and conversion involution."""
     fx = builtin_resolution("a1_cone")
     total = stringy_count(fx["total"])
     origin = stringy_count(fx["origin"])
-    if total != Q**2 + Q or origin != Q + 1:
-        return CheckResult("stringy fixtures", False, "A1 counts are off")
-    if not gm_duality_check(total, origin, 2):
-        return CheckResult("stringy fixtures", False, "A1 quotient duality fails")
+    _require(total == Q**2 + Q and origin == Q + 1, "A1 counts are off")
+    _require(gm_duality_check(total, origin, 2), "A1 quotient duality fails")
     divergent = ResolutionData(
         dim=2, horizontal=(Fraction(-1),), strata={frozenset([1]): Q + 1}
     )
-    if not is_infinite(stringy_count(divergent)):
-        return CheckResult("stringy fixtures", False, "c = -1 fixture should be Infinite")
+    _require(is_infinite(stringy_count(divergent)), "c = -1 fixture should be Infinite")
     rng = random.Random(8128)
     for i in range(100):
         counts = _random_strata_map(rng)
         normalized = {k: cf for k, cf in counts.items() if not cf.is_zero}
         roundtrip = convert_strata_map(convert_strata_map(counts, True), False)
-        if roundtrip != normalized:
-            return CheckResult("stringy fixtures", False, f"involution fails at sample {i}")
+        _require(roundtrip == normalized, f"involution fails at sample {i}")
         roundtrip2 = convert_strata_map(convert_strata_map(counts, False), True)
-        if roundtrip2 != normalized:
-            return CheckResult("stringy fixtures", False, f"involution fails at sample {i} (other order)")
-    return CheckResult("stringy fixtures", True, "A1 duality, divergence, 100 involution samples")
+        _require(roundtrip2 == normalized, f"involution fails at sample {i} (other order)")
+    return "A1 duality, divergence, 100 involution samples"
 
 
 def _random_terms(rng: random.Random):
@@ -363,7 +345,7 @@ def _agree_at_20_points(f: ClassFunction, g: ClassFunction) -> bool:
     return all(f.eval(q0, r) == g.eval(q0, r) for r in range(1, 21))
 
 
-def criterion_9_qsym_properties() -> CheckResult:
+def criterion_9_qsym_properties() -> str:
     """500 random term lists: dual is a ring involution, equality is sound,
     and every construction certifies its own denominator exponent."""
     rng = random.Random(57721)
@@ -374,24 +356,19 @@ def criterion_9_qsym_properties() -> CheckResult:
         f = cf_from_terms(terms_a, den_a)
         g = cf_from_terms(terms_b, den_b)
         built += 2
-        if (f + g).dual() != f.dual() + g.dual():
-            return CheckResult("qsym property suite", False, "dual is not additive")
-        if (f * g).dual() != f.dual() * g.dual():
-            return CheckResult("qsym property suite", False, "dual is not multiplicative")
-        if f.dual().dual() != f:
-            return CheckResult("qsym property suite", False, "dual is not an involution")
-        if cf_from_terms(_negate_terms(terms_a), None if den_a is None else -den_a) != f.dual():
-            return CheckResult("qsym property suite", False, "dual disagrees with negated terms")
-        if not f.admissible_witness(den_a if den_a is not None else 1):
-            return CheckResult("qsym property suite", False, "witness fails declared c")
-        if (f == g) != _agree_at_20_points(f, g):
-            return CheckResult("qsym property suite", False, "equality/evaluation mismatch")
-        if (f == f.dual().dual()) != _agree_at_20_points(f, f.dual().dual()):
-            return CheckResult("qsym property suite", False, "equality/evaluation mismatch (dual pair)")
-    return CheckResult("qsym property suite", True, f"{built} random term lists")
+        _require((f + g).dual() == f.dual() + g.dual(), "dual is not additive")
+        _require((f * g).dual() == f.dual() * g.dual(), "dual is not multiplicative")
+        ff = f.dual().dual()
+        _require(ff == f, "dual is not an involution")
+        negated = cf_from_terms(_negate_terms(terms_a), None if den_a is None else -den_a)
+        _require(negated == f.dual(), "dual disagrees with negated terms")
+        _require(f.admissible_witness(den_a if den_a is not None else 1), "witness fails declared c")
+        _require((f == g) == _agree_at_20_points(f, g), "equality/evaluation mismatch")
+        _require((f == ff) == _agree_at_20_points(f, ff), "equality/evaluation mismatch (dual pair)")
+    return f"{built} random term lists"
 
 
-def criterion_10_z3_end_to_end() -> CheckResult:
+def criterion_10_z3_end_to_end() -> str:
     """Tame cyclic-3 masses against the one-divisor c = -1/3 resolution."""
     group, rep = _z3_diag((1, 1))
     masses = tame_total_masses(TameScenario(group, rep, 7))  # q = 1 mod 3
@@ -409,33 +386,45 @@ def criterion_10_z3_end_to_end() -> CheckResult:
             strata={frozenset([1]): Q + 1},
         )
     )
-    if not mckay_identity_check(masses, total, origin, 2):
-        return CheckResult("Z/3 end to end", False, "McKay identity fails")
-    return CheckResult("Z/3 end to end", True, "tame masses match the resolution count at d=2")
+    _require(mckay_identity_check(masses, total, origin, 2), "McKay identity fails")
+    return "tame masses match the resolution count at d=2"
 
 
-ALL_CRITERIA = [
-    criterion_1_bhargava,
-    criterion_2_tame_vs_formula,
-    criterion_3_tame_duality,
-    criterion_4_char2,
-    criterion_5_weak_failure,
-    criterion_6_char0,
-    criterion_7_mckay_hilbert,
-    criterion_8_stringy,
-    criterion_9_qsym_properties,
-    criterion_10_z3_end_to_end,
-]
+# each criterion's name, written only here: its PASS/FAIL line carries it
+ALL_CRITERIA = {
+    criterion_1_bhargava: "bhargava reproduction",
+    criterion_2_tame_vs_formula: "tame vs formula",
+    criterion_3_tame_duality: "tame duality suite",
+    criterion_4_char2: "char-2 quadratic",
+    criterion_5_weak_failure: "weak-duality failure witness",
+    criterion_6_char0: "char-0 quadratic",
+    criterion_7_mckay_hilbert: "mckay-hilbert identity",
+    criterion_8_stringy: "stringy fixtures",
+    criterion_9_qsym_properties: "qsym property suite",
+    criterion_10_z3_end_to_end: "Z/3 end to end",
+}
 
 SUITES = {
-    "all": ALL_CRITERIA,
+    "all": list(ALL_CRITERIA),
     "tame": [criterion_2_tame_vs_formula, criterion_3_tame_duality],
     "partitions": [criterion_1_bhargava, criterion_7_mckay_hilbert],
     "stringy": [criterion_8_stringy, criterion_10_z3_end_to_end],
 }
 
 
+def _check(criterion) -> CheckResult:
+    """PASS with the detail criterion returns; FAIL with the detail of the
+    requirement that failed, or with the type and message of what it raised."""
+    name = ALL_CRITERIA[criterion]
+    try:
+        return CheckResult(name, True, criterion())
+    except _Failed as exc:
+        return CheckResult(name, False, str(exc))
+    except Exception as exc:  # a broken fixture is a failed check, and the rest still run
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+
 def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [check() for check in SUITES[name]]
+    return [_check(criterion) for criterion in SUITES[name]]

@@ -1,29 +1,58 @@
 """Acceptance gate: one test per shipped correctness criterion.
 
-Each test delegates to the corresponding fixture in massdual.verify (the same
-code the `massdual verify` subcommand runs) and prints a single PASS/FAIL line
+Each test runs the corresponding fixture in massdual.verify through the same
+path the `massdual verify` subcommand takes and prints a single PASS/FAIL line
 so the criterion outcomes are readable straight from the pytest output.  All
 comparisons inside the fixtures are exact; there are no tolerances anywhere.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from massdual import ClassFunction, Q, cf_dual
 from massdual.massengine import builtin_profile, profile_total_masses
-from massdual.verify import ALL_CRITERIA, CHAR0_VERDICTS
+from massdual.verify import ALL_CRITERIA, CHAR0_VERDICTS, SUITES, _check, _oracle_partition_counts, run_suite
 
 F = Fraction
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda c: c.__name__)
 def test_criterion(criterion, capsys):
-    result = criterion()
+    result = _check(criterion)
     with capsys.disabled():
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}: {result.name} - {result.detail}")
     assert result.passed, result.detail
+
+
+def test_suites_and_their_criteria():
+    names = {suite: [ALL_CRITERIA[criterion] for criterion in members] for suite, members in SUITES.items()}
+    assert names == {
+        "all": [
+            "bhargava reproduction",
+            "tame vs formula",
+            "tame duality suite",
+            "char-2 quadratic",
+            "weak-duality failure witness",
+            "char-0 quadratic",
+            "mckay-hilbert identity",
+            "stringy fixtures",
+            "qsym property suite",
+            "Z/3 end to end",
+        ],
+        "tame": ["tame vs formula", "tame duality suite"],
+        "partitions": ["bhargava reproduction", "mckay-hilbert identity"],
+        "stringy": ["stringy fixtures", "Z/3 end to end"],
+    }
+    choices = "['all', 'partitions', 'stringy', 'tame']"
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'bogus'; choose from {choices}")):
+        run_suite("bogus")
+
+
+def test_partition_oracle_counts_the_empty_partition():
+    assert _oracle_partition_counts(0) == {0: 1}
 
 
 def test_char0_verdicts_match_hand_derivation():

@@ -29,7 +29,7 @@ from massdual import (
 from massdual.cli import run
 from massdual.errors import MassdualError
 from massdual.grouprep import group_from_json
-from massdual.massengine import mass_from_json, profile_from_json
+from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json
 from massdual.stringy import builtin_resolution, resolution_from_json
 
 F = Fraction
@@ -135,6 +135,13 @@ def test_tame_subcommand(tmp_path, capsys):
     assert doc["involution"] is True
     masses = MassPair.from_json(doc)
     assert masses.mass_v == ClassFunction.poly({0: 1, F(-2, 3): 1, F(-4, 3): 1})
+
+
+def test_tame_involution_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("massdual.cli.tame_involution_check", lambda scenario: False)
+    code, out = run_cli(capsys, "tame", "--group", str(z3_group_file(tmp_path)), "--q", "7", "--check-involution")
+    assert code == 1
+    assert "involution = False" in out.splitlines()
 
 
 def test_tame_eval_text_and_json(tmp_path, capsys):
@@ -326,6 +333,29 @@ def test_verify_suite_json(capsys):
     doc = json.loads(out)
     assert doc["suite"] == "stringy"
     assert all(entry["passed"] for entry in doc["results"])
+
+
+def test_verify_reports_a_failed_requirement(capsys, monkeypatch):
+    # the counts for n + 1 break the plane identity at the first n
+    monkeypatch.setattr("massdual.verify.hilbert_counts", lambda n: hilbert_counts(n + 1))
+    code, out = run_cli(capsys, "verify", "--suite", "partitions")
+    assert code == 1
+    assert "FAIL  mckay-hilbert identity  plane count at n=1" in out.splitlines()
+
+
+def test_verify_reports_a_fixture_that_raises_and_runs_the_rest(capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("massdual.verify.gm_duality_check", boom)
+    code = run(["verify", "--suite", "stringy"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "FAIL  stringy fixtures  RuntimeError: boom",
+        "PASS  Z/3 end to end    tame masses match the resolution count at d=2",
+    ]
+    assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_2(capsys):
