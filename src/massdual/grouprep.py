@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupTooLarge, InconsistentRepresentation
@@ -38,12 +37,6 @@ def perm_identity(degree: int) -> Perm:
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """Compose: apply b first, then a."""
     return tuple([a[i] for i in b])
-
-
-def _reader(idx: Sequence[int]):
-    """g -> tuple(g[i] for i in idx), so _reader(b)(a) == perm_mul(a, b)."""
-    # itemgetter returns a tuple only for two or more indices
-    return itemgetter(*idx) if len(idx) > 1 else lambda g, idx=tuple(idx): tuple([g[i] for i in idx])
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -158,7 +151,7 @@ class FiniteGroup:
     def __init__(
         self, degree: int, elements: Sequence[Perm], generators: Optional[Sequence[Perm]] = None
     ):
-        self._setup(degree, tuple(elements), None, generators, None)
+        self._setup(degree, tuple(elements), None, generators)
 
     @classmethod
     def _closed(cls, degree: int, index: dict[Perm, int], generators, table, tree) -> "FiniteGroup":
@@ -168,7 +161,7 @@ class FiniteGroup:
         group._setup(degree, tuple(index), index, generators, table, tree)
         return group
 
-    def _setup(self, degree, elements, index, generators, table, tree=None):
+    def _setup(self, degree, elements, index, generators, table=None, tree=None):
         self.degree = degree
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)} if index is None else index
@@ -177,10 +170,11 @@ class FiniteGroup:
         if perm_identity(degree) not in self.index:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
-        # table[k][i] = index of generators[k] * elements[i] (closure) or of
-        # elements[i] * generators[k] (element list)
+        # a closure's table[k][i] = index of generators[k] * elements[i], and its
+        # tree; an element list keeps its own closure instead (see _close)
         self._table: Optional[list[list[int]]] = table
         self._tree: Optional[list[tuple[int, int, list[int]]]] = tree
+        self._closure: Optional[tuple[FiniteGroup, list[int]]] = None
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
         self._exponent: Optional[int] = None
@@ -200,26 +194,35 @@ class FiniteGroup:
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        """The given generators, or else the elements that the span of those
-        before them misses; the span grows by whole cosets (Dimino)."""
+        """The given generators, or else each element of the list that the
+        closure of those before it misses (as Dimino's algorithm picks them),
+        so that each one at least doubles the group closed so far."""
         if self._generators is None:
-            gens: list[Perm] = []
-            span = [self.identity]
-            seen = set(span)
-            for g in self.elements:
-                if g not in seen:
-                    gens.append(g)
-                    sub, reps = span[:], [g]
-                    for r in reps:  # left cosets r*sub, closed under s*r
-                        if r not in seen:
-                            coset = [perm_mul(r, h) for h in sub]
-                            span += coset
-                            seen.update(coset)
-                            if len(span) > len(self.elements):  # else span is S_degree at worst
-                                raise ValueError("the element list is not closed under multiplication")
-                            reps += [perm_mul(s, r) for s in gens]
-            self._generators = tuple(gens)
+            self._close()
         return self._generators
+
+    def _close(self) -> tuple["FiniteGroup", list[int]]:
+        """For a group built from an element list: the closure of its
+        generators, found here unless given, and at[x] = the list index of
+        the closure's element x."""
+        if self._closure is None:
+            n, gens = len(self.elements), self._generators
+            try:
+                if gens is None:
+                    gens, closure = [], group_closure([self.identity], max_size=n)[0]
+                    for g in self.elements:
+                        if g not in closure.index:
+                            gens.append(g)
+                            closure = group_closure(gens, max_size=n)[0]
+                else:
+                    closure = group_closure(gens or [self.identity], max_size=n)[0]
+                at = [self.index[g] for g in closure.elements]
+            except (KeyError, GroupTooLarge):
+                raise ValueError("the element list is not closed under multiplication") from None
+            if len(at) < n:
+                raise ValueError("the generators do not generate the group")
+            self._generators, self._closure = tuple(gens), (closure, at)
+        return self._closure
 
     def exponent(self) -> int:
         if self._exponent is None:
@@ -240,59 +243,38 @@ class FiniteGroup:
             m >>= 1
         return out
 
-    def _cayley_table(self) -> list[list[int]]:
-        """One-sided Cayley table: the closure keeps the left one,
-        table[k][i] = index of generators[k] * elements[i]; for an element
-        list the right one, elements[i] * generators[k], is filled here once."""
-        if self._table is None:
-            index = self.index
-            try:
-                self._table = [
-                    [index[g] for g in map(_reader(s), self.elements)] for s in self.generators
-                ]
-            except KeyError:
-                raise ValueError("the element list is not closed under multiplication") from None
-        return self._table
-
     def conjugacy_classes(self) -> list[list[Perm]]:
         """Classes in order of first appearance in the element list, each
         sorted.  Each class is the orbit of its first element under
         conjugation by the generators, walked on element indices.
 
-        Any one-sided Cayley table with a matching spanning tree will do.
-        For the right table, triples (j, i, table[k]) with g_j = g_i * s_k,
-        rooted at the identity, give for each generator t other[j] = index
-        of t * g_j as table[k][other[i]], starting from t * 1 = t; the
-        inverse of table[t] then takes t * g_j to t * g_j * t^-1.  For the
-        left table (g_j = s_k * g_i) the same steps give g_j * t and then
-        t^-1 * g_j * t: conjugation by t^-1, with the same orbits.  A closure
-        hands over the breadth-first tree it walked; for an element list it
-        is read off the table here."""
-        if self._classes is None:
-            table = self._cayley_table()
-            n, one = len(self.elements), self.index[self.identity]
-            tree = self._tree
-            if tree is None:
-                tree, order, reached = [], [one], [False] * n
-                reached[one] = True
-                for i in order:
-                    for col in table:
-                        j = col[i]
-                        if not reached[j]:
-                            reached[j] = True
-                            order.append(j)
-                            tree.append((j, i, col))
-                if len(order) < n:
-                    raise ValueError("the generators do not generate the group")
+        The walk reads a closure's left Cayley table and the breadth-first
+        tree it walked: triples (j, i, table[k]) with g_j = s_k * g_i, rooted
+        at the identity, element 0.  For each generator t they give
+        other[j] = index of g_j * t as table[k][other[i]], starting from
+        1 * t = t, and the inverse of table[t] then takes g_j * t to
+        t^-1 * g_j * t: conjugation by t^-1, with the same orbits.  A group
+        built from an element list takes its closure's classes, renumbered
+        by first appearance in the list."""
+        if self._classes is None and self._table is None:
+            closure, at = self._close()
+            classes = closure.conjugacy_classes()
+            of = [0] * len(at)
+            for x, c in zip(at, closure._class_of):
+                of[x] = c
+            renumber = {c: k for k, c in enumerate(dict.fromkeys(of))}
+            self._class_of, self._classes = [renumber[c] for c in of], [classes[c] for c in renumber]
+        elif self._classes is None:
+            n = len(self.elements)
             conj = []
-            for col_t in table:
+            for col_t in self._table:
                 other = [0] * n
-                other[one] = col_t[one]
-                for j, i, col in tree:
+                other[0] = col_t[0]
+                for j, i, col in self._tree:
                     other[j] = col[other[i]]
-                undo = [0] * n  # y * t -> y (t * y -> y for the left table)
-                for y, yt in enumerate(col_t):
-                    undo[yt] = y
+                undo = [0] * n  # t * y -> y
+                for y, ty in enumerate(col_t):
+                    undo[ty] = y
                 conj.append([undo[x] for x in other])
             class_of = [-1] * n
             classes: list[list[Perm]] = []

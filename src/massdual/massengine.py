@@ -34,7 +34,7 @@ from operator import mul
 from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
-from .grouprep import FiniteGroup, MonomialRep, perm_inv
+from .grouprep import FiniteGroup, MonomialRep, TameWeights
 from .qsym import (
     ClassFunction,
     Infinite,
@@ -205,6 +205,15 @@ def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
     return [[i for i, c in enumerate(length) if j % c == 0] for j in range(m0)]
 
 
+def _stable_weights(scenario: TameScenario) -> list[list[TameWeights]]:
+    """For each residue class of r, the weights of its stable classes (see
+    _stable_classes), found once per conjugacy class: rho is a homomorphism
+    (the closure checks it), so the weights are class functions."""
+    group, rep = scenario.group, scenario.rep
+    weights = [rep.tame_weights(c[0]) for c in group.conjugacy_classes()]
+    return [[weights[i] for i in stable] for stable in _stable_classes(group, scenario.q)]
+
+
 def tame_total_masses(
     scenario: TameScenario, *, threads: int = 1, full_threshold: int = 1000
 ) -> MassPair:
@@ -214,32 +223,21 @@ def tame_total_masses(
     and Q^(w(C)) to mass_w; the weights are computed once per class.
     threads and full_threshold are accepted for compatibility and ignored.
     """
-    group, rep = scenario.group, scenario.rep
-    weights = [rep.tame_weights(c[0]) for c in group.conjugacy_classes()]
-    stable = _stable_classes(group, scenario.q)
-    m0 = len(stable)
+    stable = _stable_weights(scenario)
     return MassPair(
-        ClassFunction.from_class_polys(m0, [Counter(-weights[i].v for i in cls) for cls in stable]),
-        ClassFunction.from_class_polys(m0, [Counter(weights[i].w for i in cls) for cls in stable]),
+        ClassFunction.from_class_polys(len(stable), [Counter(-x.v for x in ws) for ws in stable]),
+        ClassFunction.from_class_polys(len(stable), [Counter(x.w for x in ws) for ws in stable]),
     )
 
 
 def tame_involution_check(scenario: TameScenario) -> bool:
-    """Check on every residue class that C -> C^(-1) maps the stable
-    conjugacy classes to stable classes, and that the sorted v(C^(-1))
-    equal the sorted w(C) over them.  The inverse map on classes and the
-    weights are found once per class: rho is a homomorphism (the closure
-    checks it), so the weights are class functions."""
-    group, rep = scenario.group, scenario.rep
-    classes = group.conjugacy_classes()
-    weights = [rep.tame_weights(c[0]) for c in classes]
-    inverse = [group.class_index(perm_inv(c[0])) for c in classes]
-    for stable in _stable_classes(group, scenario.q):
-        if {inverse[i] for i in stable} != set(stable):
-            return False
-        if sorted(weights[inverse[i]].v for i in stable) != sorted(weights[i].w for i in stable):
-            return False
-    return True
+    """Check on every residue class that the sorted v(C^(-1)) equal the
+    sorted w(C) over the stable conjugacy classes C.
+
+    No inverse map is needed: (C^t)^(-1) = (C^(-1))^t, so C -> C^(-1)
+    permutes the stable classes of each residue class, and the sorted
+    v(C^(-1)) over them are the sorted v(C)."""
+    return all(sorted(x.v for x in ws) == sorted(x.w for x in ws) for ws in _stable_weights(scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .errors import (
 
 DEFAULT_EVAL_PRECISION = 50
 EXACT_EVAL_MAX_BITS = 2**20  # exact values past about 315 000 digits are refused
+MAX_SUM_TERMS = 2**20  # a finite geometric sum builds one entry per term
 
 RationalLike = Union[int, str, Fraction]
 
@@ -901,14 +902,6 @@ Q = ClassFunction.monomial(1)
 # Operations in the names clients look for
 
 
-def _as_root(root) -> Fraction:
-    """A root-of-unity spec as a Fraction b/M; only its class mod 1 matters."""
-    if isinstance(root, tuple):
-        b, m = root
-        root = Fraction(int(b), int(m))
-    return _frac(root)
-
-
 def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
     """Build sum_i n_i * alpha_i^r / (q^(c*r) - 1) as a ClassFunction.
 
@@ -925,7 +918,7 @@ def cf_from_terms(terms: Iterable, den_exp=None) -> ClassFunction:
         den_exp = _frac(den_exp)
         if den_exp == 0:
             raise ZeroDenominatorExponent("denominator exponent c must be nonzero")
-    norm = [(_ratio(coeff), _as_root(root), _frac(q_exp)) for coeff, root, q_exp in terms]
+    norm = [(_ratio(coeff), _frac(root), _frac(q_exp)) for coeff, root, q_exp in terms]
     m = math.lcm(1, *(root.denominator for _, root, _ in norm))
     n = math.lcm(1 if den_exp is None else den_exp.denominator, *(q_exp.denominator for *_, q_exp in norm))
     l = math.lcm(1, *(q for (_, q), _, _ in norm))
@@ -979,7 +972,8 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
     """Sum of coeff * Q^(a*i + b) for i from i0 to i1 (i1 = None means infinity).
 
     A finite range is built directly in reduced form: coefficient 1 at each
-    exponent a*i + b.  The infinite sum has closed form
+    exponent a*i + b, so for a != 0 more than MAX_SUM_TERMS terms raise
+    ValueError before anything is allocated.  The infinite sum has closed form
     coeff * Q^(a*i0 + b) / (1 - Q^a) and converges exactly when a < 0;
     otherwise DivergentSeries is raised (unless coeff is zero).
     """
@@ -991,6 +985,8 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
             return ClassFunction.zero()
         if a == 0:
             return coeff * ClassFunction.monomial(b, n)
+        if n > MAX_SUM_TERMS:
+            raise ValueError(f"a geometric sum of {n} terms exceeds the cap of {MAX_SUM_TERMS} terms")
         head = a * i0 + b
         root_order = math.lcm(head.denominator, a.denominator)
         e0, step = int(head * root_order), int(a * root_order)

@@ -29,7 +29,8 @@ from massdual import (
 from massdual.cli import run
 from massdual.errors import MassdualError
 from massdual.grouprep import group_from_json
-from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json
+from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json, profile_to_json
+from massdual.qsym import MAX_SUM_TERMS
 from massdual.stringy import builtin_resolution, resolution_from_json
 
 F = Fraction
@@ -415,6 +416,31 @@ def test_bhargava_6000_in_linear_memory_in_a_fresh_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("mass_v = 1 + Q^-1 + ") and proc.stdout.endswith("strong = True\n")
+
+
+def test_a_geometric_sum_past_the_term_cap_is_refused_in_a_fresh_process(tmp_path):
+    # one dict entry per term: 10^8 of them got the process killed at 7.6 GB without a limit
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    doc = profile_to_json(builtin_profile("quad_char2_sigma", n=3))
+    doc["strata"] = doc["strata"][:1]
+    doc["families"][0].update(i0=1, i1=10**8)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "massdual.cli", "profile", "--file", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and str(MAX_SUM_TERMS) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):

@@ -261,7 +261,7 @@ def test_an_element_list_with_a_repeat_is_refused():
     "build",
     [
         lambda: FiniteGroup(3, [(0, 1, 2), (1, 0, 2), (2, 1, 0)]),
-        # with the generators given, a product leaves the list in the Cayley table
+        # with the generators given, their closure outgrows the list
         lambda: FiniteGroup(3, [(0, 1, 2), (1, 0, 2), (2, 1, 0)], [(1, 0, 2), (2, 1, 0)]),
         # rows that are permutations but not a group table
         lambda: from_cayley_table([[0, 1, 2], [1, 2, 0], [1, 0, 2]]),
@@ -556,10 +556,47 @@ def test_classes_on_indices_match_the_tuple_orbit_oracle(inputs, data):
         classes, class_of = oracle_classes(group)
         assert group.conjugacy_classes() == classes
         assert all(group.class_index(g) == class_of[g] for g in group)
-    listed_index = listed.index
-    assert listed._cayley_table() == [
-        [listed_index[perm_mul(g, s)] for g in shuffled] for s in listed.generators
-    ]
+
+
+def brute_span(gens, degree):
+    """The subgroup generated by gens, by multiplying out on the right until
+    nothing new appears."""
+    span = {tuple(range(degree))}
+    frontier = list(span)
+    while frontier:
+        frontier = [h for h in {perm_mul(g, s) for g in frontier for s in gens} if h not in span]
+        span.update(frontier)
+    return span
+
+
+@given(
+    st.one_of(closure_inputs(), st.sampled_from([(s4_gens(), None), (f21_gens(), None), b3_gens()])),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_generators_of_an_element_list_are_the_ones_dimino_picks(inputs, data):
+    # each element of the list outside the span of the generators before it
+    gens, mats = inputs
+    try:
+        closed, _ = group_closure(gens, mats)
+    except InconsistentRepresentation:
+        closed, _ = group_closure(gens)
+    shuffled = [closed.elements[i] for i in data.draw(st.permutations(range(len(closed))))]
+    picked, span = [], brute_span([], closed.degree)
+    for g in shuffled:
+        if g not in span:
+            picked.append(g)
+            span = brute_span(picked, closed.degree)
+    assert FiniteGroup(closed.degree, shuffled).generators == tuple(picked)
+
+
+def test_cayley_table_wider_than_a_byte_row():
+    # degree 300 > 256, so the closure under the classes keeps tuple rows
+    group = from_cayley_table([[(i + j) % 300 for j in range(300)] for i in range(300)])
+    classes, class_of = oracle_classes(group)
+    assert group.conjugacy_classes() == classes
+    assert all(group.class_index(g) == class_of[g] for g in group)
+    assert group.exponent() == 300
 
 
 # -- Frobenius-stable classes against their definition -----------------------
