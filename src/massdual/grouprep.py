@@ -146,28 +146,23 @@ TameWeights = namedtuple("TameWeights", ["v", "w", "a"])
 
 class FiniteGroup:
     """A finite permutation group, closed element list plus lookups;
-    generators, if given, must generate it."""
+    generators, if given, must generate it.  A byte-row closure builds
+    elements, index and the sorted classes only when they are read."""
 
     def __init__(
         self, degree: int, elements: Sequence[Perm], generators: Optional[Sequence[Perm]] = None
     ):
-        self._setup(degree, tuple(elements), None, generators)
-
-    @classmethod
-    def _closed(cls, degree: int, index: dict[Perm, int], generators, table, tree) -> "FiniteGroup":
-        """The group a closure found, its index, left Cayley table and
-        breadth-first tree (see conjugacy_classes) taken as they are."""
-        group = cls.__new__(cls)
-        group._setup(degree, tuple(index), index, generators, table, tree)
-        return group
-
-    def _setup(self, degree, elements, index, generators, table=None, tree=None):
-        self.degree = degree
-        self.elements = elements
-        self.index = {g: i for i, g in enumerate(elements)} if index is None else index
-        if len(self.index) < len(elements):
+        elements = tuple(elements)
+        index = {g: i for i, g in enumerate(elements)}
+        if len(index) < len(elements):
             raise ValueError("the element list repeats an element")
-        if perm_identity(degree) not in self.index:
+        self._setup(degree, index, (elements, index), generators)
+
+    def _setup(self, degree, heads, views, generators, table=None, tree=None):
+        self.degree = degree
+        # heads: points of each element (Perms, or bytes of byte rows) -> its index
+        self._heads, self._views = heads, views
+        if perm_identity(degree) not in self:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
         # a closure's table[k][i] = index of generators[k] * elements[i], and its
@@ -175,18 +170,42 @@ class FiniteGroup:
         self._table: Optional[list[list[int]]] = table
         self._tree: Optional[list[tuple[int, int, list[int]]]] = tree
         self._closure: Optional[tuple[FiniteGroup, list[int]]] = None
+        self._orbits: Optional[list[list[int]]] = None
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
         self._exponent: Optional[int] = None
 
+    elements = property(lambda self: self._tuple_view()[0], doc="The elements, in order.")
+    index = property(lambda self: self._tuple_view()[1], doc="Element -> its place in elements.")
+
+    def _tuple_view(self) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+        """elements and index, from bytes heads on first read: zip reads degree points at a time."""
+        if self._views is None:
+            elements = tuple(zip(*[iter(b"".join(self._heads))] * self.degree)) if self.degree else ((),)
+            self._views = elements, dict(zip(elements, range(len(elements))))
+        return self._views
+
+    def _at(self, g) -> int:
+        """The index of g: by its bytes heads until the tuple view is built,
+        but by that view where bytes() differs from it (lists, floats, > 255)."""
+        if self._views is None and type(g) is tuple:
+            try:
+                return self._heads[bytes(g)]
+            except (TypeError, ValueError):
+                pass
+        return self.index[g]
+
     def __len__(self):
-        return len(self.elements)
+        return len(self._heads)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in self.index
+        try:
+            return self._at(g) >= 0
+        except KeyError:
+            return False
 
     @property
     def identity(self) -> Perm:
@@ -206,14 +225,16 @@ class FiniteGroup:
         generators, found here unless given, and at[x] = the list index of
         the closure's element x."""
         if self._closure is None:
-            n, gens = len(self.elements), self._generators
+            n, gens = len(self), self._generators
             try:
                 if gens is None:
                     gens, closure = [], group_closure([self.identity], max_size=n)[0]
+                    index = closure.index
                     for g in self.elements:
-                        if g not in closure.index:
+                        if g not in index:
                             gens.append(g)
                             closure = group_closure(gens, max_size=n)[0]
+                            index = closure.index
                 else:
                     closure = group_closure(gens or [self.identity], max_size=n)[0]
                 at = [self.index[g] for g in closure.elements]
@@ -226,12 +247,12 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         if self._exponent is None:
-            self._exponent = math.lcm(*(perm_order(c[0]) for c in self.conjugacy_classes()))
+            self._exponent = math.lcm(*map(perm_order, self.class_representatives()))
         return self._exponent
 
     def power(self, g: Perm, m: int) -> Perm:
         """g^m by square and multiply; m may be any integer."""
-        if g not in self.index:
+        if g not in self:
             raise ValueError("element not in group")
         m %= self.exponent()
         out = self.identity
@@ -243,59 +264,68 @@ class FiniteGroup:
             m >>= 1
         return out
 
-    def conjugacy_classes(self) -> list[list[Perm]]:
-        """Classes in order of first appearance in the element list, each
-        sorted.  Each class is the orbit of its first element under
-        conjugation by the generators, walked on element indices.
+    def _walk(self) -> list[list[int]]:
+        """The classes as orbits of element indices under conjugation by the
+        generators, in order of first appearance in the element list, each
+        walked from its first element; fills _class_of.
 
-        The walk reads a closure's left Cayley table and the breadth-first
-        tree it walked: triples (j, i, table[k]) with g_j = s_k * g_i, rooted
-        at the identity, element 0.  For each generator t they give
-        other[j] = index of g_j * t as table[k][other[i]], starting from
-        1 * t = t, and the inverse of table[t] then takes g_j * t to
-        t^-1 * g_j * t: conjugation by t^-1, with the same orbits.  A group
-        built from an element list takes its closure's classes, renumbered
-        by first appearance in the list."""
-        if self._classes is None and self._table is None:
+        The walk reads a closure's left Cayley table and breadth-first tree:
+        triples (j, i, table[k]) with g_j = s_k * g_i, rooted at the identity,
+        element 0.  For each generator t, other[j] = index of g_j * t^-1 is
+        table[k][other[i]], from other[0] = t^-1 (the x with t * x = 1), and
+        table[t] takes it to t * g_j * t^-1.  An element list's group takes
+        its closure's orbits, renumbered by first appearance in the list."""
+        if self._orbits is None and self._table is None:
             closure, at = self._close()
-            classes = closure.conjugacy_classes()
+            orbits = closure._walk()
             of = [0] * len(at)
             for x, c in zip(at, closure._class_of):
                 of[x] = c
             renumber = {c: k for k, c in enumerate(dict.fromkeys(of))}
-            self._class_of, self._classes = [renumber[c] for c in of], [classes[c] for c in renumber]
-        elif self._classes is None:
-            n = len(self.elements)
+            self._class_of = [renumber[c] for c in of]
+            self._orbits = [[at[x] for x in orbits[c]] for c in renumber]
+        elif self._orbits is None:
+            n = len(self)
             conj = []
             for col_t in self._table:
                 other = [0] * n
-                other[0] = col_t[0]
+                other[0] = col_t.index(0)
                 for j, i, col in self._tree:
                     other[j] = col[other[i]]
-                undo = [0] * n  # t * y -> y
-                for y, ty in enumerate(col_t):
-                    undo[ty] = y
-                conj.append([undo[x] for x in other])
+                conj.append([col_t[x] for x in other])
             class_of = [-1] * n
-            classes: list[list[Perm]] = []
+            orbits: list[list[int]] = []
             for start in range(n):
                 if class_of[start] < 0:
-                    class_of[start] = len(classes)
+                    class_of[start] = len(orbits)
                     orbit = [start]
                     for x in orbit:
                         for c in conj:
                             y = c[x]
                             if class_of[y] < 0:
-                                class_of[y] = len(classes)
+                                class_of[y] = len(orbits)
                                 orbit.append(y)
-                    classes.append(sorted([self.elements[x] for x in orbit]))
-            self._class_of, self._classes = class_of, classes
+                    orbits.append(orbit)
+            self._class_of, self._orbits = class_of, orbits
+        return self._orbits
+
+    def conjugacy_classes(self) -> list[list[Perm]]:
+        """Classes in order of first appearance in the element list, each
+        sorted: the orbits of _walk, sorted as tuples on first call."""
+        if self._classes is None:
+            self._classes = [sorted(map(self.elements.__getitem__, orbit)) for orbit in self._walk()]
         return self._classes
+
+    def class_representatives(self) -> list[Perm]:
+        """One element per class, in class order: the first one the class walk
+        found, not the smallest, read from the heads without the tuple view."""
+        heads = list(self._heads)
+        return [tuple(heads[orbit[0]]) for orbit in self._walk()]
 
     def class_index(self, g: Perm) -> int:
         """Position in conjugacy_classes() of the class holding g."""
-        self.conjugacy_classes()
-        return self._class_of[self.index[g]]
+        self._walk()
+        return self._class_of[self._at(g)]
 
 
 class MonomialRep:
@@ -356,17 +386,17 @@ class _LeftAction(dict):
 
 class _ClosureMatrices(Mapping):
     """The matrices of a closure, kept as rows (bytes or tuples) and decoded
-    on first lookup."""
+    on first lookup; an element is looked up through its group."""
 
-    def __init__(self, rows: list, index: dict[Perm, int], degree: int, root_order: int):
-        self._rows, self._index = rows, index
-        self._degree, self._root_order = degree, root_order
+    def __init__(self, rows: list, group: FiniteGroup, root_order: int):
+        self._rows, self._group = rows, group
+        self._degree, self._root_order = group.degree, root_order
         self._decoded: dict[Perm, MonomialMatrix] = {}
 
     def __getitem__(self, g: Perm) -> MonomialMatrix:
         m = self._decoded.get(g)
         if m is None:
-            tail = self._rows[self._index[g]][self._degree :]
+            tail = self._rows[self._group._at(g)][self._degree :]
             cols = [divmod(c - self._degree, self._root_order) for c in tail]
             m = self._decoded[g] = MonomialMatrix(
                 tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order
@@ -374,7 +404,7 @@ class _ClosureMatrices(Mapping):
         return m
 
     def __iter__(self):
-        return iter(self._index)
+        return iter(self._group)
 
     def __len__(self):
         return len(self._rows)
@@ -400,8 +430,8 @@ def group_closure(
     Walks the Cayley graph breadth-first from the identity, taking the
     rows in the order they are found.  Each product s*g is looked up once,
     and its index is kept: the returned group carries this left Cayley
-    table and its breadth-first tree, from which its conjugacy classes are
-    found on element indices.
+    table and breadth-first tree for its class walk, and the row heads
+    (bytes for byte rows) as its lookup; its tuple views are built when read.
     Whenever two words reach the same permutation with different matrices
     the assignment extends to no homomorphism and InconsistentRepresentation
     is raised.  GroupTooLarge is raised once the element count passes
@@ -452,12 +482,11 @@ def group_closure(
             elif rows[j] != h:
                 raise InconsistentRepresentation("two words for one element got different matrices")
             put(j)
-    if small:  # bytes heads become tuples in one pass: zip reads degree points at a time
-        found = dict(zip(zip(*[iter(b"".join(found))] * degree) if degree else [()], range(len(rows))))
-    group = FiniteGroup._closed(degree, found, generators, left, tree)
+    group = FiniteGroup.__new__(FiniteGroup)  # the closure's heads, table and tree, as they are
+    group._setup(degree, found, None if small else (tuple(found), found), generators, left, tree)
     rep = None
     if rep_generators is not None:
-        rep = MonomialRep(dim, e, _ClosureMatrices(rows, found, degree, e))
+        rep = MonomialRep(dim, e, _ClosureMatrices(rows, group, e))
     return group, rep
 
 

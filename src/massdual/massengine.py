@@ -194,7 +194,7 @@ def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
     classes C with C^t = C, where t = q^j mod exp(G).  C -> C^q permutes the
     classes (one power per class), and C^t = C exactly when the length of
     C's cycle under it divides j."""
-    frob = [group.class_index(group.power(c[0], q)) for c in group.conjugacy_classes()]
+    frob = [group.class_index(group.power(g, q)) for g in group.class_representatives()]
     length = []  # each cycle is at most m0 long, so this walk is no longer than the answer
     for i, x in enumerate(frob):
         k = 1
@@ -210,7 +210,7 @@ def _stable_weights(scenario: TameScenario) -> list[list[TameWeights]]:
     _stable_classes), found once per conjugacy class: rho is a homomorphism
     (the closure checks it), so the weights are class functions."""
     group, rep = scenario.group, scenario.rep
-    weights = [rep.tame_weights(c[0]) for c in group.conjugacy_classes()]
+    weights = [rep.tame_weights(g) for g in group.class_representatives()]
     return [[weights[i] for i in stable] for stable in _stable_classes(group, scenario.q)]
 
 

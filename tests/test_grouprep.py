@@ -21,6 +21,7 @@ from massdual import (
     permutation_rep,
     rep_direct_sum,
 )
+from massdual import TameScenario, tame_involution_check, tame_total_masses
 from massdual.grouprep import perm_inv, perm_mul, perm_order
 from massdual.massengine import _stable_classes
 
@@ -597,6 +598,115 @@ def test_cayley_table_wider_than_a_byte_row():
     assert group.conjugacy_classes() == classes
     assert all(group.class_index(g) == class_of[g] for g in group)
     assert group.exponent() == 300
+
+
+# -- lookups through the bytes heads, and the tuple view built when read ----
+
+
+def outcome(f):
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc)
+
+
+def sign_c2(root_order):
+    """C2 on two points acting by -1: byte rows for root order 2, tuple rows
+    (width 2 + 256) for root order 256."""
+    t = (1, 0)
+    return group_closure([t], [MonomialMatrix((0,), (root_order // 2,), root_order)])
+
+
+@pytest.mark.parametrize("root_order", [2, 256], ids=["bytes", "tuple"])
+@pytest.mark.parametrize("view_read", [False, True], ids=["heads", "view"])
+@pytest.mark.parametrize(
+    "g,found,power",
+    [
+        ((1, 0), True, (1, 0)),
+        ((1.0, 0.0), True, TypeError),  # equal to (1, 0), but perm_mul cannot index by it
+        ((True, False), True, (1, 0)),
+        ((0, 256), False, ValueError),
+        ((0, -1), False, ValueError),
+        ((1, 0, 2), False, ValueError),
+        ([1, 0], TypeError, TypeError),  # unhashable, where bytes() would take it
+    ],
+    ids=["perm", "floats", "bools", "past-255", "negative", "too-long", "list"],
+)
+def test_lookups_answer_as_the_tuple_view_does(root_order, view_read, g, found, power):
+    group, rep = sign_c2(root_order)
+    assert type(rep.matrices._rows[0]) is (bytes if root_order == 2 else tuple)
+    if view_read:
+        assert group.elements == ((0, 1), (1, 0))
+    missing = KeyError if found is False else found
+    assert outcome(lambda: g in group) is found
+    assert outcome(lambda: group.class_index(g)) == (1 if found is True else missing)
+    assert outcome(lambda: group.power(g, 1)) == power
+    assert outcome(lambda: rep.matrix(g)) == (rep.matrix((1, 0)) if found is True else missing)
+
+
+def doubled_s5():
+    gens = [perm_from_cycles(5, [[1, 2]]), perm_from_cycles(5, [[1, 2, 3, 4, 5]])]
+    return gens, [direct_sum(permutation_matrix(g), permutation_matrix(g)) for g in gens]
+
+
+def test_tame_engine_builds_no_tuple_view(monkeypatch):
+    # the engine reads one representative per class from the bytes heads, so
+    # neither the elements as tuples nor the sorted classes are built for it
+    gens, mats = doubled_s5()
+    group, rep = group_closure(gens, mats)
+    scenario = TameScenario(group, rep, 7)
+    build = FiniteGroup._tuple_view
+
+    def refuse(self):
+        raise AssertionError("the tuple view was built")
+
+    monkeypatch.setattr(FiniteGroup, "_tuple_view", refuse)
+    masses = tame_total_masses(scenario)
+    assert tame_involution_check(scenario)
+    assert group._classes is None
+    monkeypatch.setattr(FiniteGroup, "_tuple_view", build)
+    assert list(group.elements) == oracle_closure(gens, mats)[0]
+    assert tame_total_masses(scenario) == masses
+
+
+@st.composite
+def tame_groups(draw):
+    """A byte-row closure of degree <= 7 with its permutation matrices, or
+    C_129, whose rows are tuples; and a q coprime to the order."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 7))
+        gens = [tuple(draw(st.permutations(range(degree)))) for _ in range(draw(st.integers(1, 3)))]
+        mats = [permutation_matrix(g) for g in gens]
+    else:
+        gens, mats = cycle_with_sign(129, 0, 1)
+    return gens, mats, draw(st.sampled_from([2, 3, 5, 7, 11, 13, 121]))
+
+
+def read_views(group):
+    return group.conjugacy_classes(), [group.class_index(g) for g in group], group.exponent()
+
+
+def read_engine(scenario):
+    return tame_total_masses(scenario), tame_involution_check(scenario)
+
+
+@given(tame_groups())
+@settings(max_examples=40, deadline=None)
+def test_results_do_not_depend_on_what_was_read_first(inputs):
+    gens, mats, q = inputs
+    group, rep = group_closure(gens, mats)
+    assume(math.gcd(q, len(group)) == 1)
+    views = read_views(group)
+    engine = read_engine(TameScenario(group, rep, q))
+
+    group, rep = group_closure(gens, mats)
+    scenario = TameScenario(group, rep, q)
+    assert read_engine(scenario) == engine
+    assert read_views(group) == views
+
+    listed = FiniteGroup(group.degree, group.elements)
+    assert read_views(listed) == views
+    assert read_engine(TameScenario(listed, rep, q)) == engine
 
 
 # -- Frobenius-stable classes against their definition -----------------------
