@@ -67,14 +67,13 @@ def perm_order(a: Perm) -> int:
     return math.lcm(*(len(c) for c in perm_cycles(a))) if a else 1
 
 
-def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]], one_based: bool = True) -> Perm:
-    """Build a permutation from disjoint cycles (1-based by default); a point
+def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:
+    """Build a permutation from disjoint cycles of points 1..degree; a point
     met twice, in one cycle or in two, is refused."""
     out = list(range(degree))
-    offset = 1 if one_based else 0
     seen: set[int] = set()
     for cyc in cycles:
-        pts = [_json_int(p) - offset for p in cyc]
+        pts = [_json_int(p) - 1 for p in cyc]
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"cycle point out of range for degree {degree}")
         if len(set(pts)) < len(pts) or not seen.isdisjoint(pts):
@@ -165,12 +164,12 @@ class FiniteGroup:
         if perm_identity(degree) not in self:
             raise ValueError("element list must contain the identity")
         self._generators = None if generators is None else tuple(generators)
-        # a closure's table[k][i] = index of generators[k] * elements[i], and its
-        # tree; an element list keeps its own closure instead (see _close)
+        # table[k][i] = index of generators[k] * elements[i], and the tree that
+        # found the elements; an element list gets them from _close
         self._table: Optional[list[list[int]]] = table
         self._tree: Optional[list[tuple[int, int, list[int]]]] = tree
-        self._closure: Optional[tuple[FiniteGroup, list[int]]] = None
         self._orbits: Optional[list[list[int]]] = None
+        self._representatives: tuple[Perm, ...] = ()
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
         self._exponent: Optional[int] = None
@@ -220,30 +219,34 @@ class FiniteGroup:
             self._close()
         return self._generators
 
-    def _close(self) -> tuple["FiniteGroup", list[int]]:
-        """For a group built from an element list: the closure of its
-        generators, found here unless given, and at[x] = the list index of
-        the closure's element x."""
-        if self._closure is None:
-            n, gens = len(self), self._generators
-            try:
-                if gens is None:
-                    gens, closure = [], group_closure([self.identity], max_size=n)[0]
-                    index = closure.index
-                    for g in self.elements:
-                        if g not in index:
-                            gens.append(g)
-                            closure = group_closure(gens, max_size=n)[0]
-                            index = closure.index
-                else:
-                    closure = group_closure(gens or [self.identity], max_size=n)[0]
-                at = [self.index[g] for g in closure.elements]
-            except (KeyError, GroupTooLarge):
-                raise ValueError("the element list is not closed under multiplication") from None
-            if len(at) < n:
-                raise ValueError("the generators do not generate the group")
-            self._generators, self._closure = tuple(gens), (closure, at)
-        return self._closure
+    def _close(self) -> None:
+        """For a group built from an element list: close its generators, found
+        here unless given, and take the closure's left Cayley table and tree
+        with each closure index x renumbered to at[x], its place in the list."""
+        n, gens = len(self), self._generators
+        try:
+            if gens is None:
+                gens, closure = [], group_closure([self.identity], max_size=n)[0]
+                index = closure.index
+                for g in self.elements:
+                    if g not in index:
+                        gens.append(g)
+                        closure = group_closure(gens, max_size=n)[0]
+                        index = closure.index
+            else:
+                closure = group_closure(gens or [self.identity], max_size=n)[0]
+            at = [self.index[g] for g in closure.elements]
+        except (KeyError, GroupTooLarge):
+            raise ValueError("the element list is not closed under multiplication") from None
+        if len(at) < n:
+            raise ValueError("the generators do not generate the group")
+        table = {}
+        for col in closure._table:
+            table[id(col)] = renumbered = [0] * n
+            for x, y in zip(at, col):
+                renumbered[x] = at[y]
+        self._generators, self._table = tuple(gens), list(table.values())
+        self._tree = [(at[j], at[i], table[id(col)]) for j, i, col in closure._tree]
 
     def exponent(self) -> int:
         if self._exponent is None:
@@ -267,29 +270,22 @@ class FiniteGroup:
     def _walk(self) -> list[list[int]]:
         """The classes as orbits of element indices under conjugation by the
         generators, in order of first appearance in the element list, each
-        walked from its first element; fills _class_of.
+        walked from its first element; fills _class_of and, decoding the
+        heads once, _representatives.
 
-        The walk reads a closure's left Cayley table and breadth-first tree:
+        The walk reads the left Cayley table and the breadth-first tree:
         triples (j, i, table[k]) with g_j = s_k * g_i, rooted at the identity,
-        element 0.  For each generator t, other[j] = index of g_j * t^-1 is
-        table[k][other[i]], from other[0] = t^-1 (the x with t * x = 1), and
-        table[t] takes it to t * g_j * t^-1.  An element list's group takes
-        its closure's orbits, renumbered by first appearance in the list."""
-        if self._orbits is None and self._table is None:
-            closure, at = self._close()
-            orbits = closure._walk()
-            of = [0] * len(at)
-            for x, c in zip(at, closure._class_of):
-                of[x] = c
-            renumber = {c: k for k, c in enumerate(dict.fromkeys(of))}
-            self._class_of = [renumber[c] for c in of]
-            self._orbits = [[at[x] for x in orbits[c]] for c in renumber]
-        elif self._orbits is None:
-            n = len(self)
+        element root.  For each generator t, other[j] = index of g_j * t^-1 is
+        table[k][other[i]], from other[root] = t^-1 (the x with t * x = 1), and
+        table[t] takes it to t * g_j * t^-1."""
+        if self._orbits is None:
+            if self._table is None:
+                self._close()
+            n, root = len(self), self._at(self.identity)
             conj = []
             for col_t in self._table:
                 other = [0] * n
-                other[0] = col_t.index(0)
+                other[root] = col_t.index(root)
                 for j, i, col in self._tree:
                     other[j] = col[other[i]]
                 conj.append([col_t[x] for x in other])
@@ -306,6 +302,8 @@ class FiniteGroup:
                                 class_of[y] = len(orbits)
                                 orbit.append(y)
                     orbits.append(orbit)
+            heads = list(self._heads)
+            self._representatives = tuple(tuple(heads[orbit[0]]) for orbit in orbits)
             self._class_of, self._orbits = class_of, orbits
         return self._orbits
 
@@ -316,11 +314,11 @@ class FiniteGroup:
             self._classes = [sorted(map(self.elements.__getitem__, orbit)) for orbit in self._walk()]
         return self._classes
 
-    def class_representatives(self) -> list[Perm]:
-        """One element per class, in class order: the first one the class walk
-        found, not the smallest, read from the heads without the tuple view."""
-        heads = list(self._heads)
-        return [tuple(heads[orbit[0]]) for orbit in self._walk()]
+    def class_representatives(self) -> tuple[Perm, ...]:
+        """One element per class, in class order: the first one in element
+        order, not the smallest, read from the heads without the tuple view."""
+        self._walk()
+        return self._representatives
 
     def class_index(self, g: Perm) -> int:
         """Position in conjugacy_classes() of the class holding g."""
@@ -491,22 +489,17 @@ def group_closure(
 
 
 def rep_direct_sum(group: FiniteGroup, *reps: MonomialRep) -> MonomialRep:
-    """Direct sum of representations of the same group."""
-    e = math.lcm(*(r.root_order for r in reps))
-    dim = sum(r.dim for r in reps)
-    matrices = {
-        g: direct_sum(*(r.matrix(g) for r in reps)) for g in group
-    }
-    return MonomialRep(dim, e, matrices)
+    """Direct sum of representations of the same group: the closure of its
+    generators (the identity for none) with their summed matrices."""
+    gens = group.generators or (group.identity,)
+    return group_closure(gens, [direct_sum(*(r.matrix(g) for r in reps)) for g in gens])[1]
 
 
 def permutation_rep(group: FiniteGroup, copies: int = 1) -> MonomialRep:
-    """The natural permutation representation of the group, direct-summed."""
-    matrices = {}
-    for g in group:
-        blocks = [permutation_matrix(g)] * copies
-        matrices[g] = direct_sum(*blocks) if copies > 1 else permutation_matrix(g)
-    return MonomialRep(group.degree * copies, 1, matrices)
+    """The natural permutation representation of the group, direct-summed:
+    the closure of its generators with their summed permutation matrices."""
+    gens = group.generators or (group.identity,)
+    return group_closure(gens, [direct_sum(*[permutation_matrix(g)] * copies) for g in gens])[1]
 
 
 def from_cayley_table(table: Sequence[Sequence[int]]) -> FiniteGroup:

@@ -12,7 +12,9 @@ The count is
 
 finite exactly when every divisor met by a nonzero stratum has c_j > -1;
 otherwise the count is Infinite.  Open and closed strata are related by an
-inclusion-exclusion transform that is its own inverse.
+inclusion-exclusion transform that is its own inverse.  Folded into the sum, it
+weighs a closed stratum J by the sum over J' <= J of (-1)^|J - J'| prod_{j in J'} f_j,
+which is prod_{j in J} (f_j - 1) for the open factors f_j = (Q - 1)/(Q^(1+c_j) - 1).
 
 The checks below are the standard identities: Poincare duality f = D(f)*Q^d
 for the count of a proper crepant-resolvable ambient space, the multiplicative
@@ -151,9 +153,8 @@ def open_closed_convert(data: ResolutionData) -> ResolutionData:
 
 
 def stringy_count(data: ResolutionData) -> StringyCount:
-    """Evaluate the stringy count; Infinite when a c_j <= -1 divisor is met."""
-    if data.mode == "closed":
-        data = open_closed_convert(data)
+    """Evaluate the stringy count; Infinite when a c_j <= -1 divisor is met.
+    Closed strata meet the same divisors as their open conversion, so both modes diverge alike."""
     n = len(data.horizontal)
     valid = set(range(1, n + 1))
     rows = data.rows()
@@ -174,10 +175,8 @@ def stringy_count(data: ResolutionData) -> StringyCount:
     # may carry arbitrary multiplicities (including c = -1) harmlessly
     factors = {}
     for j in sorted(used):
-        c = data.horizontal[j - 1]
-        factors[j] = ClassFunction.poly({1: 1, 0: -1}) / (
-            ClassFunction.monomial(1 + c) - 1
-        )
+        f = ClassFunction.poly({1: 1, 0: -1}) / (ClassFunction.monomial(1 + data.horizontal[j - 1]) - 1)
+        factors[j] = f - 1 if data.mode == "closed" else f
     total = ClassFunction.zero()
     for a, counts in rows:
         row_sum = ClassFunction.zero()

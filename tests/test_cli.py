@@ -31,7 +31,7 @@ from massdual.errors import MassdualError
 from massdual.grouprep import group_from_json
 from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json, profile_to_json
 from massdual.qsym import MAX_SUM_TERMS
-from massdual.stringy import builtin_resolution, resolution_from_json
+from massdual.stringy import ResolutionData, builtin_resolution, resolution_from_json
 
 F = Fraction
 
@@ -473,6 +473,22 @@ def test_a_reader_that_closes_the_pipe_keeps_the_exit_code(n, read, code):
     assert proc.wait(timeout=120) == code
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_a_closed_stratum_on_18_divisors_in_a_fresh_process(tmp_path):
+    # converting closed strata to open ones walked all 2^18 subsets of the key and did
+    # not finish in 120 s; the count is the stratum's times each closed factor f_j - 1
+    cs = [Fraction(-1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(2), Fraction(1)] * 3
+    count = Q**2 + 1
+    data = ResolutionData(dim=18, horizontal=cs, strata={frozenset(range(1, 19)): count}, mode="closed")
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(resolution_to_json(data)))
+    proc = run_fresh("stringy", "--file", str(path), "--report", "json")
+    assert proc.returncode == 0, proc.stderr
+    expected = count
+    for c in cs:
+        expected = expected * ((Q - 1) / (ClassFunction.monomial(1 + c) - 1) - 1)
+    assert ClassFunction.from_json(json.loads(proc.stdout)["count_total"]) == expected
 
 
 def test_eval_at_q0_beyond_float_range():

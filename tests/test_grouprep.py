@@ -669,6 +669,82 @@ def test_tame_engine_builds_no_tuple_view(monkeypatch):
     assert tame_total_masses(scenario) == masses
 
 
+class CountingHeads(dict):
+    """Heads that count how often they are decoded (iterated)."""
+
+    decoded = 0
+
+    def __iter__(self):
+        self.decoded += 1
+        return super().__iter__()
+
+
+def test_engine_and_involution_check_decode_the_heads_once():
+    # class_representatives() decoded every head on each call: five times per group here
+    gens, mats = doubled_s5()
+    closed, rep = group_closure(gens, mats)
+    for group in (closed, FiniteGroup(closed.degree, closed.elements)):
+        group._heads = heads = CountingHeads(group._heads)
+        scenario = TameScenario(group, rep, 7)
+        tame_total_masses(scenario)
+        assert tame_involution_check(scenario)
+        assert heads.decoded == 1
+        assert type(group.class_representatives()) is tuple
+
+
+@given(st.sampled_from([s4_gens(), f21_gens(), b3_gens()[0]]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_representatives_come_first_in_element_order(gens, data):
+    closed, _ = group_closure(gens)
+    shuffled = [closed.elements[i] for i in data.draw(st.permutations(range(len(closed))))]
+    for group, order in ((closed, closed.elements), (FiniteGroup(closed.degree, shuffled), shuffled)):
+        place = {g: i for i, g in enumerate(order)}
+        classes = group.conjugacy_classes()
+        assert group.class_representatives() == tuple(min(c, key=place.__getitem__) for c in classes)
+
+
+def cyclic_six_characters():
+    """C6 on six points with a sign (root order 2) and a cube root (root order 3)."""
+    c = perm_from_cycles(6, [[1, 2, 3, 4, 5, 6]])
+    return [c], [MonomialMatrix((0,), (1,), 2)], [MonomialMatrix((0,), (1,), 3)]
+
+
+@pytest.mark.parametrize("build", [b3_gens, cyclic_six_characters], ids=["B3", "C6"])
+def test_rep_builders_close_the_generators(build, monkeypatch):
+    # both builders used to build a direct sum per element, reading the tuple view
+    gens, mats, *more = build()
+    group, rep = group_closure(gens, mats)
+    other = group_closure(gens, more[0])[1] if more else permutation_rep(group)
+    build_view = FiniteGroup._tuple_view
+
+    def refuse(self):
+        raise AssertionError("the tuple view was built")
+
+    monkeypatch.setattr(FiniteGroup, "_tuple_view", refuse)
+    summed = rep_direct_sum(group, rep, other, rep)
+    doubled = permutation_rep(group, 2)
+    monkeypatch.setattr(FiniteGroup, "_tuple_view", build_view)
+    assert (summed.dim, summed.root_order) == (2 * rep.dim + other.dim, math.lcm(rep.root_order, other.root_order))
+    assert (doubled.dim, doubled.root_order) == (2 * group.degree, 1)
+    for g in group.elements:
+        assert summed.matrix(g) == direct_sum(rep.matrix(g), other.matrix(g), rep.matrix(g))
+        assert doubled.matrix(g) == direct_sum(permutation_matrix(g), permutation_matrix(g))
+
+
+def test_rep_builders_on_a_trivial_group_without_generators():
+    for group in (FiniteGroup(2, [(0, 1)]), from_cayley_table([[0]])):
+        assert group.generators == ()
+        assert permutation_rep(group, 2).matrix(group.identity) == MonomialMatrix.identity(2 * group.degree)
+        assert rep_direct_sum(group).matrix(group.identity) == MonomialMatrix.identity(0)
+
+
+def test_a_summand_that_is_no_homomorphism_is_refused():
+    group, _ = s3()
+    minus_one = MonomialRep(1, 2, {g: MonomialMatrix((0,), (1,), 2) for g in group})
+    with pytest.raises(InconsistentRepresentation):
+        rep_direct_sum(group, minus_one)
+
+
 @st.composite
 def tame_groups(draw):
     """A byte-row closure of degree <= 7 with its permutation matrices, or

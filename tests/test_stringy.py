@@ -93,6 +93,34 @@ def test_open_closed_convert_roundtrips_resolution():
     assert back.strata == data.strata
 
 
+@st.composite
+def closed_resolutions(draw):
+    """Closed resolution data on 1 to 4 divisors, some with c <= -1, a
+    vertical row or two, and now and then a key past the last divisor."""
+    n = draw(st.integers(1, 4))
+    horizontal = draw(st.lists(st.sampled_from([F(-3, 2), F(-1), F(-1, 2), F(1, 3), F(2)]), min_size=n, max_size=n))
+    keys = st.frozensets(st.integers(1, n + draw(st.sampled_from([0, 0, 0, 1]))), max_size=n + 1)
+    polys = st.dictionaries(st.sampled_from([F(0), F(1), F(3, 2), F(2)]), st.integers(-2, 2), max_size=2)
+    counts = st.dictionaries(keys, polys.map(ClassFunction.poly), max_size=5)
+    vertical = st.lists(st.builds(VerticalRow, st.sampled_from([F(-1), F(1, 2), F(2)]), counts), max_size=2)
+    return ResolutionData(dim=2, horizontal=horizontal, strata=draw(counts), vertical=draw(vertical), mode="closed")
+
+
+def outcome(data):
+    try:
+        count = stringy_count(data)
+    except MalformedStrata:
+        return MalformedStrata
+    return "infinite" if is_infinite(count) else count
+
+
+@given(closed_resolutions())
+@settings(max_examples=200, deadline=None)
+def test_closed_strata_count_as_their_open_conversion(data):
+    # closed strata are summed with the factors f_j - 1; the conversion is the oracle
+    assert outcome(data) == outcome(open_closed_convert(data))
+
+
 def test_crepant_data_passes_through():
     count = hilbert_counts(2).hilb_plane
     data = ResolutionData(dim=4, horizontal=(), strata={empty: count})
