@@ -24,6 +24,9 @@ from .grouprep import group_from_json
 from .massengine import (
     MassPair,
     TameScenario,
+    _involutive,
+    _stable_weights,
+    _tame_masses,
     bhargava_masses,
     builtin_profile,
     hilbert_counts,
@@ -31,8 +34,6 @@ from .massengine import (
     mass_from_json,
     profile_from_json,
     profile_total_masses,
-    tame_involution_check,
-    tame_total_masses,
 )
 from .qsym import ClassFunction, cf_dual, is_infinite
 from .stringy import (
@@ -170,19 +171,15 @@ def _divergent(report: str, reason: str) -> int:
 
 def _cmd_tame(args) -> int:
     group, rep = _load("--group", _read(args.group), lambda d: group_from_json(_payload(d, "tame")))
-    scenario = TameScenario(group, rep, args.q)
-    masses = tame_total_masses(scenario)
+    table = _stable_weights(TameScenario(group, rep, args.q))  # masses and verdict read one table
+    masses = _tame_masses(*table)
     out = masses._asdict()
-    code = 0
     if args.check_involution:
-        ok = tame_involution_check(scenario)
-        out["involution"] = ok
-        if not ok:
-            code = 1
+        out["involution"] = _involutive(*table)
     if args.eval:
         _eval_masses(masses, args.eval, out)
     _emit(out, args.report)
-    return code
+    return 0 if out.get("involution", True) else 1
 
 
 def _cmd_profile(args) -> int:

@@ -254,18 +254,14 @@ class FiniteGroup:
         return self._exponent
 
     def power(self, g: Perm, m: int) -> Perm:
-        """g^m by square and multiply; m may be any integer."""
+        """g^m, each cycle of g (read as ints) rotated by m mod its length; m may be any integer."""
         if g not in self:
             raise ValueError("element not in group")
-        m %= self.exponent()
-        out = self.identity
-        base = g
-        while m:
-            if m & 1:
-                out = perm_mul(out, base)
-            base = perm_mul(base, base)
-            m >>= 1
-        return out
+        out = list(map(int, g))
+        for cyc in perm_cycles(out):
+            for t, x in enumerate(cyc):
+                out[x] = cyc[(t + m) % len(cyc)]
+        return tuple(out)
 
     def _walk(self) -> list[list[int]]:
         """The classes as orbits of element indices under conjugation by the
@@ -362,8 +358,8 @@ class MonomialRep:
         cycles = perm_cycles(m.perm)
         residues = [sum([exps[j] for j in cyc]) % e for cyc in cycles]
         a = len(exps) - residues.count(0)
-        v = Fraction(2 * sum(residues) + e * (len(exps) - len(cycles)), 2 * e)
-        return TameWeights(v, a - v, Fraction(a))
+        v = 2 * sum(residues) + e * (len(exps) - len(cycles))
+        return TameWeights(Fraction(v, 2 * e), Fraction(2 * e * a - v, 2 * e), Fraction(a))
 
 
 class _LeftAction(dict):

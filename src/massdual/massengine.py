@@ -34,7 +34,7 @@ from operator import mul
 from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
-from .grouprep import FiniteGroup, MonomialRep, TameWeights
+from .grouprep import FiniteGroup, MonomialRep
 from .qsym import (
     ClassFunction,
     Infinite,
@@ -184,16 +184,11 @@ class TameScenario(namedtuple("TameScenario", "group rep q")):
         return super().__new__(cls, group, rep, q)
 
 
-def _multiplicative_order(q: int, e: int) -> int:
-    """Order of q modulo e (1 when e = 1), for q coprime to e."""
-    return next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
-
-
 def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
     """For each residue class j = 0..m0-1 of r, the indices of the conjugacy
-    classes C with C^t = C, where t = q^j mod exp(G).  C -> C^q permutes the
-    classes (one power per class), and C^t = C exactly when the length of
-    C's cycle under it divides j."""
+    classes C with C^t = C, where t = q^j mod exp(G) and m0 is the order of q
+    mod exp(G).  C -> C^q permutes the classes (one power per class), and
+    C^t = C exactly when the length of C's cycle under it divides j."""
     frob = [group.class_index(group.power(g, q)) for g in group.class_representatives()]
     length = []  # each cycle is at most m0 long, so this walk is no longer than the answer
     for i, x in enumerate(frob):
@@ -201,33 +196,38 @@ def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
         while x != i:
             x, k = frob[x], k + 1
         length.append(k)
-    m0 = _multiplicative_order(q, group.exponent())
+    e = group.exponent()
+    m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
     return [[i for i, c in enumerate(length) if j % c == 0] for j in range(m0)]
 
 
-def _stable_weights(scenario: TameScenario) -> list[list[TameWeights]]:
-    """For each residue class of r, the weights of its stable classes (see
-    _stable_classes), found once per conjugacy class: rho is a homomorphism
-    (the closure checks it), so the weights are class functions."""
-    group, rep = scenario.group, scenario.rep
-    weights = [rep.tame_weights(g) for g in group.class_representatives()]
-    return [[weights[i] for i in stable] for stable in _stable_classes(group, scenario.q)]
+def _stable_weights(scenario: TameScenario) -> tuple[int, list[int], list[int], list[list[int]]]:
+    """(n, v, w, stable): v and w of each class, read once per class (rho is a homomorphism),
+    as int numerators over n, the lcm of their denominators, and _stable_classes."""
+    weights = [scenario.rep.tame_weights(g)[:2] for g in scenario.group.class_representatives()]
+    n = math.lcm(*(x.denominator for wt in weights for x in wt))
+    v, w = ([x.numerator * (n // x.denominator) for x in side] for side in zip(*weights))
+    return n, v, w, _stable_classes(scenario.group, scenario.q)
 
 
-def tame_total_masses(
-    scenario: TameScenario, *, threads: int = 1, full_threshold: int = 1000
-) -> MassPair:
+def _tame_masses(n: int, v: list[int], w: list[int], stable: list[list[int]]) -> MassPair:
+    """Q^(-v(C)) and Q^(w(C)) for each stable class C, counted as ints over n."""
+    sides = ([Counter([x[i] for i in s]) for s in stable] for x in ([-y for y in v], w))
+    return MassPair(*(ClassFunction._from_int_polys(len(stable), n, side) for side in sides))
+
+
+def _involutive(n: int, v: list[int], w: list[int], stable: list[list[int]]) -> bool:
+    return all(sorted([v[i] for i in s]) == sorted([w[i] for i in s]) for s in stable)
+
+
+def tame_total_masses(scenario: TameScenario, *, threads: int = 1, full_threshold: int = 1000) -> MassPair:
     """Total masses of the tame scenario, one residue class of r at a time.
 
     Each Frobenius-stable conjugacy class C contributes Q^(-v(C)) to mass_v
     and Q^(w(C)) to mass_w; the weights are computed once per class.
     threads and full_threshold are accepted for compatibility and ignored.
     """
-    stable = _stable_weights(scenario)
-    return MassPair(
-        ClassFunction.from_class_polys(len(stable), [Counter(-x.v for x in ws) for ws in stable]),
-        ClassFunction.from_class_polys(len(stable), [Counter(x.w for x in ws) for ws in stable]),
-    )
+    return _tame_masses(*_stable_weights(scenario))
 
 
 def tame_involution_check(scenario: TameScenario) -> bool:
@@ -237,7 +237,7 @@ def tame_involution_check(scenario: TameScenario) -> bool:
     No inverse map is needed: (C^t)^(-1) = (C^(-1))^t, so C -> C^(-1)
     permutes the stable classes of each residue class, and the sorted
     v(C^(-1)) over them are the sorted v(C)."""
-    return all(sorted(x.v for x in ws) == sorted(x.w for x in ws) for ws in _stable_weights(scenario))
+    return _involutive(*_stable_weights(scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -617,7 +617,11 @@ class ClassFunction:
         for num, p in zip(sums, polys):
             for (ep, eq), (cp, cq) in p:
                 num[ep * (n // eq)] = num.get(ep * (n // eq), 0) + cp * (l // cq)
-        k = Fraction(1, l)
+        return cls._from_int_polys(modulus, n, sums, Fraction(1, l))
+
+    @classmethod
+    def _from_int_polys(cls, modulus: int, n: int, sums: Sequence[Mapping], k=1) -> "ClassFunction":
+        """One int dict {Q-exponent * n: coeff / k} per residue class."""
         return cls(modulus, n, [_reduced({e: c for e, c in p.items() if c}, _ONE, k) for p in sums])
 
     # -- structural helpers --------------------------------------------------

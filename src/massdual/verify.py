@@ -29,12 +29,14 @@ from .grouprep import (
 from .massengine import (
     MassPair,
     TameScenario,
+    _involutive,
+    _stable_weights,
+    _tame_masses,
     bhargava_masses,
     builtin_profile,
     hilbert_counts,
     kedlaya_masses,
     profile_total_masses,
-    tame_involution_check,
     tame_total_masses,
 )
 from .qsym import (
@@ -192,8 +194,9 @@ def criterion_3_tame_duality() -> str:
     """Involution and strong duality across the whole tame catalog."""
     catalog = tame_catalog()
     for name, scenario in catalog:
-        _require(tame_involution_check(scenario), f"involution fails: {name}")
-        masses = tame_total_masses(scenario)
+        table = _stable_weights(scenario)
+        _require(_involutive(*table), f"involution fails: {name}")
+        masses = _tame_masses(*table)
         _require(masses.mass_w.dual() == masses.mass_v, f"not strongly dual: {name}")
     return f"{len(catalog)} scenarios"
 

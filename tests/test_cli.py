@@ -16,6 +16,7 @@ from massdual import (
     ClassFunction,
     MassPair,
     MonomialMatrix,
+    MonomialRep,
     Q,
     bhargava_masses,
     builtin_profile,
@@ -139,10 +140,21 @@ def test_tame_subcommand(tmp_path, capsys):
 
 
 def test_tame_involution_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("massdual.cli.tame_involution_check", lambda scenario: False)
+    monkeypatch.setattr("massdual.cli._involutive", lambda *table: False)
     code, out = run_cli(capsys, "tame", "--group", str(z3_group_file(tmp_path)), "--q", "7", "--check-involution")
     assert code == 1
     assert "involution = False" in out.splitlines()
+
+
+def test_tame_check_reads_the_weights_once_per_class(tmp_path, capsys, monkeypatch):
+    # the masses and the involution verdict read one table of stable weights;
+    # each read its own, so Z/3's three classes took six weights
+    calls = []
+    weights = MonomialRep.tame_weights
+    monkeypatch.setattr(MonomialRep, "tame_weights", lambda self, g: calls.append(g) or weights(self, g))
+    code, _ = run_cli(capsys, "tame", "--group", str(z3_group_file(tmp_path)), "--q", "7", "--check-involution")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_tame_eval_text_and_json(tmp_path, capsys):

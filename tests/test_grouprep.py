@@ -170,6 +170,28 @@ def test_power_map():
         group.power(perm_from_cycles(3, [[1, 2]]) + (99,), 1)  # not in group
 
 
+def square_and_multiply(g, m):
+    """g^m by repeated squaring over perm_mul; for m < 0, the inverse to the -m."""
+    base, out, m = (g if m >= 0 else perm_inv(g)), tuple(range(len(g))), abs(m)
+    while m:
+        if m & 1:
+            out = perm_mul(out, base)
+        base, m = perm_mul(base, base), m >> 1
+    return out
+
+
+@given(
+    st.integers(1, 7).flatmap(lambda d: st.lists(st.permutations(range(d)).map(tuple), min_size=1, max_size=3)),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_power_rotates_cycles_as_square_and_multiply_does(gens, data):
+    group, _ = group_closure(gens)
+    g = data.draw(st.sampled_from(group.elements))
+    for m in (-(10**30), -1, 0, 1, 7, 10**30):
+        assert group.power(g, m) == square_and_multiply(g, m)
+
+
 def test_from_cayley_table_regular_rep():
     table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     group = from_cayley_table(table)
@@ -623,7 +645,7 @@ def sign_c2(root_order):
     "g,found,power",
     [
         ((1, 0), True, (1, 0)),
-        ((1.0, 0.0), True, TypeError),  # equal to (1, 0), but perm_mul cannot index by it
+        ((1.0, 0.0), True, (1, 0)),  # equal to (1, 0), and powered as the ints it equals
         ((True, False), True, (1, 0)),
         ((0, 256), False, ValueError),
         ((0, -1), False, ValueError),
@@ -641,6 +663,7 @@ def test_lookups_answer_as_the_tuple_view_does(root_order, view_read, g, found, 
     assert outcome(lambda: g in group) is found
     assert outcome(lambda: group.class_index(g)) == (1 if found is True else missing)
     assert outcome(lambda: group.power(g, 1)) == power
+    assert found is not True or all(type(x) is int for x in group.power(g, 3))
     assert outcome(lambda: rep.matrix(g)) == (rep.matrix((1, 0)) if found is True else missing)
 
 

@@ -325,43 +325,102 @@ def per_residue_masses(scenario):
     return m0, masses
 
 
+def cyclic_101():
+    """C_101 acting with weights (1, 2, 4) on zeta_101: 101 classes."""
+    p = 101
+    return group_closure(
+        [perm_from_cycles(p, [list(range(1, p + 1))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), p)]
+    )
+
+
+def count_cycle_decompositions(monkeypatch):
+    calls = []
+    cycles = grouprep.perm_cycles
+    monkeypatch.setattr(grouprep, "perm_cycles", lambda g: calls.append(g) or cycles(g))
+    return calls
+
+
 def test_tame_engine_takes_one_power_per_class(monkeypatch):
     # C_101 with q = 2, a primitive root mod 101: 101 classes, m0 = 100, and
     # Frobenius moves the 100 nontrivial classes round one cycle; taking a
-    # power per class and residue costs m0 * 101 powers and grows as p^3
+    # power per class and residue costs m0 * 101 powers and grows as p^3.
+    # Per class an engine call decomposes into cycles its Frobenius image,
+    # its weights and, for exp(G), its order
     p, q = 101, 2
-    group, rep = group_closure(
-        [perm_from_cycles(p, [list(range(1, p + 1))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), p)]
-    )
+    group, rep = cyclic_101()
     scenario = TameScenario(group, rep, q)
     m0, expected = per_residue_masses(scenario)
     assert m0 == p - 1 and len(group.conjugacy_classes()) == p
 
-    calls = []
-    power = FiniteGroup.power
-    monkeypatch.setattr(FiniteGroup, "power", lambda self, g, m: calls.append(g) or power(self, g, m))
+    calls = count_cycle_decompositions(monkeypatch)
     assert tame_total_masses(scenario) == expected
-    assert len(calls) <= p
+    assert len(calls) <= 3 * p
     calls.clear()
     assert tame_involution_check(scenario)
-    assert len(calls) <= p
+    assert len(calls) <= 3 * p
 
 
 def test_tame_engine_takes_one_element_order_per_class(monkeypatch):
-    # exponent() is kept on the group and power() reduces modulo it, so both
-    # engine calls on C_101 (q = 2) need the order of each class once; with an
-    # order per exponent() call and per power() they took 4 * 101
-    p = 101
-    group, rep = group_closure(
-        [perm_from_cycles(p, [list(range(1, p + 1))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), p)]
-    )
+    # exponent() is kept on the group, so only the first engine call on C_101
+    # (q = 2) decomposes each class for its order; with an order per exponent()
+    # call and per power() the two calls took 4 * 101 orders
+    group, rep = cyclic_101()
     scenario = TameScenario(group, rep, 2)
-    calls = []
-    order = grouprep.perm_order
-    monkeypatch.setattr(grouprep, "perm_order", lambda g: calls.append(g) or order(g))
+    calls = count_cycle_decompositions(monkeypatch)
     tame_total_masses(scenario)
+    assert len(calls) <= 3 * len(group.conjugacy_classes())
+    calls.clear()
     assert tame_involution_check(scenario)
-    assert len(calls) <= len(group.conjugacy_classes()) == p
+    assert len(calls) <= 2 * len(group.conjugacy_classes())
+
+
+def hyperoctahedral3():
+    """B3 on the six signed basis vectors (+e_i is point i, -e_i point i + 3)."""
+    gens = [
+        perm_from_cycles(6, [[1, 2], [4, 5]]),
+        perm_from_cycles(6, [[1, 2, 3], [4, 5, 6]]),
+        perm_from_cycles(6, [[1, 4]]),
+    ]
+    mats = [
+        MonomialMatrix((1, 0, 2), (0, 0, 0), 2),
+        MonomialMatrix((1, 2, 0), (0, 0, 0), 2),
+        MonomialMatrix((0, 1, 2), (1, 0, 0), 2),
+    ]
+    return group_closure(gens, mats)
+
+
+EXACTNESS_GROUPS = {
+    "S4-doubled": lambda: symmetric_doubled(4, 5)[:2],
+    "B3": hyperoctahedral3,
+    "F21": lambda: frobenius21(2)[:2],
+    "C7": lambda: group_closure(
+        [perm_from_cycles(7, [list(range(1, 8))])], [MonomialMatrix((0, 1, 2), (1, 2, 4), 7)]
+    ),
+}
+
+
+def prime_at_least(start, r, e):
+    """The least prime p >= start with p = r mod e; one exists when gcd(r, e) = 1."""
+    p = start + (r - start) % e
+    while p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += e
+    return p
+
+
+@pytest.mark.parametrize("name", list(EXACTNESS_GROUPS))
+@given(start=st.integers(2, 10**6), k=st.integers(1, 3))
+@settings(max_examples=8, deadline=None)
+def test_tame_masses_are_exact_for_every_residue_of_q(name, start, k):
+    # every unit residue r of q mod exp(G) as a prime p = r, and the prime power
+    # p^k; a prime dividing |G| divides exp(G), so q is coprime to |G|
+    group, rep = EXACTNESS_GROUPS[name]()
+    e = group.exponent()
+    for r in (r for r in range(e) if math.gcd(r, e) == 1):
+        p = prime_at_least(start, r, e)
+        for q in (p, p**k):
+            scenario = TameScenario(group, rep, q)
+            assert tame_total_masses(scenario) == per_residue_masses(scenario)[1]
+            assert tame_involution_check(scenario)
 
 
 class ShiftedV(MonomialRep):
