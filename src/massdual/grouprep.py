@@ -392,8 +392,8 @@ class _ClosureMatrices(Mapping):
         if m is None:
             tail = self._rows[self._group._at(g)][self._degree :]
             cols = [divmod(c - self._degree, self._root_order) for c in tail]
-            m = self._decoded[g] = MonomialMatrix(
-                tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order
+            m = self._decoded[g] = MonomialMatrix._make(  # valid by construction: no re-check
+                (tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order)
             )
         return m
 

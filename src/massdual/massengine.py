@@ -6,11 +6,11 @@ Tame masses: for a residue field of order q^r coprime to |G|, the
 continuous homomorphisms from the tame Galois group correspond to pairs
 (g, h) in G^2 with h g h^(-1) = g^(q^r), and the total mass against weight
 v is (1/|G|) * sum over pairs of q^(-r*v(g)); against w the exponent is
-+r*w(g).  With t = q^r mod exp(G), the number of h for a given g is
-|C_G(g)| when g^t is conjugate to g and 0 otherwise, so each conjugacy
-class C with C^t = C contributes exactly Q^(-v(C)) (resp. Q^(w(C))).  The
-condition depends on r only through t, so the result is a ClassFunction
-with modulus the multiplicative order of q mod exp(G).
++r*w(g).  The number of h for a given g is |C_G(g)| when g^(q^r) is
+conjugate to g and 0 otherwise, so each conjugacy class C with C^(q^r) = C
+contributes exactly Q^(-v(C)) (resp. Q^(w(C))).  C -> C^q permutes the
+classes, and C^(q^r) = C when r is a multiple of C's cycle length, so the
+result is a ClassFunction with modulus the lcm of those cycle lengths.
 
 Ramification profiles: wild cases enter declaratively, as finitely many
 strata (count, v, w) plus geometric families indexed by a discriminant
@@ -30,7 +30,6 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
@@ -185,20 +184,18 @@ class TameScenario(namedtuple("TameScenario", "group rep q")):
 
 
 def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
-    """For each residue class j = 0..m0-1 of r, the indices of the conjugacy
-    classes C with C^t = C, where t = q^j mod exp(G) and m0 is the order of q
-    mod exp(G).  C -> C^q permutes the classes (one power per class), and
-    C^t = C exactly when the length of C's cycle under it divides j."""
+    """For each residue class j = 0..m-1 of r, the indices of the conjugacy
+    classes C with C^(q^j) = C, where m is the lcm of the cycle lengths of
+    C -> C^q.  That map permutes the classes (one power per class), and
+    C^(q^j) = C exactly when the length of C's cycle under it divides j."""
     frob = [group.class_index(group.power(g, q)) for g in group.class_representatives()]
-    length = []  # each cycle is at most m0 long, so this walk is no longer than the answer
+    length = []  # each cycle is at most m long, so this walk is no longer than the answer
     for i, x in enumerate(frob):
         k = 1
         while x != i:
             x, k = frob[x], k + 1
         length.append(k)
-    e = group.exponent()
-    m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
-    return [[i for i, c in enumerate(length) if j % c == 0] for j in range(m0)]
+    return [[i for i, c in enumerate(length) if j % c == 0] for j in range(math.lcm(*length))]
 
 
 def _stable_weights(scenario: TameScenario) -> tuple[int, list[int], list[int], list[list[int]]]:
@@ -376,18 +373,20 @@ def _partition_numbers(n: int) -> list[int]:
 
 def _euler_pass(n: int, p: Optional[list[int]] = None) -> tuple[list[int], dict[int, int]]:
     """[P(n, 0), ..., P(n, n)], P(m, k) the partitions of m into exactly k parts, and given
-    p(0..n) Kedlaya's {n - k: sum over j of P(j, k) * p(n - j)}, in O(n) memory by one pass
-    of Euler's product prod 1/(1 - x^k) (Andrews, The Theory of Partitions, ch. 1):
-    at step k, b[m] counts partitions of m <= n - k into parts <= k, so P(t + k, k) = b[t]."""
-    b, row, w = [1] + [0] * n, [], {}
+    p(0..n) Kedlaya's {n - k: sum over j of P(j, k) * p(n - j)}, in O(n) memory by one pass of
+    Euler's product prod 1/(1 - x^k) (Andrews, The Theory of Partitions, ch. 1): at step k, b[m]
+    counts partitions of m <= n - k into parts <= k, so P(t + k, k) = b[t], and c, started at
+    p(0..n), is [x^m] sum_j p(j) x^j prod_(i <= k) 1/(1 - x^i): Kedlaya's sum c[n - k], no products."""
+    b, c, row, w = [1] + [0] * n, [] if p is None else p[: n + 1], [], {}
     for k in range(n + 1):
         if k:  # times 1/(1 - x^k), in place with m increasing
-            b.pop()
-            for m in range(k, len(b)):
-                b[m] += b[m - k]
+            for s in (b, c):
+                del s[-1:]  # c is empty without p
+                for m in range(k, len(s)):
+                    s[m] += s[m - k]
         row.append(b[-1])
-        if p is not None:
-            w[n - k] = sum(map(mul, b, p[n - k :: -1]))
+        if c:
+            w[n - k] = c[-1]
     return row, w
 
 

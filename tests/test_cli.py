@@ -411,7 +411,10 @@ def test_bhargava_large_n_in_a_fresh_process():
     assert MassPair.from_json(json.loads(proc.stdout)) == bhargava_masses(500)
 
 
-def test_bhargava_6000_in_linear_memory_in_a_fresh_process():
+@pytest.mark.parametrize(
+    "formula,head", [("bhargava", "mass_v = 1 + Q^-1 + "), ("kedlaya", "mass_v = 1 + ")], ids=["bhargava", "kedlaya"]
+)
+def test_partition_formula_6000_in_linear_memory_in_a_fresh_process(formula, head):
     # the n^2/2 table of P(m, k) needed about 1 GB here and ended in a MemoryError traceback
     resource = pytest.importorskip("resource")
     limit = 500 * 2**20
@@ -420,14 +423,14 @@ def test_bhargava_6000_in_linear_memory_in_a_fresh_process():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "massdual.cli", "formula", "bhargava", "--n", "6000"],
+        [sys.executable, "-m", "massdual.cli", "formula", formula, "--n", "6000"],
         capture_output=True,
         text=True,
         timeout=300,
         preexec_fn=cap_address_space,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("mass_v = 1 + Q^-1 + ") and proc.stdout.endswith("strong = True\n")
+    assert proc.stdout.startswith(head) and proc.stdout.endswith("strong = True\n")
 
 
 def test_a_geometric_sum_past_the_term_cap_is_refused_in_a_fresh_process(tmp_path):

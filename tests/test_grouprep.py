@@ -471,6 +471,8 @@ def test_offsets_on_nonzero_columns_match_the_oracle(gens, mats):
     group, rep = group_closure(gens, mats)
     assert list(group.elements) == elements
     assert all(rep.matrix(g) == matrices[g] for g in elements)
+    # decoded without the constructor's checks, so they must pass them unchanged
+    assert all(rep.matrix(g) == MonomialMatrix(*rep.matrix(g)) for g in elements)
 
 
 def test_offsets_on_nonzero_columns_still_see_inconsistent_words():
@@ -515,7 +517,7 @@ def test_closure_on_both_sides_of_the_byte_boundary_matches_the_oracle(n, row_ty
     group, rep = group_closure(gens, mats)
     assert type(rep.matrices._rows[0]) is row_type
     assert list(group.elements) == elements
-    assert all(rep.matrix(g) == matrices[g] for g in elements)
+    assert all(rep.matrix(g) == matrices[g] == MonomialMatrix(*rep.matrix(g)) for g in elements)
     with pytest.raises(GroupTooLarge):
         group_closure(gens, mats, max_size=n - 1)
 
@@ -826,7 +828,10 @@ def test_stable_classes_match_their_definition(inputs, q):
     reps = [c[0] for c in group.conjugacy_classes()]
     e = group.exponent()
     m0 = next(k for k in range(1, e + 1) if pow(q, k, e) == 1 % e)
-    assert _stable_classes(group, q) == [
+    # one entry per residue of r mod the lcm of the Frobenius cycle lengths, which divides m0
+    stable = _stable_classes(group, q)
+    assert m0 % len(stable) == 0
+    assert [stable[j % len(stable)] for j in range(m0)] == [
         [i for i, g in enumerate(reps) if group.class_index(group.power(g, pow(q, j, e))) == i]
         for j in range(m0)
     ]

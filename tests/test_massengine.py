@@ -344,8 +344,8 @@ def test_tame_engine_takes_one_power_per_class(monkeypatch):
     # C_101 with q = 2, a primitive root mod 101: 101 classes, m0 = 100, and
     # Frobenius moves the 100 nontrivial classes round one cycle; taking a
     # power per class and residue costs m0 * 101 powers and grows as p^3.
-    # Per class an engine call decomposes into cycles its Frobenius image,
-    # its weights and, for exp(G), its order
+    # Per class an engine call decomposes into cycles its Frobenius image
+    # and its weights; the period is read off the Frobenius cycles
     p, q = 101, 2
     group, rep = cyclic_101()
     scenario = TameScenario(group, rep, q)
@@ -354,21 +354,21 @@ def test_tame_engine_takes_one_power_per_class(monkeypatch):
 
     calls = count_cycle_decompositions(monkeypatch)
     assert tame_total_masses(scenario) == expected
-    assert len(calls) <= 3 * p
+    assert len(calls) <= 2 * p
     calls.clear()
     assert tame_involution_check(scenario)
-    assert len(calls) <= 3 * p
+    assert len(calls) <= 2 * p
 
 
 def test_tame_engine_takes_one_element_order_per_class(monkeypatch):
-    # exponent() is kept on the group, so only the first engine call on C_101
-    # (q = 2) decomposes each class for its order; with an order per exponent()
-    # call and per power() the two calls took 4 * 101 orders
+    # the period is the lcm of the Frobenius cycle lengths, so no engine call on
+    # C_101 (q = 2) decomposes a class for its order: one decomposition for its
+    # power and one for its weights (exp(G) for the period took a third)
     group, rep = cyclic_101()
     scenario = TameScenario(group, rep, 2)
     calls = count_cycle_decompositions(monkeypatch)
     tame_total_masses(scenario)
-    assert len(calls) <= 3 * len(group.conjugacy_classes())
+    assert len(calls) <= 2 * len(group.conjugacy_classes())
     calls.clear()
     assert tame_involution_check(scenario)
     assert len(calls) <= 2 * len(group.conjugacy_classes())
