@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .duality import duality_report
 from .errors import MassdualError
@@ -35,7 +35,7 @@ from .massengine import (
     profile_from_json,
     profile_total_masses,
 )
-from .qsym import ClassFunction, cf_dual, is_infinite
+from .qsym import ClassFunction, _frac, cf_dual, is_infinite
 from .stringy import (
     builtin_resolution,
     gm_duality_check,
@@ -149,8 +149,7 @@ def _payload(doc: dict, kind: str) -> dict:
 
 
 def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
-    q0 = Fraction(spec[0])
-    r0 = int(spec[1])
+    q0, r0 = _frac(spec[0]), int(spec[1])
     values = {f"{key}({q0},{r0})": m.eval(q0, r0) for key, m in masses._asdict().items()}
     # an exact value may pass int-to-str's 4300-digit default (EXACT_EVAL_MAX_BITS
     # is the bound); lift it only for these str() calls, as run() also serves in process
@@ -276,6 +275,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.lru_cache(maxsize=None)  # parse_args leaves it as it was; help and errors look up sys.stdout late
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massdual",

@@ -37,6 +37,7 @@ from .grouprep import FiniteGroup, MonomialRep
 from .qsym import (
     ClassFunction,
     Infinite,
+    _frac,
     _json_int,
     cf_geometric_sum,
     frac_str,
@@ -486,7 +487,7 @@ def profile_to_json(profile: RamificationProfile) -> dict:
 
 
 def _stratum_from_json(s: Mapping) -> ProfileStratum:
-    v, w, count = Fraction(str(s["v"])), Fraction(str(s["w"])), ClassFunction.from_json(s["count"])
+    v, w, count = _frac(str(s["v"])), _frac(str(s["w"])), ClassFunction.from_json(s["count"])
     s.get("count")  # the count is checked as a whole: read it once more, after its parts
     return ProfileStratum(count, v, w)
 
@@ -498,9 +499,7 @@ def profile_from_json(obj: Mapping) -> RamificationProfile:
     families = tuple(
         GeometricFamily(
             coeff=ClassFunction.from_json(f["coeff"]),
-            count_exp=tuple(Fraction(str(x)) for x in f["count_exp"]),
-            v_exp=tuple(Fraction(str(x)) for x in f["v_exp"]),
-            w_exp=tuple(Fraction(str(x)) for x in f["w_exp"]),
+            **{key: tuple(_frac(str(x)) for x in f[key]) for key in ("count_exp", "v_exp", "w_exp")},
             i0=_json_int(f["i0"]),
             i1=None if f.get("i1") is None else _json_int(f["i1"]),
         )

@@ -33,10 +33,11 @@ import heapq
 import math
 import os
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DivergentSeries,
@@ -49,14 +50,22 @@ DEFAULT_EVAL_PRECISION = 50
 EXACT_EVAL_MAX_BITS = 2**20  # exact values past about 315 000 digits are refused
 MAX_SUM_TERMS = 2**20  # a finite geometric sum builds one entry per term
 
-RationalLike = Union[int, str, Fraction]
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
+    if isinstance(x, str) and (limit := getattr(sys, "get_int_max_str_digits", int)()):
+        head, e, tail = x.lower().rpartition("e")
+        try:  # Fraction(x) builds 10^exponent itself: refuse a literal whose exponent passes the limit
+            exp = abs(int(tail)) if e and not tail[:1].isspace() else 0
+            if exp > limit:
+                Fraction(head + "e0")  # raises unless x is a literal
+        except ValueError:  # no literal, or an exponent of over `limit` digits: Fraction(x) fails at once
+            exp = 0
+        if exp > limit:
+            raise ValueError(f"{x!r}: a decimal exponent beyond {limit} builds an integer of over {limit} digits")
     return Fraction(x)
 
 
@@ -532,12 +541,6 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _root(q: Fraction, k: int) -> Optional[Fraction]:
-    """The exact k-th root of q > 0 (k >= 1), or None."""
-    n, d = iroot(q.numerator, k), iroot(q.denominator, k)
-    return Fraction(n, d) if n**k == q.numerator and d**k == q.denominator else None
-
-
 def _divisors(n: int) -> list[int]:
     """The divisors of n >= 1 in increasing order, by trial division to sqrt(n)."""
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -727,40 +730,42 @@ class ClassFunction:
         """Value at q = q0 (rational > 1) and r = r0 (positive integer).
 
         An exact Fraction whenever the required root of q0 is rational, else a Decimal
-        rounded half-up to `precision` significant digits (GML_PRECISION, default 50).
+        rounded half-up to `precision` significant digits (GML_PRECISION, default 50),
+        which is read and checked only then.
         """
-        q0 = _frac(q0)
-        if q0 <= 1:
+        qa, qz = _ratio(q0)
+        if qa <= qz:
             raise ValueError("q0 must be a rational > 1")
         r0 = int(r0)
         if r0 < 1:
             raise ValueError("r0 must be a positive integer")
-        precision = os.environ.get("GML_PRECISION", DEFAULT_EVAL_PRECISION) if precision is None else precision
-        if not str(precision).isdecimal() or int(precision) < 1:
-            raise ValueError(f"GML_PRECISION (precision) must be a positive integer, got {precision!r}")
-        precision = int(precision)
         entry = self.class_entry(r0)
         # q^(e*r0/N) = y^k, k = e*r0/g, y = q0^(1/b) = s^(d/b): b = N/g least, d | b largest with q0 = s^d
         b = self.root_order // (g := math.gcd(self.root_order, r0 * math.gcd(*entry.n, *entry.d)))
-        d, s = next(((d, r) for d in range(min(b, q0.numerator.bit_length()), 1, -1)
-                     if b % d == 0 and (r := _root(q0, d))), (1, q0))
-        if d == b:  # s = a/z > 1; scaled by a^-lo * z^hi, n and d give integer sums
-            a, z = s.numerator, s.denominator
-            ks = [e * r0 // g for e in (*entry.n, *entry.d)]
-            lo, hi = min(ks), max(ks)
+        d, a, z = next(((d, a, z) for d in range(min(b, qa.bit_length()), 1, -1) if b % d == 0
+                        and (a := iroot(qa, d)) ** d == qa and (z := iroot(qz, d)) ** d == qz), (1, qa, qz))
+        if d == b:  # s = a/z > 1 (z = 1 for an integral q0); scaled by a^-lo * z^hi, n and d give integer sums
+            ks = (*entry.n, *entry.d)
+            lo, hi = min(ks) * r0 // g, max(ks) * r0 // g  # g divides e*r0 for every exponent e
             if (hi - lo) * a.bit_length() > EXACT_EVAL_MAX_BITS:
-                raise ValueError(f"the exact value at q0={q0}, r0={r0} would exceed {EXACT_EVAL_MAX_BITS} bits")
-            num, den = (sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.items())
+                raise ValueError(f"the exact value at q0={_ratio_str(qa, qz)}, r0={r0} would exceed "
+                                 f"{EXACT_EVAL_MAX_BITS} bits")
+            num, den = (sum(c * a ** (e * r0 // g - lo) for e, c in p.items()) if z == 1 else
+                        sum(c * a ** (e * r0 // g - lo) * z ** (hi - e * r0 // g) for e, c in p.items())
                         for p in (entry.n, entry.d))
             if den == 0:
-                raise PoleAtEvaluationPoint(f"denominator vanishes at q0={q0}, r0={r0}")
+                raise PoleAtEvaluationPoint(f"denominator vanishes at q0={_ratio_str(qa, qz)}, r0={r0}")
             return Fraction(entry.k.numerator * num, entry.k.denominator * den)
+        precision = os.environ.get("GML_PRECISION", DEFAULT_EVAL_PRECISION) if precision is None else precision
+        if not str(precision).isdecimal() or int(precision) < 1:
+            raise ValueError(f"GML_PRECISION (precision) must be a positive integer, got {precision!r}")
+        precision, q0 = int(precision), _ratio_str(qa, qz)
         b, top = b // d, max(abs(e) for e in (*entry.n, *entry.d)) * r0 // g + b  # above |k|, j
         wide = dict(Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[decimal.Overflow, decimal.Underflow])
 
         def value(guard):  # y^k = s^m * y^j, k = m*b + j: one sum per j, as the y^j are independent
             with decimal.localcontext(decimal.Context(precision + guard + len(str(top)), **wide)) as ctx:
-                q, low = decimal.Decimal(s.numerator) / s.denominator, decimal.Context(len(str(b)) + 20, **wide)
+                q, low = decimal.Decimal(a) / z, decimal.Context(len(str(b)) + 20, **wide)
                 y, sums = (q.ln(low) / b).exp(low), ({}, {})
                 for _ in range(ctx.prec.bit_length()):  # Newton's method on y^b = s, from 20 digits on
                     y -= (y - q / y ** (b - 1)) / b
@@ -857,11 +862,11 @@ _P_OR_P_Q = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 def _json_ratio(c) -> tuple[int, int]:
     """(p, q) for a JSON coefficient: an int or a "p"/"p/q" string straight
-    into ints, any other spelling through Fraction(str(c))."""
+    into ints, any other spelling through _frac(str(c))."""
     if type(c) is str and _P_OR_P_Q.fullmatch(c):
         p, _, q = c.partition("/")
         return int(p), int(q or 1)
-    return _ratio(c if type(c) is int else Fraction(str(c)))
+    return _ratio(c if type(c) is int else _frac(str(c)))
 
 
 def _json_int(x) -> int:

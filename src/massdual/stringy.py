@@ -33,7 +33,7 @@ from typing import Mapping, Union
 
 from .errors import InfiniteInput, MalformedStrata
 from .massengine import MassPair
-from .qsym import ClassFunction, Infinite, _json_int, frac_str, is_infinite
+from .qsym import ClassFunction, Infinite, _frac, _json_int, frac_str, is_infinite
 
 StrataMap = Mapping[frozenset, ClassFunction]
 StringyCount = Union[ClassFunction, type(Infinite)]
@@ -45,7 +45,7 @@ class VerticalRow(namedtuple("VerticalRow", "a counts")):
     __slots__ = ()
 
     def __new__(cls, a, counts: Mapping):
-        return super().__new__(cls, Fraction(a), _normalize_strata(counts))
+        return super().__new__(cls, _frac(a), _normalize_strata(counts))
 
 
 class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertical mode")):
@@ -85,7 +85,7 @@ def _positive_dim(dim: int) -> int:
 
 def _multiplicity(c) -> Fraction:
     """A divisor multiplicity c_j as a Fraction; a divisor with c_j = 0 is no divisor."""
-    if (c := Fraction(c)) == 0:
+    if (c := _frac(c)) == 0:
         raise ValueError("divisors with multiplicity 0 must be dropped")
     return c
 
@@ -286,7 +286,7 @@ def resolution_from_json(obj: Mapping) -> ResolutionData:
         horizontal=tuple(_multiplicity(str(h["c"])) for h in obj.get("horizontal", ())),
         strata=_strata_from_json(obj.get("strata", {})),
         vertical=tuple(
-            VerticalRow(Fraction(str(r["a"])), _strata_from_json(r["strata"]))
+            VerticalRow(str(r["a"]), _strata_from_json(r["strata"]))
             for r in obj.get("vertical", ())
         ),
         mode=obj.get("mode", "open"),

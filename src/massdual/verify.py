@@ -154,12 +154,8 @@ def criterion_1_bhargava() -> str:
 
     for n in range(1, 21):
         oracle = _oracle_partition_counts(n)
-        exp_v = ClassFunction.poly(
-            {Fraction(-m): Fraction(oracle.get(n - m, 0)) for m in range(n)}
-        )
-        exp_w = ClassFunction.poly(
-            {Fraction(m): Fraction(oracle.get(n - m, 0)) for m in range(n + 1)}
-        )
+        exp_v = ClassFunction.poly({-m: oracle.get(n - m, 0) for m in range(n)})
+        exp_w = ClassFunction.poly({m: oracle.get(n - m, 0) for m in range(n + 1)})
         masses = bhargava_masses(n)
         _require(masses.mass_v == exp_v and masses.mass_w == exp_w, f"mismatch at n={n}")
         _require(duality_report(masses, 2 * n).strong, f"not strongly dual at n={n}")

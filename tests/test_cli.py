@@ -27,7 +27,7 @@ from massdual import (
     profile_total_masses,
     resolution_to_json,
 )
-from massdual.cli import run
+from massdual.cli import _parser, run
 from massdual.errors import MassdualError
 from massdual.grouprep import group_from_json
 from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json, profile_to_json
@@ -382,6 +382,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert run(["tame", "--group", "/nonexistent.json", "--q", "3"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    # verify calls run() again and again in process; a usage error in between changes nothing
+    argv = ["formula", "bhargava", "--n", "3"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["formula", "bhargava"]) == 2
+    assert capsys.readouterr().err.startswith("usage: massdual formula")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert _parser() is _parser()
 
 
 def test_console_entry_point():
@@ -767,6 +779,29 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, request, argv, d
         argv = argv[1:]
     assert run([str(path) if a == FILE else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith(ERROR_TEXT.get(request.node.callspec.id, "error:"))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(("formula", "bhargava", "--n", "2", "--eval", "1e10000000", "1"), None, id="eval"),
+        pytest.param(DUALITY, one_class([["1e10000000", 0]], [["1", 0]]), id="duality-coefficient"),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "horizontal": [{"c": "1e10000000"}], "strata": STRATA},
+            id="stringy-c",
+        ),
+    ],
+)
+def test_a_decimal_exponent_past_the_digit_limit_exits_2_in_a_fresh_process(tmp_path, argv, doc):
+    # Fraction("1e10000000") builds 10^(10^7) itself: about 11 s, then exit 2 on the digit limit
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    proc = run_fresh(*(str(path) if a == FILE else a for a in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "'1e10000000': a decimal exponent beyond" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_integer_strings_are_accepted_in_every_loader(tmp_path, capsys):

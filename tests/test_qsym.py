@@ -1,4 +1,5 @@
 import cmath
+import fractions
 import heapq
 import math
 import random
@@ -359,6 +360,11 @@ def test_eval_respects_env_precision(monkeypatch):
     monkeypatch.setenv("GML_PRECISION", "10")
     f = ClassFunction.monomial(F(1, 2))
     assert len(str(cf_eval(f, 2, 1)).replace(".", "")) <= 11
+    # the variable is read only where a Decimal is made: an exact value ignores it
+    monkeypatch.setenv("GML_PRECISION", "junk")
+    assert cf_eval(f, 4, 1) == 2
+    with pytest.raises(ValueError, match="GML_PRECISION"):
+        cf_eval(f, 2, 1)
 
 
 ROOT = ClassFunction.monomial(F(1, 2))
@@ -579,16 +585,24 @@ def test_exact_eval_size_cap():
         cf_eval(Q, 2, r0 + 1)
     with pytest.raises(ValueError, match="q0=4, r0=1000000000001"):
         cf_eval(ClassFunction.monomial(F(1, 2)), 4, 10**12 + 1)
+    # 9/4 = (3/2)^2: the root has a denominator, and the message prints q0 as p/q
+    with pytest.raises(ValueError, match="q0=9/4, r0=1000000000001 would exceed"):
+        cf_eval(ClassFunction.monomial(F(1, 2)), F(9, 4), 10**12 + 1)
 
 
 def test_eval_argument_validation():
-    with pytest.raises(ValueError):
-        cf_eval(one, 1, 1)
+    for q0 in (1, F(1), "1", F(1, 2), "0", 0):
+        with pytest.raises(ValueError, match="q0 must be a rational > 1"):
+            cf_eval(one, q0, 1)
+    with pytest.raises(TypeError, match="floats are not exact"):
+        cf_eval(one, 2.0, 1)
     with pytest.raises(ValueError):
         cf_eval(one, 2, 0)
     for precision in (0, -5, "7.5", True, 2.0):
         with pytest.raises(ValueError, match="GML_PRECISION"):
             cf_eval(ROOT, 2, 1, precision)
+        # precision is read only for a Decimal: an exact value returns its Fraction
+        assert cf_eval(ROOT, 4, 1, precision) == 2
     # 2^(+-(10^30 + 1)/2) is beyond the decimal exponent range either way
     for f in (ROOT, 1 / ROOT):
         with pytest.raises(ValueError, match="exponent range"):
@@ -712,8 +726,16 @@ json_coefficients = st.one_of(
 @example("1/0")
 @example("0/05")
 @example("-0")
+@example(" -1.5E+4301 ")  # valid, with an exponent past the default int-string digit limit
+@example("e4301")
 @settings(max_examples=300, deadline=None)
 def test_json_coefficients_read_like_fraction_of_their_str(c):
+    # a literal whose exponent is past the digit limit is refused before Fraction builds 10^exp
+    m, limit = fractions._RATIONAL_FORMAT.match(str(c)), getattr(sys, "get_int_max_str_digits", int)()
+    if limit and m and m["exp"] and abs(int(m["exp"])) > limit:
+        with pytest.raises(ValueError, match="a decimal exponent beyond"):
+            _json_ratio(c)
+        return
     try:
         want = F(str(c))
     except (ValueError, ZeroDivisionError) as exc:
@@ -1130,12 +1152,14 @@ def test_exact_eval_matches_fraction_powers(entry, n, t, r0):
     x = t ** (r0 * n // f.root_order)  # x = q0^(r0/N) for the canonical root order N
     num = sum((c * x**k for k, c in e.num.terms.items()), F(0))
     den = sum((c * x**k for k, c in e.den.terms.items()), F(0))
-    if den == 0:
-        with pytest.raises(PoleAtEvaluationPoint):
-            cf_eval(f, q0, r0)
-    else:
-        got = cf_eval(f, q0, r0)
-        assert type(got) is Fraction and got == num / den
+    # q0 as a Fraction, as "p/q" text and, when integral, as an int: one outcome
+    for q in [q0, f"{q0.numerator}/{q0.denominator}"] + [q0.numerator] * (q0.denominator == 1):
+        if den == 0:
+            with pytest.raises(PoleAtEvaluationPoint):
+                cf_eval(f, q, r0)
+        else:
+            got = cf_eval(f, q, r0)
+            assert type(got) is Fraction and got == num / den
 
 
 # -- the canonical triple k*n/d -------------------------------------------------
