@@ -57,7 +57,7 @@ def duality_report(masses: MassPair, dim: int) -> DualityReport:
     """
     if not masses.is_finite:
         raise InfiniteMass("duality verdicts need finite masses")
-    dim = int(dim)
+    dim = _json_int(dim)
     mv, mw = masses.mass_v, masses.mass_w
     dv, dw = mv.dual(), mw.dual()
     qd = ClassFunction.monomial(dim)

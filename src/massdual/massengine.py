@@ -1,6 +1,6 @@
 """Total masses of local Galois representations.
 
-Two independent engines live here.
+Three independent engines live here.
 
 Tame masses: for a residue field of order q^r coprime to |G|, the
 continuous homomorphisms from the tame Galois group correspond to pairs
@@ -38,6 +38,7 @@ from .qsym import (
     ClassFunction,
     Infinite,
     _frac,
+    _json_frac,
     _json_int,
     cf_geometric_sum,
     frac_str,
@@ -252,7 +253,7 @@ class ProfileStratum(namedtuple("ProfileStratum", "count v w")):
     __slots__ = ()
 
     def __new__(cls, count: ClassFunction, v, w):
-        v, w = Fraction(v), Fraction(w)
+        v, w = _frac(v), _frac(w)
         for q0 in (2, 3, 4, 5):
             for r0 in (1, 2, 3):
                 val = count.eval(q0, r0)
@@ -272,7 +273,8 @@ class GeometricFamily(namedtuple("GeometricFamily", "i0 i1 coeff count_exp v_exp
     __slots__ = ()
 
     def __new__(cls, i0: int, i1: Optional[int], coeff: ClassFunction, count_exp, v_exp, w_exp):
-        count_exp, v_exp, w_exp = (tuple(Fraction(x) for x in p) for p in (count_exp, v_exp, w_exp))
+        count_exp, v_exp, w_exp = (tuple(map(_frac, p)) for p in (count_exp, v_exp, w_exp))
+        i0, i1 = _json_int(i0), None if i1 is None else _json_int(i1)
         if i1 is not None and i1 < i0:
             raise ValueError("family range is empty; use i1 >= i0 or drop the family")
         return super().__new__(cls, i0, i1, coeff, count_exp, v_exp, w_exp)
@@ -286,7 +288,7 @@ class RamificationProfile(namedtuple("RamificationProfile", "group_order strata 
     __slots__ = ()
 
     def __new__(cls, group_order: int, strata=(), families=()):
-        if group_order < 1:
+        if (group_order := _json_int(group_order)) < 1:
             raise InvalidParams("group_order must be a positive integer")
         return super().__new__(cls, group_order, tuple(strata), tuple(families))
 
@@ -487,7 +489,7 @@ def profile_to_json(profile: RamificationProfile) -> dict:
 
 
 def _stratum_from_json(s: Mapping) -> ProfileStratum:
-    v, w, count = _frac(str(s["v"])), _frac(str(s["w"])), ClassFunction.from_json(s["count"])
+    v, w, count = _json_frac(s["v"]), _json_frac(s["w"]), ClassFunction.from_json(s["count"])
     s.get("count")  # the count is checked as a whole: read it once more, after its parts
     return ProfileStratum(count, v, w)
 
@@ -499,12 +501,10 @@ def profile_from_json(obj: Mapping) -> RamificationProfile:
     families = tuple(
         GeometricFamily(
             coeff=ClassFunction.from_json(f["coeff"]),
-            **{key: tuple(_frac(str(x)) for x in f[key]) for key in ("count_exp", "v_exp", "w_exp")},
+            **{key: tuple(map(_json_frac, f[key])) for key in ("count_exp", "v_exp", "w_exp")},
             i0=_json_int(f["i0"]),
-            i1=None if f.get("i1") is None else _json_int(f["i1"]),
+            i1=f.get("i1"),
         )
         for f in obj.get("families", ())
     )
-    return RamificationProfile(
-        group_order=_json_int(obj["group_order"]), strata=strata, families=families
-    )
+    return RamificationProfile(group_order=obj["group_order"], strata=strata, families=families)

@@ -32,7 +32,6 @@ import decimal
 import heapq
 import math
 import os
-import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -56,16 +55,21 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
-    if isinstance(x, str) and (limit := getattr(sys, "get_int_max_str_digits", int)()):
-        head, e, tail = x.lower().rpartition("e")
-        try:  # Fraction(x) builds 10^exponent itself: refuse a literal whose exponent passes the limit
-            exp = abs(int(tail)) if e and not tail[:1].isspace() else 0
-            if exp > limit:
+    limit = getattr(sys, "get_int_max_str_digits", int)() if isinstance(x, str) else 0
+    if limit and "e" in (low := x.lower()):
+        # Fraction(x) builds 10^exponent itself: refuse a literal whose exponent passes the limit,
+        # its digits counted before int(), which refuses more than `limit` of them with its own text
+        head, _, tail = low.rpartition("e")
+        groups = tail.rstrip()[tail[:1] in ("+", "-"):].split("_")  # int()'s digit groups, if tail is one
+        digits = "".join(groups).lstrip("0") if all(g.isdecimal() for g in groups) else ""
+        if len(digits) > len(str(limit)) or digits and int(digits) > limit:
+            try:
                 Fraction(head + "e0")  # raises unless x is a literal
-        except ValueError:  # no literal, or an exponent of over `limit` digits: Fraction(x) fails at once
-            exp = 0
-        if exp > limit:
-            raise ValueError(f"{x!r}: a decimal exponent beyond {limit} builds an integer of over {limit} digits")
+            except ValueError:  # no literal: Fraction(x) fails at once, with its own error
+                pass
+            else:
+                raise ValueError(f"{x!r}: a decimal exponent beyond {limit} builds an integer of over "
+                                 f"{limit} digits")
     return Fraction(x)
 
 
@@ -123,7 +127,7 @@ class LaurentPoly:
         data: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for e, c in items:
-            e, c = int(e), _frac(c)
+            e, c = _json_int(e), _frac(c)
             data[e] = data[e] + c if e in data else c
         self.terms = {e: c for e, c in data.items() if c}
 
@@ -390,8 +394,8 @@ def ratfun(num: LaurentPoly, den: LaurentPoly) -> RationalFunctionX:
     """Build the canonical entry num/den from LaurentPolys over Q.
 
     Each side is read into its integer form (`_ints`); `_reduced` does the
-    rest.  The builders in this module start from integers and call
-    `_reduced` directly.
+    rest.  `from_json` builds here; the other builders in this module start
+    from integers and call `_reduced` directly.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -736,8 +740,7 @@ class ClassFunction:
         qa, qz = _ratio(q0)
         if qa <= qz:
             raise ValueError("q0 must be a rational > 1")
-        r0 = int(r0)
-        if r0 < 1:
+        if (r0 := _json_int(r0)) < 1:
             raise ValueError("r0 must be a positive integer")
         entry = self.class_entry(r0)
         # q^(e*r0/N) = y^k, k = e*r0/g, y = q0^(1/b) = s^(d/b): b = N/g least, d | b largest with q0 = s^d
@@ -840,40 +843,26 @@ class ClassFunction:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClassFunction":
-        def side(pairs):  # (l, P) for the side P/l; a repeated exponent keeps its last value
-            terms = {_json_int(e): _json_ratio(c) for c, e in pairs}
-            l = math.lcm(1, *(q for _, q in terms.values()))
-            return l, {e: p * (l // q) for e, (p, q) in terms.items() if p}
-
-        def entry(c):
-            (ln, n), (ld, d) = side(c["num"]), side(c["den"])
-            if not d:
-                raise ZeroDivisionError("zero denominator")
-            return _reduced(n, d, Fraction(ld, ln))
+        def side(pairs):  # a repeated exponent keeps its last value
+            return LaurentPoly({_json_int(e): _json_frac(c) for c, e in pairs})
 
         # each value is checked as it is read, classes last, so an error is reported against its key
         if (modulus := _json_int(obj["modulus"])) < 1 or (root_order := _json_int(obj["root_order"])) < 1:
             raise ValueError("modulus and root_order must be positive")
-        return cls(modulus, root_order, [entry(c) for c in obj["classes"]])
-
-
-_P_OR_P_Q = re.compile(r"-?\d+(?:/[1-9]\d*)?")
-
-
-def _json_ratio(c) -> tuple[int, int]:
-    """(p, q) for a JSON coefficient: an int or a "p"/"p/q" string straight
-    into ints, any other spelling through _frac(str(c))."""
-    if type(c) is str and _P_OR_P_Q.fullmatch(c):
-        p, _, q = c.partition("/")
-        return int(p), int(q or 1)
-    return _ratio(c if type(c) is int else _frac(str(c)))
+        return cls(modulus, root_order, [ratfun(side(c["num"]), side(c["den"])) for c in obj["classes"]])
 
 
 def _json_int(x) -> int:
-    """A JSON integer or integer string; int() would truncate floats and bools."""
-    if isinstance(x, (bool, float)):
+    """An int, an integer string or another integral number; floats, bools and any
+    number that int() would truncate are refused."""
+    if isinstance(x, (bool, float)) or (n := int(x)) != x and not isinstance(x, str):
         raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    return n
+
+
+def _json_frac(x) -> Fraction:
+    """A JSON rational: an int as itself, any other value by its text through _frac (0.5 as "0.5")."""
+    return _frac(x if type(x) is int else str(x))
 
 
 def _render_exp(e: int, n: int) -> str:
@@ -986,10 +975,10 @@ def cf_geometric_sum(coeff, a, b, i0: int, i1: Optional[int] = None) -> ClassFun
     coeff * Q^(a*i0 + b) / (1 - Q^a) and converges exactly when a < 0;
     otherwise DivergentSeries is raised (unless coeff is zero).
     """
-    a, b = _frac(a), _frac(b)
+    a, b, i0 = _frac(a), _frac(b), _json_int(i0)
     coeff = ClassFunction._coerce(coeff)
     if i1 is not None:
-        n = int(i1) - i0 + 1
+        n = _json_int(i1) - i0 + 1
         if n <= 0:
             return ClassFunction.zero()
         if a == 0:

@@ -33,7 +33,7 @@ from typing import Mapping, Union
 
 from .errors import InfiniteInput, MalformedStrata
 from .massengine import MassPair
-from .qsym import ClassFunction, Infinite, _frac, _json_int, frac_str, is_infinite
+from .qsym import ClassFunction, Infinite, _frac, _json_frac, _json_int, frac_str, is_infinite
 
 StrataMap = Mapping[frozenset, ClassFunction]
 StringyCount = Union[ClassFunction, type(Infinite)]
@@ -61,7 +61,7 @@ class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertica
     __slots__ = ()
 
     def __new__(cls, dim: int, horizontal=(), strata: Mapping = None, vertical=(), mode: str = "open"):
-        _positive_dim(dim)
+        dim = _positive_dim(dim)
         if mode not in ("open", "closed"):
             raise ValueError("mode must be 'open' or 'closed'")
         horizontal = tuple(map(_multiplicity, horizontal))
@@ -77,8 +77,8 @@ class ResolutionData(namedtuple("ResolutionData", "dim horizontal strata vertica
         return out
 
 
-def _positive_dim(dim: int) -> int:
-    if dim < 1:
+def _positive_dim(dim) -> int:
+    if (dim := _json_int(dim)) < 1:
         raise ValueError("dim must be a positive integer")
     return dim
 
@@ -94,7 +94,7 @@ def _normalize_strata(counts: Mapping) -> dict:
     """Freeze keys to frozensets of ints and drop zero counts."""
     out = {}
     for key, cf in counts.items():
-        key = frozenset(int(j) for j in key)
+        key = frozenset(map(_json_int, key))
         if not isinstance(cf, ClassFunction):
             raise TypeError("stratum counts must be ClassFunctions")
         if not cf.is_zero:
@@ -279,14 +279,14 @@ def resolution_to_json(data: ResolutionData) -> dict:
 
 
 def resolution_from_json(obj: Mapping) -> ResolutionData:
-    # dim and each c are checked where they are read, mode is read last, so an
-    # error is reported against its key
+    # dim, each c and each a are checked where they are read, mode is read last,
+    # so an error is reported against its key
     return ResolutionData(
-        dim=_positive_dim(_json_int(obj["dim"])),
-        horizontal=tuple(_multiplicity(str(h["c"])) for h in obj.get("horizontal", ())),
+        dim=_positive_dim(obj["dim"]),
+        horizontal=tuple(_multiplicity(_json_frac(h["c"])) for h in obj.get("horizontal", ())),
         strata=_strata_from_json(obj.get("strata", {})),
         vertical=tuple(
-            VerticalRow(str(r["a"]), _strata_from_json(r["strata"]))
+            VerticalRow(_json_frac(r["a"]), _strata_from_json(r["strata"]))
             for r in obj.get("vertical", ())
         ),
         mode=obj.get("mode", "open"),

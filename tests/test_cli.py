@@ -662,6 +662,9 @@ ERROR_TEXT = {
     "GML_PRECISION--5": "error: GML_PRECISION",
     "GML_PRECISION-7.5": "error: GML_PRECISION",
     "eval-beyond-decimal-exponent-range": "error: the value at q0=2, r0=1000000000000000000000000000001 is",
+    # int() refuses an exponent of over 4300 digits itself, with a text that does not name the value
+    "eval-exponent-of-5000-digits": "error: '1e999",
+    "vertical-a-1/0": "error: --file: vertical[0].a: Fraction(1, 0)\n",
 }
 
 
@@ -768,6 +771,17 @@ ERROR_TEXT = {
         pytest.param(("GML_PRECISION=7.5", *EVAL_SQRT2), None, id="GML_PRECISION-7.5"),
         pytest.param(
             (*EVAL_SQRT2[:-1], str(10**30 + 1)), None, id="eval-beyond-decimal-exponent-range"
+        ),
+        pytest.param(
+            (*EVAL_SQRT2[:-2], "1e" + "9" * 5000, "1"),
+            None,
+            id="eval-exponent-of-5000-digits",
+            marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no digit limit"),
+        ),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "strata": STRATA, "vertical": [{"a": "1/0", "strata": {"[1]": Q.to_json()}}]},
+            id="vertical-a-1/0",
         ),
     ],
 )

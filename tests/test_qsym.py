@@ -3,6 +3,7 @@ import fractions
 import heapq
 import math
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -28,7 +29,7 @@ from massdual import (
     cf_geometric_sum,
     cf_ring,
 )
-from massdual import qsym
+from massdual import bhargava_masses, duality_report, qsym
 from massdual.qsym import (
     EXACT_EVAL_MAX_BITS,
     LaurentPoly,
@@ -36,9 +37,11 @@ from massdual.qsym import (
     _cyclotomic,
     _divisors,
     _divmod_z,
+    _frac,
     _gcd_prs,
     _ints,
-    _json_ratio,
+    _json_frac,
+    _json_int,
     _primitive,
     _rational_root_sum,
     _rf_add,
@@ -709,7 +712,44 @@ def test_json_roundtrip_and_hash():
             ClassFunction.from_json(bad)
 
 
-# JSON coefficients: ints, the fast path's "p" and "p/q", near misses of it, and other values
+def test_from_json_keeps_the_last_value_of_a_repeated_exponent():
+    doc = {"modulus": 1, "root_order": 1, "classes": [{"num": [["1", 2], ["3", 2]], "den": [["1", 0]]}]}
+    assert ClassFunction.from_json(doc) == 3 * Q**2
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
+def test_an_exponent_of_more_digits_than_the_limit_is_named():
+    # int() would refuse the exponent itself, with a text that does not name the value
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e" + "9" * (limit + 700), " -2.5E+" + "1_000" * limit + " "):
+        with pytest.raises(ValueError, match=r"^'.*': a decimal exponent beyond"):
+            _frac(text)
+    for text in ("x1e" + "9" * (limit + 700), "1e" + "0" * limit + "1", "1e" + "9" * (limit + 1) + "_"):
+        with pytest.raises(ValueError) as caught:
+            F(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            _frac(text)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: _json_int(F(3, 2)),
+        lambda: Q.eval(2, 1.5),
+        lambda: Q.eval(2, F(3, 2)),
+        lambda: LaurentPoly({1.5: 1}),
+        lambda: cf_geometric_sum(one, 1, 0, 0, 2.9),
+        lambda: cf_geometric_sum(one, 1, 0, 0.5, 3),
+        lambda: duality_report(bhargava_masses(2), 2.5),
+    ],
+    ids=["json_int", "eval-r0-float", "eval-r0-fraction", "laurent-exponent", "sum-i1", "sum-i0", "report-dim"],
+)
+def test_integer_readers_refuse_what_int_would_truncate(read):
+    with pytest.raises(ValueError, match="expected an integer, got"):
+        read()
+
+
+# JSON coefficients: ints, the "p" and "p/q" that to_json writes, near misses of them, and other values
 json_coefficients = st.one_of(
     st.integers(-10**30, 10**30),
     st.from_regex(r"-?\d+(/[1-9]\d*)?", fullmatch=True),
@@ -734,17 +774,16 @@ def test_json_coefficients_read_like_fraction_of_their_str(c):
     m, limit = fractions._RATIONAL_FORMAT.match(str(c)), getattr(sys, "get_int_max_str_digits", int)()
     if limit and m and m["exp"] and abs(int(m["exp"])) > limit:
         with pytest.raises(ValueError, match="a decimal exponent beyond"):
-            _json_ratio(c)
+            _json_frac(c)
         return
     try:
         want = F(str(c))
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)) as caught:
-            _json_ratio(c)
+            _json_frac(c)
         assert str(caught.value) == str(exc)
     else:
-        p, q = _json_ratio(c)
-        assert q > 0 and F(p, q) == want
+        assert _json_frac(c) == want
         doc = {"modulus": 1, "root_order": 1, "classes": [{"num": [[c, 1], ["1", 0]], "den": [["2", 0]]}]}
         assert ClassFunction.from_json(doc) == (want * Q + 1) / 2
 

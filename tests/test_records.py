@@ -6,6 +6,7 @@ exception types it always did.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from massdual import (
 from massdual.qsym import Infinite, RationalFunctionX
 
 F = Fraction
+NEEDS_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str limit")
 
 _swap = perm_from_cycles(2, [[1, 2]])
 S2, S2_REP = group_closure([_swap], [permutation_matrix(_swap)])
@@ -117,6 +119,24 @@ def test_construction_normalises_its_arguments():
         (lambda: MonomialMatrix((0, 0), (0, 0), 1), ValueError, "not a permutation"),
         (lambda: MonomialMatrix((1, 0), (0,), 1), ValueError, "one exponent per column"),
         (lambda: MonomialMatrix((0,), (0,), 0), ValueError, "root_order must be positive"),
+        # rationals are read as qsym reads them: a float is not exact
+        (lambda: ProfileStratum(Q, 0.1, 0), TypeError, "floats are not exact"),
+        (lambda: GeometricFamily(1, None, Q, (0.1, 0), (0, 0), (0, 0)), TypeError, "floats are not exact"),
+        pytest.param(
+            lambda: ProfileStratum(Q, "1e10000000", 0), ValueError, "a decimal exponent beyond", marks=NEEDS_LIMIT
+        ),
+        pytest.param(
+            lambda: GeometricFamily(1, None, Q, (1, 0), ("1e10000000", 0), (0, 0)),
+            ValueError,
+            "a decimal exponent beyond",
+            marks=NEEDS_LIMIT,
+        ),
+        # integer fields refuse what int() would truncate
+        (lambda: GeometricFamily(1.5, None, Q, (1, 0), (0, 0), (0, 0)), ValueError, "expected an integer, got 1.5"),
+        (lambda: GeometricFamily(1, 2.5, Q, (1, 0), (0, 0), (0, 0)), ValueError, "expected an integer, got 2.5"),
+        (lambda: RamificationProfile(2.5), ValueError, "expected an integer, got 2.5"),
+        (lambda: ResolutionData(dim=2.5), ValueError, "expected an integer, got 2.5"),
+        (lambda: VerticalRow(1, {(1.7,): Q}), ValueError, "expected an integer, got 1.7"),
     ],
 )
 def test_validation_keeps_its_exception_types(build, error, match):
