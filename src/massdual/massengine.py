@@ -256,8 +256,8 @@ class ProfileStratum(namedtuple("ProfileStratum", "count v w")):
         v, w = _frac(v), _frac(w)
         for q0 in (2, 3, 4, 5):
             for r0 in (1, 2, 3):
-                val = count.eval(q0, r0)
-                if isinstance(val, Fraction) and val < 0:
+                # a Decimal sample carries its precision in significant digits, so its sign is right
+                if count.eval(q0, r0) < 0:
                     raise ValueError(f"stratum count is negative at q0={q0}, r0={r0}")
         return super().__new__(cls, count, v, w)
 

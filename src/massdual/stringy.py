@@ -15,6 +15,9 @@ otherwise the count is Infinite.  Open and closed strata are related by an
 inclusion-exclusion transform that is its own inverse.  Folded into the sum, it
 weighs a closed stratum J by the sum over J' <= J of (-1)^|J - J'| prod_{j in J'} f_j,
 which is prod_{j in J} (f_j - 1) for the open factors f_j = (Q - 1)/(Q^(1+c_j) - 1).
+The sum is taken by Horner's rule in the divisors, eliminating one at a time in
+increasing order: it is A + f_j * B, where A holds the strata without j and B those
+with j, j dropped from their keys.
 
 The checks below are the standard identities: Poincare duality f = D(f)*Q^d
 for the count of a proper crepant-resolvable ambient space, the multiplicative
@@ -154,7 +157,12 @@ def open_closed_convert(data: ResolutionData) -> ResolutionData:
 
 def stringy_count(data: ResolutionData) -> StringyCount:
     """Evaluate the stringy count; Infinite when a c_j <= -1 divisor is met.
-    Closed strata meet the same divisors as their open conversion, so both modes diverge alike."""
+    Closed strata meet the same divisors as their open conversion, so both modes diverge alike.
+
+    The rows are merged into one map {key: Q^(-a) * count}; then each divisor j met by
+    a nonzero stratum, in increasing order, turns the map into A + f_j * B (A the strata
+    without j, B those with j, j dropped from their keys), and the count is what is left
+    at the empty key.  At most one product per stratum and divisor."""
     n = len(data.horizontal)
     valid = set(range(1, n + 1))
     rows = data.rows()
@@ -177,16 +185,17 @@ def stringy_count(data: ResolutionData) -> StringyCount:
     for j in sorted(used):
         f = ClassFunction.poly({1: 1, 0: -1}) / (ClassFunction.monomial(1 + data.horizontal[j - 1]) - 1)
         factors[j] = f - 1 if data.mode == "closed" else f
-    total = ClassFunction.zero()
+    strata: dict = {}
     for a, counts in rows:
-        row_sum = ClassFunction.zero()
         for key, cf in counts.items():
-            term = cf
-            for j in sorted(key):
-                term = term * factors[j]
-            row_sum = row_sum + term
-        total = total + ClassFunction.monomial(-a) * row_sum
-    return total
+            cf = cf.scale_pow(-a) if a else cf
+            strata[key] = strata[key] + cf if key in strata else cf
+    # each partial sum involves only the factors up to j, so no sum reduces against them all
+    for j, f in factors.items():
+        for key in [key for key in strata if j in key]:
+            rest, term = key - {j}, strata.pop(key) * f
+            strata[rest] = strata[rest] + term if rest in strata else term
+    return strata.get(frozenset(), ClassFunction.zero())
 
 
 def poincare_check(count: StringyCount, dim: int) -> bool:

@@ -1,7 +1,9 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -516,6 +518,32 @@ def test_a_closed_stratum_on_18_divisors_in_a_fresh_process(tmp_path):
     for c in cs:
         expected = expected * ((Q - 1) / (ClassFunction.monomial(1 + c) - 1) - 1)
     assert ClassFunction.from_json(json.loads(proc.stdout)["count_total"]) == expected
+
+
+def test_a_dense_lattice_on_8_divisors_in_a_fresh_process(tmp_path):
+    # all 256 open strata on 8 divisors: adding each stratum to one running total reduced
+    # every sum against the product of all 8 denominators, 43-53 s on a 2-vCPU VM; a hang
+    # detector with no time assert, as run_fresh's timeout ends a stall
+    cs = [Fraction(-1, 2), Fraction(-2, 3), Fraction(1, 2), Fraction(1, 3)]
+    cs += [Fraction(-1, 6), Fraction(2, 5), Fraction(-3, 4), Fraction(1, 7)]
+    keys = [frozenset(s) for k in range(9) for s in itertools.combinations(range(1, 9), k)]
+    signs = [1, -2, 3, -1, 2, -3]
+    polys = {key: {i % 3: signs[i % 6], i % 3 + 1: signs[(i + 1) % 6]} for i, key in enumerate(keys)}
+    data = ResolutionData(dim=8, horizontal=cs, strata={key: ClassFunction.poly(p) for key, p in polys.items()})
+    path = tmp_path / "dense8.json"
+    path.write_text(json.dumps(resolution_to_json(data)))
+    proc = run_fresh("stringy", "--file", str(path), "--report", "json")
+    assert proc.returncode == 0, proc.stderr
+    # at q0 = 2^N, with N the lcm of the exponents' denominators, every Q^(1+c_j) is an integer
+    n = math.lcm(*(c.denominator for c in cs))
+    q0 = 2**n
+    expected = Fraction(0)
+    for key, p in polys.items():
+        term = Fraction(sum(c * q0**e for e, c in p.items()))
+        for j in key:
+            term *= Fraction(q0 - 1, 2 ** (n * (1 + cs[j - 1])) - 1)
+        expected += term
+    assert ClassFunction.from_json(json.loads(proc.stdout)["count_total"]).eval(q0, 1) == expected
 
 
 def test_eval_at_q0_beyond_float_range():

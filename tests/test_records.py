@@ -112,6 +112,8 @@ def test_construction_normalises_its_arguments():
         (lambda: RamificationProfile(0), InvalidParams, "group_order must be a positive integer"),
         (lambda: GeometricFamily(3, 2, Q, (1, 0), (0, 0), (0, 0)), ValueError, "family range is empty"),
         (lambda: ProfileStratum(ClassFunction.constant(-1), 0, 0), ValueError, "count is negative"),
+        # every sample of Q^(1/7) - 3 is irrational and negative
+        (lambda: ProfileStratum(ClassFunction.monomial("1/7") - 3, 0, 0), ValueError, "negative at q0=2, r0=1"),
         (lambda: ResolutionData(dim=0), ValueError, "dim must be a positive integer"),
         (lambda: ResolutionData(dim=1, mode="half"), ValueError, "mode must be 'open' or 'closed'"),
         (lambda: ResolutionData(dim=1, horizontal=(1, 0)), ValueError, "multiplicity 0"),

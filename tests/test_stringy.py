@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from massdual import (
     VerticalRow,
     bhargava_masses,
     builtin_resolution,
+    cf_from_terms,
     convert_strata_map,
     gm_duality_check,
     gm_quotient,
@@ -93,32 +95,95 @@ def test_open_closed_convert_roundtrips_resolution():
     assert back.strata == data.strata
 
 
+MULTIPLICITIES = [F(-3, 2), F(-1), F(-1, 2), F(1, 3), F(2), F(-2, 3), F(1, 2), F(5, 6)]
+
+
 @st.composite
-def closed_resolutions(draw):
-    """Closed resolution data on 1 to 4 divisors, some with c <= -1, a
-    vertical row or two, and now and then a key past the last divisor."""
-    n = draw(st.integers(1, 4))
-    horizontal = draw(st.lists(st.sampled_from([F(-3, 2), F(-1), F(-1, 2), F(1, 3), F(2)]), min_size=n, max_size=n))
-    keys = st.frozensets(st.integers(1, n + draw(st.sampled_from([0, 0, 0, 1]))), max_size=n + 1)
-    polys = st.dictionaries(st.sampled_from([F(0), F(1), F(3, 2), F(2)]), st.integers(-2, 2), max_size=2)
-    counts = st.dictionaries(keys, polys.map(ClassFunction.poly), max_size=5)
-    vertical = st.lists(st.builds(VerticalRow, st.sampled_from([F(-1), F(1, 2), F(2)]), counts), max_size=2)
-    return ResolutionData(dim=2, horizontal=horizontal, strata=draw(counts), vertical=draw(vertical), mode="closed")
+def resolutions(draw):
+    """Open or closed resolution data on 0 to 5 divisors, some with c <= -1 (met
+    or not), a vertical row or two, counts with modulus 2 and with denominators,
+    and now and then a key past the last divisor."""
+    n = draw(st.integers(0, 5))
+    horizontal = draw(st.lists(st.sampled_from(MULTIPLICITIES), min_size=n, max_size=n))
+    top = n + draw(st.sampled_from([0, 0, 0, 0, 1]))
+    keys = st.frozensets(st.integers(1, top), max_size=top) if top else st.just(empty)
+    exps = st.sampled_from([F(0), F(1), F(3, 2), F(2)])
+    polys = st.dictionaries(exps, st.integers(-2, 2), max_size=2).map(ClassFunction.poly)
+    # (a*(-1)^r + b) Q^e: one value on even r and another on odd r
+    alternating = st.builds(
+        lambda a, b, e: cf_from_terms([(a, F(1, 2), e), (b, 0, e)]), st.integers(-2, 2), st.integers(-2, 2), exps
+    )
+    dens = st.sampled_from([Q + 2, ClassFunction.monomial(F(1, 2)) - 3, Q**2 - Q + 1])
+    quotients = st.builds(lambda p, d: p / d, polys, dens)
+    counts = st.dictionaries(keys, st.one_of(polys, alternating, quotients), max_size=5)
+    vertical = st.lists(st.builds(VerticalRow, st.sampled_from([F(-1), F(0), F(1, 2), F(2)]), counts), max_size=2)
+    mode = draw(st.sampled_from(["open", "closed"]))
+    return ResolutionData(dim=2, horizontal=horizontal, strata=draw(counts), vertical=draw(vertical), mode=mode)
 
 
-def outcome(data):
+def _termwise_count(data):
+    """Batyrev's sum stratum by stratum: each count times its factors, added to its
+    row's sum, and each row's sum times Q^(-a) added to one running total."""
+    n = len(data.horizontal)
+    rows = data.rows()
+    for _, counts in rows:
+        for key in counts:
+            if not key <= set(range(1, n + 1)):
+                raise MalformedStrata(f"stratum {sorted(key)} references divisors outside 1..{n}")
+    if any(data.horizontal[j - 1] <= -1 for _, counts in rows for key in counts for j in key):
+        return Infinite
+
+    def factor(j):  # only a met divisor has one: an unmet c = -1 would divide by zero
+        f = (Q - 1) / (ClassFunction.monomial(1 + data.horizontal[j - 1]) - 1)
+        return f - 1 if data.mode == "closed" else f
+
+    total = ClassFunction.zero()
+    for a, counts in rows:
+        row_sum = ClassFunction.zero()
+        for key, cf in counts.items():
+            term = cf
+            for j in sorted(key):
+                term = term * factor(j)
+            row_sum = row_sum + term
+        total = total + ClassFunction.monomial(-a) * row_sum
+    return total
+
+
+def outcome(data, count=stringy_count):
     try:
-        count = stringy_count(data)
+        value = count(data)
     except MalformedStrata:
         return MalformedStrata
-    return "infinite" if is_infinite(count) else count
+    return "infinite" if is_infinite(value) else value
 
 
-@given(closed_resolutions())
+@given(resolutions())
 @settings(max_examples=200, deadline=None)
 def test_closed_strata_count_as_their_open_conversion(data):
     # closed strata are summed with the factors f_j - 1; the conversion is the oracle
     assert outcome(data) == outcome(open_closed_convert(data))
+
+
+@given(resolutions())
+@settings(max_examples=200, deadline=None)
+def test_elimination_counts_as_the_termwise_sum(data):
+    assert outcome(data) == outcome(data, _termwise_count)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_the_full_lattice_takes_one_product_per_stratum(monkeypatch, mode):
+    # each step takes f_j times the strata that meet j, once each: 2^5 - 1 products on
+    # the full lattice of 5 divisors, where one product per stratum and divisor made 81
+    keys = [frozenset(s) for k in range(6) for s in combinations(range(1, 6), k)]
+    data = ResolutionData(
+        dim=5, horizontal=MULTIPLICITIES[2:7], strata={key: Q ** len(key) + i for i, key in enumerate(keys)}, mode=mode
+    )
+    expected = _termwise_count(data)
+    calls = []
+    mul = ClassFunction.__mul__
+    monkeypatch.setattr(ClassFunction, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert stringy_count(data) == expected
+    assert len(calls) <= 2**5 - 1
 
 
 def test_crepant_data_passes_through():
