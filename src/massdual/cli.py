@@ -1,8 +1,10 @@
 """Command line entry point.
 
-Subcommands load scenario files, run the engines, and emit reports as text
-or JSON.  Exit codes: 0 success, 1 check failure (verify and the duality
-verdict), 2 input or usage error or an input too large to compute, 3 divergent mass.
+Subcommands load scenario files and run the engines; each returns its report
+and its verdicts (the booleans of the checks it ran) or raises _Divergent.  run
+alone applies --eval, prints the report as text or JSON, and picks the exit
+code: 0 when every verdict holds, 1 when one fails, 2 on an input or usage
+error or an input too large to compute, 3 when a mass diverges.
 
 JSON documents may be wrapped as {"kind": ..., "payload": ..., "metadata":
 ...}; the payload is what the engines read.  Identical inputs produce
@@ -148,9 +150,10 @@ def _payload(doc: dict, kind: str) -> dict:
     return doc
 
 
-def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
+def _eval_report(out: dict, spec: list) -> None:
+    """Append each ClassFunction of the report evaluated at q = spec[0], r = spec[1]."""
     q0, r0 = _frac(spec[0]), int(spec[1])
-    values = {f"{key}({q0},{r0})": m.eval(q0, r0) for key, m in masses._asdict().items()}
+    values = {f"{key}({q0},{r0})": cf.eval(q0, r0) for key, cf in out.items() if isinstance(cf, ClassFunction)}
     # an exact value may pass int-to-str's 4300-digit default (EXACT_EVAL_MAX_BITS
     # is the bound); lift it only for these str() calls, as run() also serves in process
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -163,50 +166,36 @@ def _eval_masses(masses: MassPair, spec: list, out: dict) -> None:
             sys.set_int_max_str_digits(limit)
 
 
-def _divergent(report: str, reason: str) -> int:
-    _emit({"divergent": True, "reason": reason}, report)
-    return 3
+class _Divergent(Exception):
+    """A total mass diverges; the message is the reason that run() reports."""
 
 
-def _cmd_tame(args) -> int:
+def _cmd_tame(args) -> tuple:
     group, rep = _load("--group", _read(args.group), lambda d: group_from_json(_payload(d, "tame")))
     table = _stable_weights(TameScenario(group, rep, args.q))  # masses and verdict read one table
-    masses = _tame_masses(*table)
-    out = masses._asdict()
+    out = _tame_masses(*table)._asdict()
     if args.check_involution:
         out["involution"] = _involutive(*table)
-    if args.eval:
-        _eval_masses(masses, args.eval, out)
-    _emit(out, args.report)
-    return 0 if out.get("involution", True) else 1
+    return out, [out.get("involution", True)]
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> tuple:
     if args.file:
         profile = _load("--file", _read(args.file), lambda d: profile_from_json(_payload(d, "profile")))
     else:
         profile = builtin_profile(args.builtin, n=args.n, m=args.m)
     masses = profile_total_masses(profile)
     if not masses.is_finite:
-        return _divergent(args.report, "a geometric family has ratio exponent >= 0")
-    out = masses._asdict()
-    if args.eval:
-        _eval_masses(masses, args.eval, out)
-    _emit(out, args.report)
-    return 0
+        raise _Divergent("a geometric family has ratio exponent >= 0")
+    return masses._asdict(), []
 
 
-def _cmd_formula(args) -> int:
+def _cmd_formula(args) -> tuple:
     if args.which == "hilbert":
         counts = hilbert_counts(args.n)
-        _emit({"hilb_plane": counts.hilb_plane, "fiber": counts.fiber}, args.report)
-        return 0
+        return {"hilb_plane": counts.hilb_plane, "fiber": counts.fiber}, []
     masses = bhargava_masses(args.n) if args.which == "bhargava" else kedlaya_masses(args.n)
-    out = {**masses._asdict(), "strong": cf_dual(masses.mass_w) == masses.mass_v}
-    if args.eval:
-        _eval_masses(masses, args.eval, out)
-    _emit(out, args.report)
-    return 0
+    return {**masses._asdict(), "strong": cf_dual(masses.mass_w) == masses.mass_v}, []
 
 
 def _resolutions_from_json(doc) -> dict:
@@ -216,40 +205,31 @@ def _resolutions_from_json(doc) -> dict:
     return {"total": resolution_from_json(payload)}
 
 
-def _cmd_stringy(args) -> int:
+def _cmd_stringy(args) -> tuple:
     if args.builtin:
         fixtures = builtin_resolution(args.builtin)
     else:
         fixtures = _load("--file", _read(args.file), _resolutions_from_json)
     counts = {}
     for role, data in fixtures.items():
-        value = stringy_count(data)
-        if is_infinite(value):
-            return _divergent(
-                args.report, f"{role}: a met exceptional divisor has multiplicity <= -1"
-            )
-        counts[role] = value
+        counts[role] = stringy_count(data)
+        if is_infinite(counts[role]):
+            raise _Divergent(f"{role}: a met exceptional divisor has multiplicity <= -1")
     out = {f"count_{role}": cf for role, cf in counts.items()}
-    code = 0
     if args.check_poincare:
         if args.d is None:
             raise ValueError("--check-poincare needs --d")
-        ok = poincare_check(counts["total"], args.d)
-        out["poincare"] = ok
-        code = max(code, 0 if ok else 1)
+        out["poincare"] = poincare_check(counts["total"], args.d)
     if args.check_gm:
         if args.d is None:
             raise ValueError("--check-gm needs --d")
         if "origin" not in counts:
             raise ValueError("--check-gm needs both total and origin counts")
-        ok = gm_duality_check(counts["total"], counts["origin"], args.d)
-        out["gm"] = ok
-        code = max(code, 0 if ok else 1)
-    _emit(out, args.report)
-    return code
+        out["gm"] = gm_duality_check(counts["total"], counts["origin"], args.d)
+    return out, [out.get("poincare", True), out.get("gm", True)]
 
 
-def _cmd_duality(args) -> int:
+def _cmd_duality(args) -> tuple:
     mv = _read(args.mv)  # stdin is read once, so `--mv - --mw -` sees one document
     texts = (mv, mv if args.mv == args.mw == "-" else _read(args.mw))
     # each file holds a bare mass or a MassPair document with the side we want
@@ -258,21 +238,19 @@ def _cmd_duality(args) -> int:
         for option, field, text in zip(("--mv", "--mw"), ("mass_v", "mass_w"), texts)
     ))
     if not masses.is_finite:
-        return _divergent(args.report, "duality verdicts need finite masses")
+        raise _Divergent("duality verdicts need finite masses")
     report = duality_report(masses, args.d)
-    _emit(report._asdict(), args.report)
-    return 0 if report.weak else 1
+    return report._asdict(), [report.weak]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     results = run_suite(args.suite)
+    verdicts = [r.passed for r in results]
     if args.report == "json":
-        out = {"suite": args.suite, "results": [r._asdict() for r in results]}
-        _write([json.dumps(out, indent=2, sort_keys=True)])
-    else:
-        width = max(len(r.name) for r in results)
-        _write([f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results])
-    return 0 if all(r.passed for r in results) else 1
+        return {"suite": args.suite, "results": [r._asdict() for r in results]}, verdicts
+    width = max(len(r.name) for r in results)
+    _write([f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results])
+    return None, verdicts  # the PASS/FAIL table is its own layout
 
 
 @functools.lru_cache(maxsize=None)  # parse_args leaves it as it was; help and errors look up sys.stdout late
@@ -357,7 +335,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out, verdicts = args.func(args)
+        if getattr(args, "eval", None):
+            _eval_report(out, args.eval)
+        if out is not None:
+            _emit(out, args.report)
+        return 0 if all(verdicts) else 1
+    except _Divergent as exc:
+        _emit({"divergent": True, "reason": str(exc)}, args.report)
+        return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {_text(exc)}", file=sys.stderr)
         return 2

@@ -558,6 +558,4 @@ def group_from_json(obj: Mapping, max_size: int = DEFAULT_MAX_GROUP_SIZE) -> tup
     ]
     if any(m.dim != dim for m in mats):
         raise ValueError("matrix dimension disagrees with declared dim")
-    group, rep_obj = group_closure(gens, mats, max_size=max_size)
-    assert rep_obj is not None
-    return group, rep_obj
+    return group_closure(gens, mats, max_size=max_size)

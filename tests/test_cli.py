@@ -76,6 +76,25 @@ def test_formula_hilbert(capsys):
     assert ClassFunction.from_json(doc["fiber"]) == kedlaya_masses(2).mass_w
 
 
+def test_formula_hilbert_eval(capsys):
+    # --eval evaluates every ClassFunction of the report, the Hilbert counts too
+    code, out = run_cli(capsys, "formula", "hilbert", "--n", "2", "--eval", "2", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "hilb_plane = Q^4 + Q^3",
+        "fiber = 2*Q^2 + 2*Q + 1",
+        "hilb_plane(2,1) = 24",
+        "fiber(2,1) = 13",
+    ]
+    code, out = run_cli(capsys, "formula", "hilbert", "--n", "2", "--eval", "2", "1", "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == ["fiber", "fiber(2,1)", "hilb_plane", "hilb_plane(2,1)"]
+    assert (doc["hilb_plane(2,1)"], doc["fiber(2,1)"]) == ("24", "13")
+    assert run(["formula", "hilbert", "--n", "2", "--eval", "2", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: invalid literal for int() with base 10: 'x'\n")
+
+
 def test_profile_divergent_exit_code(capsys):
     code, out = run_cli(
         capsys, "profile", "--builtin", "quad_char2_sigma", "--n", "1",
@@ -332,6 +351,58 @@ def test_duality_infinite_mass_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "divergent" in out
+
+
+def divergence_argv(tmp_path, which):
+    if which == "profile":
+        return ["profile", "--builtin", "quad_char2_sigma", "--n", "1"]
+    if which == "stringy":  # the total count is finite, the origin's meets c = -1
+        payload = {"total": resolution_to_json(builtin_resolution("a1_cone")["total"])}
+        payload["origin"] = {"dim": 2, "mode": "open", "horizontal": [{"c": "-1"}], "strata": {"[1]": (Q + 1).to_json()}}
+        path = tmp_path / "origin.json"
+        path.write_text(json.dumps({"kind": "stringy", "payload": payload}))
+        return ["stringy", "--file", str(path), "--check-gm", "--d", "2"]
+    path = tmp_path / "masses.json"
+    path.write_text(json.dumps({"mass_v": (Q + 1).to_json(), "mass_w": "infinite"}))
+    return ["duality", "--mv", str(path), "--mw", str(path), "--d", "2"]
+
+
+@pytest.mark.parametrize(
+    "which, reason",
+    [
+        ("profile", "a geometric family has ratio exponent >= 0"),
+        ("stringy", "origin: a met exceptional divisor has multiplicity <= -1"),
+        ("duality", "duality verdicts need finite masses"),
+    ],
+)
+def test_divergence_prints_its_reason_and_exits_3(tmp_path, capsys, which, reason):
+    argv = divergence_argv(tmp_path, which)
+    assert run(argv) == 3
+    assert capsys.readouterr() == (f"divergent = True\nreason = {reason}\n", "")
+    assert run(argv + ["--report", "json"]) == 3
+    assert capsys.readouterr() == (f'{{\n  "divergent": true,\n  "reason": "{reason}"\n}}\n', "")
+
+
+def test_duality_strong_failure_alone_exits_0(tmp_path, capsys):
+    # mass_v = 1, mass_w = Q^2 at d = 2: D(mass_w) != mass_v, but both sides of weak are 0
+    mv, mw = tmp_path / "mv.json", tmp_path / "mw.json"
+    mv.write_text(json.dumps(ClassFunction.constant(1).to_json()))
+    mw.write_text(json.dumps((Q**2).to_json()))
+    argv = ["duality", "--mv", str(mv), "--mw", str(mw), "--d", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "strong = False",
+        "weak = True",
+        "dim = 2",
+        "strong_residual = -1 + Q^-2",
+        "weak_residual = 0",
+    ]
+    code, out = run_cli(capsys, *argv, "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["strong"], doc["weak"]) == (False, True)
+    assert ClassFunction.from_json(doc["strong_residual"]) == Q**-2 - 1
 
 
 def test_verify_suite(capsys):

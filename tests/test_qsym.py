@@ -580,6 +580,16 @@ def test_eval_pole():
         cf_eval(f, 2, 1)
 
 
+def test_decimal_eval_pole():
+    # (R^2 - 2) vanishes at R = q0^(1/2) = sqrt(2): the decimal branch finds the pole
+    R = ClassFunction.monomial(F(1, 2))
+    f = 1 / ((R**2 - 2) * (R + 1))
+    assert f.root_order == 2
+    with pytest.raises(PoleAtEvaluationPoint, match="q0=2, r0=1"):
+        f.eval(2, 1)
+    assert type(f.eval(3, 1)) is Decimal
+
+
 def test_exact_eval_size_cap():
     # Q at q0 = 2 is 2^r0: 2 bits a unit of span, so r0 = cap/2 is the last allowed
     r0 = EXACT_EVAL_MAX_BITS // 2
@@ -1075,6 +1085,25 @@ def test_gcd_over_z_matches_euclid_over_q(a, b, planted):
     # ratfun's normal form is the one the oracle's gcd gives
     got = ratfun(a, b)
     assert (got.num, got.den) == _normal_form(a, b)
+
+
+def test_poly_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # (x + 1)(x + 2) and (x + 1)(x - 3): each of GCDHEU's six points finds x + 1,
+    # and a failed trial division at each sends poly_gcd to _gcd_prs
+    a, b = {0: 2, 1: 3, 2: 1}, {0: -3, 1: -2, 2: 1}
+    want = _gcd_prs(a, b)
+    div, trials, fallbacks = qsym._div_z, [], []
+
+    def failing_div(p, q):  # the first six trial divisions fail; _gcd_prs's own succeed
+        if len(trials) < 6:
+            trials.append(q)
+            return None
+        return div(p, q)
+
+    monkeypatch.setattr(qsym, "_div_z", failing_div)
+    monkeypatch.setattr(qsym, "_gcd_prs", lambda p, q: fallbacks.append((p, q)) or _gcd_prs(p, q))
+    assert poly_gcd(a, b) == want == ({0: 1, 1: 1}, {0: 2, 1: 1}, {0: -3, 1: 1})
+    assert trials == [{0: 1, 1: 1}] * 6 and fallbacks == [(a, b)]
 
 
 def _normal_form(num, den):
