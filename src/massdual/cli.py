@@ -13,12 +13,12 @@ byte-identical JSON output (keys sorted, forms canonical).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
+import re
 import sys
+import types
 
 from .duality import duality_report
 from .errors import MassdualError
@@ -253,89 +253,140 @@ def _cmd_verify(args) -> tuple:
     return None, verdicts  # the PASS/FAIL table is its own layout
 
 
-@functools.lru_cache(maxsize=None)  # parse_args leaves it as it was; help and errors look up sys.stdout late
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="massdual",
-        description="Exact total masses, stringy counts, and duality verdicts.",
-        epilog="GML_PRECISION sets significant digits for decimal evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The option table: each subcommand's function, help line and options.  An option is (flag, values,
+# arity, required, default, help); values is int, a tuple of choices, the metavar of a free string or
+# None for a switch (arity 0, sets True).  A flag without dashes is a positional.
+_REPORT = ("--report", ("text", "json"), 1, False, "text", "print the report as text or as JSON")
+_EVAL = ("--eval", "Q0 R0", 2, False, None, "also evaluate the masses at q = Q0 (rational), r = R0")
+_ONE_OF = ("--builtin", "--file")  # profile and stringy read exactly one of the two
+_COMMANDS = {
+    "tame": (_cmd_tame, "total masses of a tame scenario from a group file", [
+        ("--group", "FILE", 1, True, None, "group+representation JSON, or -"),
+        ("--q", int, 1, True, None, "residue field size"),
+        ("--threads", int, 1, False, 1, "accepted and ignored"),
+        ("--check-involution", None, 0, False, False, "also check the duality involution"), _REPORT, _EVAL]),
+    "profile": (_cmd_profile, "total masses of a ramification profile", [
+        ("--builtin", BUILTIN_PROFILES, 1, False, None, "a built-in profile"),
+        ("--file", "FILE", 1, False, None, "profile JSON, or -"),
+        ("--n", int, 1, False, None, "size of the built-in profile"),
+        ("--m", int, 1, False, None, "number of strata of a finite built-in family"),
+        ("--q-symbolic", None, 0, False, False, "masses symbolic in q (the only mode)"), _REPORT, _EVAL]),
+    "formula": (_cmd_formula, "closed-form mass and count families", [
+        ("which", ("bhargava", "kedlaya", "hilbert"), 1, True, None, "the family"),
+        ("--n", int, 1, True, None, "size of the family"), _REPORT, _EVAL]),
+    "stringy": (_cmd_stringy, "stringy point count of resolution data", [
+        ("--file", "FILE", 1, False, None, "resolution JSON, or -"),
+        ("--builtin", ("a1_cone",), 1, False, None, "a built-in resolution"),
+        ("--d", int, 1, False, None, "dimension for the duality checks"),
+        ("--check-poincare", None, 0, False, False, "check stringy Poincare duality (needs --d)"),
+        ("--check-gm", None, 0, False, False, "check the quotient duality (needs --d and origin data)"), _REPORT]),
+    "duality": (_cmd_duality, "strong/weak duality verdicts for a mass pair", [
+        ("--mv", "FILE", 1, True, None, "mass_v JSON file, or -"),
+        ("--mw", "FILE", 1, True, None, "mass_w JSON file, or -"),
+        ("--d", int, 1, True, None, "dimension"), _REPORT]),
+    "verify": (_cmd_verify, "run the bundled acceptance fixtures", [
+        ("--suite", tuple(sorted(SUITES)), 1, False, "all", "the fixtures to run"), _REPORT]),
+}
+_TOP = ("command", tuple(_COMMANDS), 1, True, None, "the subcommand")
+_ABOUT = "Exact total masses, stringy counts, and duality verdicts."
 
-    def add_report(p):
-        p.add_argument("--report", choices=("text", "json"), default="text")
 
-    def add_eval(p):
-        p.add_argument(
-            "--eval",
-            nargs=2,
-            metavar=("Q0", "R0"),
-            help="also evaluate the masses at q = Q0 (rational), r = R0",
-        )
+class _Usage(Exception):
+    """An argv the table refuses: args are the subcommand ("" at the top level) and the message."""
 
-    p = sub.add_parser("tame", help="total masses of a tame scenario from a group file")
-    p.add_argument("--group", required=True, help="group+representation JSON, or -")
-    p.add_argument("--q", required=True, type=int, help="residue field size")
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p.add_argument("--check-involution", action="store_true")
-    add_report(p)
-    add_eval(p)
-    p.set_defaults(func=_cmd_tame)
 
-    p = sub.add_parser("profile", help="total masses of a ramification profile")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--builtin", choices=BUILTIN_PROFILES)
-    src.add_argument("--file", help="profile JSON, or -")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument(
-        "--q-symbolic",
-        action="store_true",
-        help="emit masses symbolically in q (the default and only mode)",
-    )
-    add_report(p)
-    add_eval(p)
-    p.set_defaults(func=_cmd_profile)
+def _help(command: str) -> str:
+    """The help of a subcommand (of massdual for ""); its first line is the usage."""
+    def form(option):  # as written on the command line: the flag, then the metavar
+        flag, values, arity = option[:3]
+        meta = values if isinstance(values, str) else flag[2:].upper() if values is int else "{%s}" % ",".join(values or ())
+        return " ".join([flag] * flag.startswith("-") + [meta] * bool(arity))
 
-    p = sub.add_parser("formula", help="closed-form mass and count families")
-    p.add_argument("which", choices=("bhargava", "kedlaya", "hilbert"))
-    p.add_argument("--n", required=True, type=int)
-    add_report(p)
-    add_eval(p)
-    p.set_defaults(func=_cmd_formula)
+    about, options = _COMMANDS[command][1:] if command else (_ABOUT, [_TOP])
+    pair = " | ".join(form(o) for o in options if o[0] in _ONE_OF)
+    forms = [f"({pair})"] * bool(pair) + [form(o) if o[3] else f"[{form(o)}]" for o in options if o[0] not in _ONE_OF]
+    rows = [(form(o), o[5]) for o in options] if command else [(c, spec[1]) for c, spec in _COMMANDS.items()]
+    rows.append(("-h/--help", "show this help and exit"))
+    width = max(len(f) for f, _ in rows)
+    usage = " ".join([f"usage: massdual {command}".rstrip(), "[-h]", *forms, *["..."] * (not command)])
+    body = "\n".join(f"  {f:<{width}}  {text}" for f, text in rows)
+    return "\n\n".join([usage, about, body, "GML_PRECISION sets significant digits for decimal evaluation."])
 
-    p = sub.add_parser("stringy", help="stringy point count of resolution data")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--file", help="resolution JSON, or -")
-    src.add_argument("--builtin", choices=("a1_cone",))
-    p.add_argument("--d", type=int, help="dimension for the duality checks")
-    p.add_argument("--check-poincare", action="store_true")
-    p.add_argument("--check-gm", action="store_true")
-    add_report(p)
-    p.set_defaults(func=_cmd_stringy)
 
-    p = sub.add_parser("duality", help="strong/weak duality verdicts for a mass pair")
-    p.add_argument("--mv", required=True, help="mass_v JSON file, or -")
-    p.add_argument("--mw", required=True, help="mass_w JSON file, or -")
-    p.add_argument("--d", required=True, type=int)
-    add_report(p)
-    p.set_defaults(func=_cmd_duality)
-
-    p = sub.add_parser("verify", help="run the bundled acceptance fixtures")
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    add_report(p)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
+def _parse(argv: list, command="", extras=()) -> tuple:
+    """(subcommand, namespace) of argv, read from the table by the rules of the standard library's parser,
+    which this replaced; the namespace is None when argv asks for help.  The top level ("") reads up to
+    the subcommand, whose parse reads the rest."""
+    options = {o[0]: o for o in (_COMMANDS[command][2] if command else [_TOP])}
+    flags = ["-h", "--help", *(flag for flag in options if flag.startswith("-"))]
+    stop = argv.index("--") if "--" in argv else len(argv)  # past the first "--" every token is a value
+    marks = []  # per token: None for a value, "--" for the first "--", else (flag, value after "=" or None)
+    for j, token in enumerate(argv):  # a flag's unique prefix names it; an unknown option is ("", None)
+        name, eq, explicit = token.partition("=")
+        matches = [flag for flag in flags if flag == name] or [flag for flag in flags if flag.startswith(name)]
+        # a token that starts with "-" is a value only when it is "-", like -1 or -.5, or holds a space
+        value = token[:1] != "-" or token == "-" or not matches and (re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token)
+        if j >= stop or value:
+            marks.append("--" if j == stop else None)
+        elif len(matches) > 1:
+            raise _Usage(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        else:
+            marks.append((matches[0], explicit if eq else None) if matches else ("", None))
+    positional = [flag for flag in options if not flag.startswith("-")]
+    seen, extras, i = {}, list(extras), 0
+    while i < len(argv):
+        mark, token = marks[i], argv[i]
+        if mark in (None, "--"):  # the positional takes [--] VALUE [--]
+            k = i + (mark == "--" and command != "")  # "massdual -- x" names the subcommand "--"
+            take = positional and positional[0] not in seen and k < len(argv)
+            mark, i = ((positional[0], argv[k]), k) if take else (("", None), i)
+        (flag, explicit), i = mark, i + 1
+        name, kind, arity = options.get(flag, ("-h/--help", None, 0))[:3]
+        strings = argv[i : i + arity] if explicit is None else [explicit]
+        if len(strings) != arity or (explicit is None and any(marks[i : i + arity])):
+            wanted = f"expected {'one argument' if arity == 1 else f'{arity} arguments'}"
+            raise _Usage(command, f"argument {name}: {wanted if arity else f'ignored explicit argument {explicit!r}'}")
+        i += arity * (explicit is None)
+        if flag in ("-h", "--help"):
+            return command, None
+        if not flag:
+            extras.append(token)
+            continue
+        try:
+            value = int(strings[0]) if kind is int else strings[0] if arity == 1 else strings or True
+        except ValueError:
+            raise _Usage(command, f"argument {flag}: invalid int value: {strings[0]!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise _Usage(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        if not command:
+            return _parse(argv[i:], value, extras)
+        seen[flag], i = value, i + (flag in positional and marks[i : i + 1] == ["--"])
+        if set(_ONE_OF) <= seen.keys():
+            raise _Usage(command, f"argument {flag}: not allowed with argument {_ONE_OF[flag == _ONE_OF[0]]}")
+    missing = [flag for flag, option in options.items() if option[3] and flag not in seen]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    if set(_ONE_OF) <= options.keys() and not seen.keys() & set(_ONE_OF):
+        raise _Usage(command, f"one of the arguments {' '.join(f for f in options if f in _ONE_OF)} is required")
+    if extras:
+        raise _Usage(command, f"unrecognized arguments: {' '.join(extras)}")
+    values = {flag.lstrip("-").replace("-", "_"): seen.get(flag, option[4]) for flag, option in options.items()}
+    return command, types.SimpleNamespace(command=command, **values)
 
 
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:  # the usage line, then "massdual CMD: error: ..."
+        command, message = exc.args
+        prog = f"massdual {command}".rstrip()
+        print(_help(command).partition("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        return 2
+    if args is None:
+        _write([_help(command)])
+        return 0
     try:
-        out, verdicts = args.func(args)
+        out, verdicts = _COMMANDS[command][0](args)
         if getattr(args, "eval", None):
             _eval_report(out, args.eval)
         if out is not None:

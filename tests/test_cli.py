@@ -1,5 +1,7 @@
+import argparse
 import ast
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -29,12 +31,23 @@ from massdual import (
     profile_total_masses,
     resolution_to_json,
 )
-from massdual.cli import _parser, run
+from massdual import cli
+from massdual.cli import (
+    BUILTIN_PROFILES,
+    _cmd_duality,
+    _cmd_formula,
+    _cmd_profile,
+    _cmd_stringy,
+    _cmd_tame,
+    _cmd_verify,
+    run,
+)
 from massdual.errors import MassdualError
 from massdual.grouprep import group_from_json
 from massdual.massengine import hilbert_counts, mass_from_json, profile_from_json, profile_to_json
 from massdual.qsym import MAX_SUM_TERMS
 from massdual.stringy import ResolutionData, builtin_resolution, resolution_from_json
+from massdual.verify import SUITES
 
 F = Fraction
 
@@ -466,7 +479,6 @@ def test_one_parser_serves_every_run_in_a_process(capsys):
     assert capsys.readouterr().err.startswith("usage: massdual formula")
     assert run(argv) == 0
     assert capsys.readouterr().out == first
-    assert _parser() is _parser()
 
 
 def test_console_entry_point():
@@ -1151,15 +1163,20 @@ def test_fuzz_loader_documents_end_in_a_documented_exit_code(tmp_path_factory, c
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the benchmark's child environment; the modules the interpreter holds
-    # before the import are the baseline, so a site hook that loads them is not counted
+    # before the import are the baseline, so a site hook that loads them is not counted.
+    # A request is read from the option table, so argparse and its gettext and locale stay out too
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
-    code = "import sys; bare = set(sys.modules); import massdual.cli; print(sorted(set(sys.modules) - bare))"
+    code = (
+        "import sys; bare = set(sys.modules); import massdual.cli; "
+        "massdual.cli.run(['formula', 'bhargava', '--n', '2']); print(sorted(set(sys.modules) - bare))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added = set(ast.literal_eval(proc.stdout))
+    assert proc.stdout.startswith("mass_v = 1 + Q^-1\n")
+    added = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "massdual.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & added
 
 
 # argv for all six subcommands: huge, negative and junk values and missing
@@ -1226,3 +1243,258 @@ def test_fuzz_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv):
         code = run(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# The argparse parser the CLI used before its option table, kept unchanged as the
+# oracle of the differential tests below.
+
+@functools.lru_cache(maxsize=None)  # parse_args leaves it as it was; help and errors look up sys.stdout late
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="massdual",
+        description="Exact total masses, stringy counts, and duality verdicts.",
+        epilog="GML_PRECISION sets significant digits for decimal evaluation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_report(p):
+        p.add_argument("--report", choices=("text", "json"), default="text")
+
+    def add_eval(p):
+        p.add_argument(
+            "--eval",
+            nargs=2,
+            metavar=("Q0", "R0"),
+            help="also evaluate the masses at q = Q0 (rational), r = R0",
+        )
+
+    p = sub.add_parser("tame", help="total masses of a tame scenario from a group file")
+    p.add_argument("--group", required=True, help="group+representation JSON, or -")
+    p.add_argument("--q", required=True, type=int, help="residue field size")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    p.add_argument("--check-involution", action="store_true")
+    add_report(p)
+    add_eval(p)
+    p.set_defaults(func=_cmd_tame)
+
+    p = sub.add_parser("profile", help="total masses of a ramification profile")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--builtin", choices=BUILTIN_PROFILES)
+    src.add_argument("--file", help="profile JSON, or -")
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument(
+        "--q-symbolic",
+        action="store_true",
+        help="emit masses symbolically in q (the default and only mode)",
+    )
+    add_report(p)
+    add_eval(p)
+    p.set_defaults(func=_cmd_profile)
+
+    p = sub.add_parser("formula", help="closed-form mass and count families")
+    p.add_argument("which", choices=("bhargava", "kedlaya", "hilbert"))
+    p.add_argument("--n", required=True, type=int)
+    add_report(p)
+    add_eval(p)
+    p.set_defaults(func=_cmd_formula)
+
+    p = sub.add_parser("stringy", help="stringy point count of resolution data")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--file", help="resolution JSON, or -")
+    src.add_argument("--builtin", choices=("a1_cone",))
+    p.add_argument("--d", type=int, help="dimension for the duality checks")
+    p.add_argument("--check-poincare", action="store_true")
+    p.add_argument("--check-gm", action="store_true")
+    add_report(p)
+    p.set_defaults(func=_cmd_stringy)
+
+    p = sub.add_parser("duality", help="strong/weak duality verdicts for a mass pair")
+    p.add_argument("--mv", required=True, help="mass_v JSON file, or -")
+    p.add_argument("--mw", required=True, help="mass_w JSON file, or -")
+    p.add_argument("--d", required=True, type=int)
+    add_report(p)
+    p.set_defaults(func=_cmd_duality)
+
+    p = sub.add_parser("verify", help="run the bundled acceptance fixtures")
+    p.add_argument("--suite", choices=sorted(SUITES), default="all")
+    add_report(p)
+    p.set_defaults(func=_cmd_verify)
+
+    return parser
+
+
+def oracle_reading(argv):
+    """What the argparse parser makes of argv: the namespace without func, or the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    namespace.pop("func")
+    return namespace
+
+
+def table_reading(argv):
+    """What the option table makes of argv: the namespace, 0 for help or 2 for a refusal."""
+    try:
+        _, args = cli._parse(argv)
+    except cli._Usage:
+        return 2
+    return 0 if args is None else vars(args)
+
+
+# Later argparse releases (Python 3.13.x) read some argv differently: --eval may
+# take values that look like options (--eval -x 1), an ambiguous prefix after
+# -h no longer stops the help, and "-- formula" names formula.  The table keeps
+# the rules of the argparse of 3.10-3.12 that the CLI shipped with, so only that
+# argparse can be the oracle; each probe below is refused there.
+CLASSIC_ARGPARSE = all(
+    oracle_reading(argv) == 2
+    for argv in (
+        ["formula", "bhargava", "--n", "2", "--eval", "-x", "1"],
+        ["stringy", "-h", "--check"],
+        ["--", "formula", "bhargava", "--n", "2"],
+    )
+)
+needs_classic_argparse = pytest.mark.skipif(not CLASSIC_ARGPARSE, reason="this argparse reads argv by later rules")
+
+# forms that cli_argvs never draws: --opt=value, unique and ambiguous prefixes,
+# values that start with "-", a repeated flag, both of a "one of" pair, and "--"
+ODD_ARGVS = [
+    ["formula", "bhargava", "--n=2", "--report=json"],
+    ["formula", "bhargava", "--n", "2", "--rep", "json"],
+    ["formula", "kedlaya", "--n", "2", "--e", "2", "1"],
+    ["tame", "--group", GROUP, "--q", "7", "--check-inv"],
+    ["tame", "--group=", "--q=7", "--t", "2", "--check-involution=x"],
+    ["stringy", "--builtin", "a1_cone", "--check", "--d", "2"],
+    ["stringy", "-h", "--check"],
+    ["duality", "--m", MASSES, "--mw", MASSES, "--d", "2"],
+    ["profile", "--q", "--b", "quad_char0_sigma", "--n", "1"],
+    ["formula", "bhargava", "--n", "-3"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-4", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-.5", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-1/3", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-1e3", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-nan", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "-a b", "1"],
+    ["formula", "bhargava", "--n", "2", "--eval", "1", "-"],
+    ["formula", "bhargava", "--n", "2", "--e=3"],
+    ["formula", "bhargava", "--e=3", "1", "--n", "2"],
+    ["formula", "bhargava", "--n", "2", "--n", "3", "--report", "json", "--report", "text"],
+    ["formula", "hilbert", "--n", " 2 "],
+    ["formula", "hilbert", "--n", "2_0"],
+    ["formula", "bhargava", "--n", "2", "-x"],
+    ["formula", "bhargava", "--n", "2", "--help=x"],
+    ["formula", "-3", "--n", "2"],
+    ["profile", "--builtin", "quad_char0_sigma", "--file", "x"],
+    ["stringy", "--file", "x", "--builtin", "a1_cone"],
+    ["profile", "--n", "1"],
+    ["formula", "bhargava", "--n", "2", "--"],
+    ["formula", "--", "bhargava", "--n", "2"],
+    ["formula", "--n", "2", "--", "bhargava"],
+    ["formula", "--n", "2", "bhargava", "--"],
+    ["formula", "bhargava", "--n", "--", "2"],
+    ["--"],
+    [],
+    ["nope"],
+    ["--x", "formula", "bhargava", "--n", "2"],
+    ["-h"],
+    ["--he", "formula"],
+    ["verify", "--h"],
+    ["verify", "--suite"],
+]
+
+
+@needs_classic_argparse
+@pytest.mark.parametrize("argv", ODD_ARGVS, ids=" ".join)
+def test_the_table_reads_odd_argv_as_argparse_did(argv):
+    assert table_reading(argv) == oracle_reading(argv)
+
+
+@st.composite
+def respelled_argvs(draw):
+    """A cli_argvs draw with one token respelled as cli_argvs never spells it:
+    --flag=value, a prefix of a flag, a "--" in front, or a flag given twice."""
+    argv = draw(cli_argvs())
+    i = draw(st.integers(1, len(argv)))
+    head, tail = argv[:i], argv[i:]
+    how = draw(st.sampled_from(["=", "prefix", "--", "twice"]))
+    if tail and tail[0].startswith("--"):
+        if how == "=" and len(tail) > 1:
+            tail[:2] = [f"{tail[0]}={tail[1]}"]
+        elif how == "prefix":
+            tail[0] = tail[0][: draw(st.integers(3, len(tail[0])))]
+        elif how == "twice":
+            tail = tail[:2] + tail
+    if how == "--":
+        tail = ["--"] + tail
+    return head + tail
+
+
+@needs_classic_argparse
+@given(argv=st.one_of(cli_argvs(), respelled_argvs()))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_the_table_reads_argv_as_argparse_did(argv):
+    assert table_reading(argv) == oracle_reading(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["formula", "bhargava"], "the following arguments are required: --n"),
+        (["formula"], "the following arguments are required: which, --n"),
+        (["duality", "--d", "2"], "the following arguments are required: --mv, --mw"),
+        ([], "the following arguments are required: command"),
+        (["stringy"], "one of the arguments --file --builtin is required"),
+        (["verify", "--suite", "x"], "argument --suite: invalid choice: 'x' (choose from 'all', 'partitions', 'stringy', 'tame')"),
+        (["formula", "x", "--n", "2"], "argument which: invalid choice: 'x' (choose from 'bhargava', 'kedlaya', 'hilbert')"),
+        (
+            ["nope"],
+            "argument command: invalid choice: 'nope' "
+            "(choose from 'tame', 'profile', 'formula', 'stringy', 'duality', 'verify')",
+        ),
+        (["formula", "bhargava", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["tame", "--group", "g", "--q", "1.5"], "argument --q: invalid int value: '1.5'"),
+        (["profile", "--builtin", "quad_char0_sigma", "--file", "x"], "argument --file: not allowed with argument --builtin"),
+        (["stringy", "--file", "x", "--builtin", "a1_cone"], "argument --builtin: not allowed with argument --file"),
+        (["formula", "bhargava", "--n", "2", "--eval", "2"], "argument --eval: expected 2 arguments"),
+        (["formula", "bhargava", "--n", "2", "--eval", "-1e3", "1"], "argument --eval: expected 2 arguments"),
+        (["formula", "bhargava", "--n", "2", "--e=3"], "argument --eval: expected 2 arguments"),
+        (["formula", "bhargava", "--n"], "argument --n: expected one argument"),
+        (["formula", "bhargava", "--n", "2", "extra", "-x"], "unrecognized arguments: extra -x"),
+        (["formula", "bhargava", "--n", "2", "--"], "unrecognized arguments: --"),
+        (["stringy", "--builtin", "a1_cone", "--check"], "ambiguous option: --check could match --check-poincare, --check-gm"),
+        (["stringy", "--builtin", "a1_cone", "--check-gm=x"], "argument --check-gm: ignored explicit argument 'x'"),
+    ],
+)
+def test_usage_errors_keep_their_text(capsys, argv, message):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: massdual")
+    assert err[1].split("error: ", 1)[1] == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length before 3.11")
+def test_a_5000_digit_int_is_a_usage_error(capsys):
+    assert run(["formula", "bhargava", "--n", "9" * 5000]) == 2
+    assert capsys.readouterr().err.splitlines()[1].split("error: ", 1)[1] == f"argument --n: invalid int value: '{'9' * 5000}'"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_names_every_flag_of_the_subcommand(capsys, command):
+    for spelling in ("-h", "--help", "--he"):
+        assert run([command, spelling]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: massdual {command} [-h]")
+        assert cli._COMMANDS[command][1] in out and "GML_PRECISION" in out
+        for flag, values, *_ in cli._COMMANDS[command][2]:
+            assert (flag if flag.startswith("-") else "{%s}" % ",".join(values)) in out
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    for argv in (["-h"], ["--help"], ["--help", "formula"]):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: massdual [-h] {tame,profile,formula,stringy,duality,verify}")
+        assert all(f"  {command} " in out for command in cli._COMMANDS) and "GML_PRECISION" in out
