@@ -21,7 +21,7 @@ import sys
 import types
 
 from .duality import duality_report
-from .errors import MassdualError
+from .errors import InfiniteMass, MassdualError
 from .grouprep import group_from_json
 from .massengine import (
     MassPair,
@@ -237,9 +237,10 @@ def _cmd_duality(args) -> tuple:
         _load(option, text, lambda d, f=field: mass_from_json(d[f] if f in d else d))
         for option, field, text in zip(("--mv", "--mw"), ("mass_v", "mass_w"), texts)
     ))
-    if not masses.is_finite:
-        raise _Divergent("duality verdicts need finite masses")
-    report = duality_report(masses, args.d)
+    try:
+        report = duality_report(masses, args.d)
+    except InfiniteMass as exc:
+        raise _Divergent(str(exc))
     return report._asdict(), [report.weak]
 
 

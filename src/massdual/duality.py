@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .errors import InfiniteMass
 from .massengine import MassPair
-from .qsym import ClassFunction, _json_int
+from .qsym import ClassFunction, _json_int, is_infinite
 
 
 class DualityReport(namedtuple("DualityReport", "strong weak dim strong_residual weak_residual")):
@@ -53,10 +53,11 @@ def duality_report(masses: MassPair, dim: int) -> DualityReport:
 
     strong_residual = D(mass_w) - mass_v, weak_residual = the difference of
     the two sides of the weak identity; each verdict is residual == 0.
-    Raises InfiniteMass when either mass is Infinite.
+    Raises InfiniteMass, naming the infinite side or sides, when a mass is Infinite.
     """
-    if not masses.is_finite:
-        raise InfiniteMass("duality verdicts need finite masses")
+    if infinite := [side for side, m in zip(masses._fields, masses) if is_infinite(m)]:
+        verb = "are" if len(infinite) > 1 else "is"
+        raise InfiniteMass(f"duality verdicts need finite masses: {' and '.join(infinite)} {verb} infinite")
     dim = _json_int(dim)
     mv, mw = masses.mass_v, masses.mass_w
     dv, dw = mv.dual(), mw.dual()

@@ -23,7 +23,8 @@ forms are equal componentwise, so `==` decides function equality.
 
 Arithmetic runs over Z: products, sums, reductions, gcds, root-of-unity sums
 and exact evaluation work on the int dicts n and d, and only k is a Fraction.
-LaurentPoly is always a polynomial over Q: the num/den views of an entry.
+LaurentPoly is a polynomial over Q with no ring operations: ratfun's input
+and the num/den views of an entry.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def is_infinite(x) -> bool:
 class LaurentPoly:
     """Sparse Laurent polynomial over Q: dict {exponent: nonzero Fraction}.
 
-    Products run on the integer form P/L of `_ints`.  The integer kernel
-    (class entries, the gcd over Z) works on plain int dicts instead."""
+    A view with no ring operations: `ratfun` reads it into the int dicts of the
+    integer kernel (`_ints`), and an entry's num/den views are built from them."""
 
     __slots__ = ("terms",)
 
@@ -137,14 +138,6 @@ class LaurentPoly:
         out = object.__new__(cls)
         out.terms = terms
         return out
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._of({})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -174,34 +167,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({dict(self.items())!r})"
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = data[e] + c if e in data else c
-            if acc:
-                data[e] = acc
-            else:
-                del data[e]
-        return LaurentPoly._of(data)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        (la, a), (lb, b) = _ints(self), _ints(other)
-        return LaurentPoly._of({e: Fraction(c, la * lb) for e, c in _zmul(a, b).items()})
-
-    def scale(self, c) -> "LaurentPoly":
-        c = _frac(c)
-        if not c:
-            return LaurentPoly.zero()
-        return LaurentPoly._of({e: k * c for e, k in self.terms.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k."""
-        return self if not k else LaurentPoly._of({e + k: c for e, c in self.terms.items()})
-
-    def mirror(self) -> "LaurentPoly":
-        """Substitute x -> x^-1."""
-        return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
 
 def _ints(p: LaurentPoly) -> tuple[int, dict]:

@@ -43,7 +43,6 @@ from .qsym import (
     ClassFunction,
     Q,
     cf_from_terms,
-    cf_geometric_sum,
     is_infinite,
 )
 from .stringy import (

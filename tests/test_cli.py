@@ -376,7 +376,8 @@ def divergence_argv(tmp_path, which):
         path.write_text(json.dumps({"kind": "stringy", "payload": payload}))
         return ["stringy", "--file", str(path), "--check-gm", "--d", "2"]
     path = tmp_path / "masses.json"
-    path.write_text(json.dumps({"mass_v": (Q + 1).to_json(), "mass_w": "infinite"}))
+    mass_v = "infinite" if which == "duality-both" else (Q + 1).to_json()
+    path.write_text(json.dumps({"mass_v": mass_v, "mass_w": "infinite"}))
     return ["duality", "--mv", str(path), "--mw", str(path), "--d", "2"]
 
 
@@ -385,7 +386,8 @@ def divergence_argv(tmp_path, which):
     [
         ("profile", "a geometric family has ratio exponent >= 0"),
         ("stringy", "origin: a met exceptional divisor has multiplicity <= -1"),
-        ("duality", "duality verdicts need finite masses"),
+        ("duality", "duality verdicts need finite masses: mass_w is infinite"),
+        ("duality-both", "duality verdicts need finite masses: mass_v and mass_w are infinite"),
     ],
 )
 def test_divergence_prints_its_reason_and_exits_3(tmp_path, capsys, which, reason):

@@ -59,10 +59,12 @@ def test_char0_n2_is_strongly_dual():
 
 def test_infinite_masses_are_rejected():
     masses = profile_total_masses(builtin_profile("quad_char2_sigma", n=1))
-    with pytest.raises(InfiniteMass):
+    with pytest.raises(InfiniteMass, match="^duality verdicts need finite masses: mass_v and mass_w are infinite$"):
         duality_report(masses, 2)
-    with pytest.raises(InfiniteMass):
+    with pytest.raises(InfiniteMass, match="^duality verdicts need finite masses: mass_v is infinite$"):
         duality_report(MassPair(Infinite, ClassFunction.constant(1)), 2)
+    with pytest.raises(InfiniteMass, match="^duality verdicts need finite masses: mass_w is infinite$"):
+        duality_report(MassPair(ClassFunction.constant(1), Infinite), 2)
 
 
 def test_report_json_roundtrip():
