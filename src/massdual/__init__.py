@@ -3,153 +3,34 @@ counts from resolution data, and symbolic strong/weak duality verdicts.
 
 Everything is exact: coefficients are fractions, q stays symbolic, and
 equality of the per-residue-class rational functions is decidable.
+
+A submodule is imported when one of its public names is first read (PEP 562),
+so `import massdual` loads none of them and a caller pays only for what it uses.
 """
 
-from .duality import DualityReport, duality_report
-from .errors import (
-    DivergentSeries,
-    GroupTooLarge,
-    InconsistentRepresentation,
-    InfiniteInput,
-    InfiniteMass,
-    InvalidParams,
-    MalformedStrata,
-    MassdualError,
-    NonRealInput,
-    NotTame,
-    PoleAtEvaluationPoint,
-    ZeroDenominatorExponent,
-)
-from .grouprep import (
-    FiniteGroup,
-    MonomialMatrix,
-    MonomialRep,
-    TameWeights,
-    direct_sum,
-    from_cayley_table,
-    group_closure,
-    group_from_json,
-    group_to_json,
-    perm_from_cycles,
-    permutation_matrix,
-    permutation_rep,
-    rep_direct_sum,
-)
-from .massengine import (
-    GeometricFamily,
-    HilbertCounts,
-    MassPair,
-    ProfileStratum,
-    RamificationProfile,
-    TameScenario,
-    bhargava_masses,
-    builtin_profile,
-    hilbert_counts,
-    kedlaya_masses,
-    partition_count,
-    profile_from_json,
-    profile_to_json,
-    profile_total_masses,
-    tame_involution_check,
-    tame_total_masses,
-)
-from .qsym import (
-    ClassFunction,
-    Infinite,
-    LaurentPoly,
-    Q,
-    cf_admissible_witness,
-    cf_dual,
-    cf_eval,
-    cf_from_terms,
-    cf_geometric_sum,
-    cf_ring,
-    is_infinite,
-)
-from .stringy import (
-    ResolutionData,
-    VerticalRow,
-    builtin_resolution,
-    convert_strata_map,
-    gm_duality_check,
-    gm_quotient,
-    mckay_identity_check,
-    open_closed_convert,
-    poincare_check,
-    resolution_from_json,
-    resolution_to_json,
-    stringy_count,
-)
-from .verify import CheckResult, run_suite, tame_catalog
+from importlib import import_module
 
-__all__ = [
-    "ClassFunction",
-    "CheckResult",
-    "DivergentSeries",
-    "DualityReport",
-    "FiniteGroup",
-    "GeometricFamily",
-    "GroupTooLarge",
-    "HilbertCounts",
-    "InconsistentRepresentation",
-    "Infinite",
-    "InfiniteInput",
-    "InfiniteMass",
-    "InvalidParams",
-    "LaurentPoly",
-    "MalformedStrata",
-    "MassPair",
-    "MassdualError",
-    "MonomialMatrix",
-    "MonomialRep",
-    "NonRealInput",
-    "NotTame",
-    "PoleAtEvaluationPoint",
-    "ProfileStratum",
-    "Q",
-    "RamificationProfile",
-    "ResolutionData",
-    "TameScenario",
-    "TameWeights",
-    "VerticalRow",
-    "ZeroDenominatorExponent",
-    "bhargava_masses",
-    "builtin_profile",
-    "builtin_resolution",
-    "cf_admissible_witness",
-    "cf_dual",
-    "cf_eval",
-    "cf_from_terms",
-    "cf_geometric_sum",
-    "cf_ring",
-    "convert_strata_map",
-    "direct_sum",
-    "duality_report",
-    "from_cayley_table",
-    "gm_duality_check",
-    "gm_quotient",
-    "group_closure",
-    "group_from_json",
-    "group_to_json",
-    "hilbert_counts",
-    "is_infinite",
-    "kedlaya_masses",
-    "mckay_identity_check",
-    "open_closed_convert",
-    "partition_count",
-    "perm_from_cycles",
-    "permutation_matrix",
-    "permutation_rep",
-    "poincare_check",
-    "profile_from_json",
-    "profile_to_json",
-    "profile_total_masses",
-    "rep_direct_sum",
-    "resolution_from_json",
-    "resolution_to_json",
-    "run_suite",
-    "stringy_count",
-    "tame_catalog",
-    "tame_involution_check",
-    "tame_total_masses",
-]
+# each public name and the submodule that defines it, one line per submodule
+_HOME = {name: module for module, names in {
+    "duality": "DualityReport duality_report",
+    "errors": "DivergentSeries GroupTooLarge InconsistentRepresentation InfiniteInput InfiniteMass InvalidParams MalformedStrata MassdualError NonRealInput NotTame PoleAtEvaluationPoint ZeroDenominatorExponent",
+    "grouprep": "FiniteGroup MonomialMatrix MonomialRep TameWeights direct_sum from_cayley_table group_closure group_from_json group_to_json perm_from_cycles permutation_matrix permutation_rep rep_direct_sum",
+    "massengine": "GeometricFamily HilbertCounts MassPair ProfileStratum RamificationProfile TameScenario bhargava_masses builtin_profile hilbert_counts kedlaya_masses partition_count profile_from_json profile_to_json profile_total_masses tame_involution_check tame_total_masses",
+    "qsym": "ClassFunction Infinite LaurentPoly Q cf_admissible_witness cf_dual cf_eval cf_from_terms cf_geometric_sum cf_ring is_infinite",
+    "stringy": "ResolutionData VerticalRow builtin_resolution convert_strata_map gm_duality_check gm_quotient mckay_identity_check open_closed_convert poincare_check resolution_from_json resolution_to_json stringy_count",
+    "verify": "CheckResult run_suite tame_catalog",
+}.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """The public name from its home module, kept here so that this runs once per name."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_HOME})

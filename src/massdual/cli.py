@@ -5,6 +5,8 @@ and its verdicts (the booleans of the checks it ran) or raises _Divergent.  run
 alone applies --eval, prints the report as text or JSON, and picks the exit
 code: 0 when every verdict holds, 1 when one fails, 2 on an input or usage
 error or an input too large to compute, 3 when a mass diverges.
+Each subcommand imports the engines it runs in its first lines, so a request
+loads no other.
 
 JSON documents may be wrapped as {"kind": ..., "payload": ..., "metadata":
 ...}; the payload is what the engines read.  Identical inputs produce
@@ -20,32 +22,8 @@ import re
 import sys
 import types
 
-from .duality import duality_report
 from .errors import InfiniteMass, MassdualError
-from .grouprep import group_from_json
-from .massengine import (
-    MassPair,
-    TameScenario,
-    _involutive,
-    _stable_weights,
-    _tame_masses,
-    bhargava_masses,
-    builtin_profile,
-    hilbert_counts,
-    kedlaya_masses,
-    mass_from_json,
-    profile_from_json,
-    profile_total_masses,
-)
-from .qsym import ClassFunction, _frac, cf_dual, is_infinite
-from .stringy import (
-    builtin_resolution,
-    gm_duality_check,
-    poincare_check,
-    resolution_from_json,
-    stringy_count,
-)
-from .verify import SUITES, run_suite
+from .qsym import ClassFunction, _frac, cf_dual, frac_str, is_infinite
 
 BUILTIN_PROFILES = ("quad_char0_sigma", "quad_char2_sigma", "quad_char2_upsilon")
 
@@ -171,6 +149,9 @@ class _Divergent(Exception):
 
 
 def _cmd_tame(args) -> tuple:
+    from .grouprep import group_from_json
+    from .massengine import TameScenario, _involutive, _stable_weights, _tame_masses
+
     group, rep = _load("--group", _read(args.group), lambda d: group_from_json(_payload(d, "tame")))
     table = _stable_weights(TameScenario(group, rep, args.q))  # masses and verdict read one table
     out = _tame_masses(*table)._asdict()
@@ -180,6 +161,8 @@ def _cmd_tame(args) -> tuple:
 
 
 def _cmd_profile(args) -> tuple:
+    from .massengine import builtin_profile, profile_from_json, profile_total_masses
+
     if args.file:
         profile = _load("--file", _read(args.file), lambda d: profile_from_json(_payload(d, "profile")))
     else:
@@ -191,6 +174,8 @@ def _cmd_profile(args) -> tuple:
 
 
 def _cmd_formula(args) -> tuple:
+    from .massengine import bhargava_masses, hilbert_counts, kedlaya_masses
+
     if args.which == "hilbert":
         counts = hilbert_counts(args.n)
         return {"hilb_plane": counts.hilb_plane, "fiber": counts.fiber}, []
@@ -199,6 +184,8 @@ def _cmd_formula(args) -> tuple:
 
 
 def _resolutions_from_json(doc) -> dict:
+    from .stringy import resolution_from_json
+
     payload = _payload(doc, "stringy")
     if "total" in payload or "origin" in payload:
         return {role: resolution_from_json(payload[role]) for role in ("total", "origin") if role in payload}
@@ -206,6 +193,8 @@ def _resolutions_from_json(doc) -> dict:
 
 
 def _cmd_stringy(args) -> tuple:
+    from .stringy import _divergent_divisor, builtin_resolution, gm_duality_check, poincare_check, stringy_count
+
     if args.builtin:
         fixtures = builtin_resolution(args.builtin)
     else:
@@ -214,7 +203,9 @@ def _cmd_stringy(args) -> tuple:
     for role, data in fixtures.items():
         counts[role] = stringy_count(data)
         if is_infinite(counts[role]):
-            raise _Divergent(f"{role}: a met exceptional divisor has multiplicity <= -1")
+            j = _divergent_divisor(data)
+            c = frac_str(data.horizontal[j - 1])
+            raise _Divergent(f"{role}: divisor {j} (c = {c}) is met by a nonzero stratum and has multiplicity <= -1")
     out = {f"count_{role}": cf for role, cf in counts.items()}
     if args.check_poincare:
         if args.d is None:
@@ -230,6 +221,9 @@ def _cmd_stringy(args) -> tuple:
 
 
 def _cmd_duality(args) -> tuple:
+    from .duality import duality_report
+    from .massengine import MassPair, mass_from_json
+
     mv = _read(args.mv)  # stdin is read once, so `--mv - --mw -` sees one document
     texts = (mv, mv if args.mv == args.mw == "-" else _read(args.mw))
     # each file holds a bare mass or a MassPair document with the side we want
@@ -245,6 +239,8 @@ def _cmd_duality(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
+    from .verify import run_suite
+
     results = run_suite(args.suite)
     verdicts = [r.passed for r in results]
     if args.report == "json":
@@ -286,7 +282,7 @@ _COMMANDS = {
         ("--mw", "FILE", 1, True, None, "mass_w JSON file, or -"),
         ("--d", int, 1, True, None, "dimension"), _REPORT]),
     "verify": (_cmd_verify, "run the bundled acceptance fixtures", [
-        ("--suite", tuple(sorted(SUITES)), 1, False, "all", "the fixtures to run"), _REPORT]),
+        ("--suite", ("all", "partitions", "stringy", "tame"), 1, False, "all", "the fixtures to run"), _REPORT]),
 }
 _TOP = ("command", tuple(_COMMANDS), 1, True, None, "the subcommand")
 _ABOUT = "Exact total masses, stringy counts, and duality verdicts."

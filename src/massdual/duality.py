@@ -16,7 +16,6 @@ from collections import namedtuple
 from typing import Mapping
 
 from .errors import InfiniteMass
-from .massengine import MassPair
 from .qsym import ClassFunction, _json_int, is_infinite
 
 
@@ -48,8 +47,8 @@ class DualityReport(namedtuple("DualityReport", "strong weak dim strong_residual
         )
 
 
-def duality_report(masses: MassPair, dim: int) -> DualityReport:
-    """Decide both dualities for the mass pair at dimension dim.
+def duality_report(masses, dim: int) -> DualityReport:
+    """Decide both dualities for the MassPair masses at dimension dim.
 
     strong_residual = D(mass_w) - mass_v, weak_residual = the difference of
     the two sides of the weak identity; each verdict is residual == 0.

@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DivergentSeries, InvalidParams, NotTame
-from .grouprep import FiniteGroup, MonomialRep
 from .qsym import (
     ClassFunction,
     Infinite,
@@ -173,11 +172,11 @@ def _is_prime_power(q: int) -> bool:
 
 
 class TameScenario(namedtuple("TameScenario", "group rep q")):
-    """A finite group with a monomial representation over F_q, q coprime to |G|."""
+    """A FiniteGroup G with a MonomialRep over F_q, q coprime to |G|."""
 
     __slots__ = ()
 
-    def __new__(cls, group: FiniteGroup, rep: MonomialRep, q: int):
+    def __new__(cls, group, rep, q: int):
         if not _is_prime_power(q):
             raise ValueError(f"q = {q} is not a prime power")
         if math.gcd(q, len(group)) != 1:
@@ -185,7 +184,7 @@ class TameScenario(namedtuple("TameScenario", "group rep q")):
         return super().__new__(cls, group, rep, q)
 
 
-def _stable_classes(group: FiniteGroup, q: int) -> list[list[int]]:
+def _stable_classes(group, q: int) -> list[list[int]]:
     """For each residue class j = 0..m-1 of r, the indices of the conjugacy
     classes C with C^(q^j) = C, where m is the lcm of the cycle lengths of
     C -> C^q.  That map permutes the classes (one power per class), and

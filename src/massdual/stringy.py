@@ -32,10 +32,9 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .errors import InfiniteInput, MalformedStrata
-from .massengine import MassPair
 from .qsym import ClassFunction, Infinite, _frac, _json_frac, _json_int, frac_str, is_infinite
 
 StrataMap = Mapping[frozenset, ClassFunction]
@@ -155,6 +154,17 @@ def open_closed_convert(data: ResolutionData) -> ResolutionData:
     )
 
 
+def _met_divisors(data: ResolutionData) -> set[int]:
+    """The divisors met by a nonzero stratum of some row."""
+    return {j for _, counts in data.rows() for key, cf in counts.items() if not cf.is_zero for j in key}
+
+
+def _divergent_divisor(data: ResolutionData) -> Optional[int]:
+    """The least divisor j with c_j <= -1 met by a nonzero stratum, which makes the count
+    Infinite; None when there is none.  Every stratum key must lie in 1..n."""
+    return min((j for j in _met_divisors(data) if data.horizontal[j - 1] <= -1), default=None)
+
+
 def stringy_count(data: ResolutionData) -> StringyCount:
     """Evaluate the stringy count; Infinite when a c_j <= -1 divisor is met.
     Closed strata meet the same divisors as their open conversion, so both modes diverge alike.
@@ -172,17 +182,12 @@ def stringy_count(data: ResolutionData) -> StringyCount:
                 raise MalformedStrata(
                     f"stratum {sorted(key)} references divisors outside 1..{n}"
                 )
-    heavy = {j for j in valid if data.horizontal[j - 1] <= -1}
-    used: set[int] = set()
-    for _, counts in rows:
-        for key, cf in counts.items():
-            if key & heavy and not cf.is_zero:
-                return Infinite
-            used |= key
+    if _divergent_divisor(data) is not None:
+        return Infinite
     # only divisors met by a nonzero stratum contribute a factor; the rest
     # may carry arbitrary multiplicities (including c = -1) harmlessly
     factors = {}
-    for j in sorted(used):
+    for j in sorted(_met_divisors(data)):
         f = ClassFunction.poly({1: 1, 0: -1}) / (ClassFunction.monomial(1 + data.horizontal[j - 1]) - 1)
         factors[j] = f - 1 if data.mode == "closed" else f
     strata: dict = {}
@@ -219,12 +224,12 @@ def gm_duality_check(total: StringyCount, origin: StringyCount, dim: int) -> boo
 
 
 def mckay_identity_check(
-    masses: MassPair,
+    masses,
     stringy_total: StringyCount,
     stringy_origin: StringyCount,
     dim: int,
 ) -> bool:
-    """Wild McKay comparison: total = mass_v * Q^dim and origin = mass_w."""
+    """Wild McKay comparison of a MassPair: total = mass_v * Q^dim and origin = mass_w."""
     if not masses.is_finite:
         raise InfiniteInput("McKay check needs finite masses")
     if is_infinite(stringy_total) or is_infinite(stringy_origin):

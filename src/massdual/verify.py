@@ -17,6 +17,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
+from . import cli
 from .duality import duality_report
 from .grouprep import (
     MonomialMatrix,
@@ -149,8 +150,6 @@ def _require(ok, detail: str) -> None:
 
 def criterion_1_bhargava() -> str:
     """Degree-n etale masses match an enumerated partition oracle, N <= 20."""
-    from . import cli  # deferred: cli imports this module
-
     for n in range(1, 21):
         oracle = _oracle_partition_counts(n)
         exp_v = ClassFunction.poly({-m: oracle.get(n - m, 0) for m in range(n)})
@@ -198,8 +197,6 @@ def criterion_3_tame_duality() -> str:
 
 def criterion_4_char2() -> str:
     """Order-2 wild masses match their closed forms; n=1 diverges (exit 3)."""
-    from . import cli
-
     one = ClassFunction.constant(1)
     for n in range(2, 11):
         masses = profile_total_masses(builtin_profile("quad_char2_sigma", n=n))

@@ -174,7 +174,7 @@ def test_tame_subcommand(tmp_path, capsys):
 
 
 def test_tame_involution_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("massdual.cli._involutive", lambda *table: False)
+    monkeypatch.setattr("massdual.massengine._involutive", lambda *table: False)
     code, out = run_cli(capsys, "tame", "--group", str(z3_group_file(tmp_path)), "--q", "7", "--check-involution")
     assert code == 1
     assert "involution = False" in out.splitlines()
@@ -369,12 +369,18 @@ def test_duality_infinite_mass_exits_3(tmp_path, capsys):
 def divergence_argv(tmp_path, which):
     if which == "profile":
         return ["profile", "--builtin", "quad_char2_sigma", "--n", "1"]
-    if which == "stringy":  # the total count is finite, the origin's meets c = -1
+    if which == "stringy-pair":  # the total count is finite, the origin's meets c = -1
         payload = {"total": resolution_to_json(builtin_resolution("a1_cone")["total"])}
         payload["origin"] = {"dim": 2, "mode": "open", "horizontal": [{"c": "-1"}], "strata": {"[1]": (Q + 1).to_json()}}
         path = tmp_path / "origin.json"
         path.write_text(json.dumps({"kind": "stringy", "payload": payload}))
         return ["stringy", "--file", str(path), "--check-gm", "--d", "2"]
+    if which == "stringy-least":  # divisor 1 is met by no stratum, 3 and 4 are both met
+        cs = [{"c": c} for c in ("-2", "1/2", "-3/2", "-5/2")]
+        strata = {"[2,3]": (Q + 1).to_json(), "[4]": Q.to_json()}
+        path = tmp_path / "total.json"
+        path.write_text(json.dumps({"dim": 2, "horizontal": cs, "strata": strata}))
+        return ["stringy", "--file", str(path)]
     path = tmp_path / "masses.json"
     mass_v = "infinite" if which == "duality-both" else (Q + 1).to_json()
     path.write_text(json.dumps({"mass_v": mass_v, "mass_w": "infinite"}))
@@ -385,7 +391,8 @@ def divergence_argv(tmp_path, which):
     "which, reason",
     [
         ("profile", "a geometric family has ratio exponent >= 0"),
-        ("stringy", "origin: a met exceptional divisor has multiplicity <= -1"),
+        ("stringy-pair", "origin: divisor 1 (c = -1) is met by a nonzero stratum and has multiplicity <= -1"),
+        ("stringy-least", "total: divisor 3 (c = -3/2) is met by a nonzero stratum and has multiplicity <= -1"),
         ("duality", "duality verdicts need finite masses: mass_w is infinite"),
         ("duality-both", "duality verdicts need finite masses: mass_v and mass_w are infinite"),
     ],
@@ -561,7 +568,7 @@ def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
     def exhausted(n):
         raise MemoryError
 
-    monkeypatch.setattr("massdual.cli.bhargava_masses", exhausted)
+    monkeypatch.setattr("massdual.massengine.bhargava_masses", exhausted)
     assert run(["formula", "bhargava", "--n", "3"]) == 2
     assert capsys.readouterr().err == "error: input too large to compute: out of memory\n"
     # a list of 10^20 entries is refused before any allocation

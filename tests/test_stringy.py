@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from massdual import (
@@ -30,6 +30,7 @@ from massdual import (
     stringy_count,
 )
 from massdual.qsym import Infinite
+from massdual.stringy import _divergent_divisor
 
 F = Fraction
 
@@ -168,6 +169,17 @@ def test_closed_strata_count_as_their_open_conversion(data):
 @settings(max_examples=200, deadline=None)
 def test_elimination_counts_as_the_termwise_sum(data):
     assert outcome(data) == outcome(data, _termwise_count)
+
+
+@given(resolutions())
+@settings(max_examples=200, deadline=None)
+def test_the_divergent_divisor_is_the_least_heavy_one_met(data):
+    # the CLI names this divisor, and stringy_count is Infinite exactly when there is one
+    n = len(data.horizontal)
+    assume(all(key <= set(range(1, n + 1)) for _, counts in data.rows() for key in counts))
+    heavy = [j for _, counts in data.rows() for key in counts for j in key if data.horizontal[j - 1] <= -1]
+    assert _divergent_divisor(data) == min(heavy, default=None)
+    assert is_infinite(stringy_count(data)) == bool(heavy)
 
 
 @pytest.mark.parametrize("mode", ["open", "closed"])
