@@ -1,10 +1,10 @@
 """Command line entry point.
 
 Subcommands load scenario files and run the engines; each returns its report
-and its verdicts (the booleans of the checks it ran) or raises _Divergent.  run
-alone applies --eval, prints the report as text or JSON, and picks the exit
-code: 0 when every verdict holds, 1 when one fails, 2 on an input or usage
-error or an input too large to compute, 3 when a mass diverges.
+and its verdicts (the booleans of the checks it ran) or raises _Divergent.  _run
+applies --eval, renders the report (_emit) and picks the exit code: 0 when every
+verdict holds, 1 when one fails, 2 on an input or usage error or an input too
+large to compute, 3 when a mass diverges; run alone prints.
 Each subcommand imports the engines it runs in its first lines, so a request
 loads no other.
 
@@ -28,28 +28,29 @@ from .qsym import ClassFunction, _frac, cf_dual, frac_str, is_infinite
 BUILTIN_PROFILES = ("quad_char0_sigma", "quad_char2_sigma", "quad_char2_upsilon")
 
 
-def _write(lines: list) -> None:
-    """Print lines to stdout; a reader that closes the pipe early is not an error."""
+def _emit(obj, report: str) -> list:
+    """The lines of a report: a list of lines as is, or a dict of ClassFunctions, exact numbers and JSON
+    values, each in full (int-to-str's digit limit is lifted while they are built, as run serves in process)."""
+    if isinstance(obj, list):
+        return obj
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        print(*lines, sep="\n", flush=True)
-    except BrokenPipeError:
-        # what is still buffered goes to devnull, so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _emit(obj: dict, report: str) -> None:
-    """Print a report whose values are ClassFunctions or plain JSON values."""
-    if report == "json":
-        _write([json.dumps(obj, indent=2, sort_keys=True, default=ClassFunction.to_json)])
-        return
-    lines = []
-    for key, val in obj.items():
-        body = str(val)
-        if "\n" in body:
-            lines += [f"{key}:", *(f"  {line}" for line in body.split("\n"))]
-        else:
-            lines.append(f"{key} = {body}")
-    _write(lines)
+        if report == "json":  # a ClassFunction as its JSON object, a Fraction or Decimal as its text
+            return [json.dumps(obj, indent=2, sort_keys=True,
+                               default=lambda v: v.to_json() if isinstance(v, ClassFunction) else str(v))]
+        lines = []
+        for key, val in obj.items():
+            body = str(val)
+            if "\n" in body:
+                lines += [f"{key}:", *(f"  {line}" for line in body.split("\n"))]
+            else:
+                lines.append(f"{key} = {body}")
+        return lines
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 _INPUT_ERRORS = (MassdualError, OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
@@ -126,22 +127,6 @@ def _payload(doc: dict, kind: str) -> dict:
             raise ValueError(f"scenario file has kind {doc['kind']!r}, expected {kind!r}")
         return doc["payload"]
     return doc
-
-
-def _eval_report(out: dict, spec: list) -> None:
-    """Append each ClassFunction of the report evaluated at q = spec[0], r = spec[1]."""
-    q0, r0 = _frac(spec[0]), int(spec[1])
-    values = {f"{key}({q0},{r0})": cf.eval(q0, r0) for key, cf in out.items() if isinstance(cf, ClassFunction)}
-    # an exact value may pass int-to-str's 4300-digit default (EXACT_EVAL_MAX_BITS
-    # is the bound); lift it only for these str() calls, as run() also serves in process
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        out.update((key, str(v)) for key, v in values.items())
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 class _Divergent(Exception):
@@ -239,6 +224,7 @@ def _cmd_duality(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
+    sys.modules.setdefault("massdual.cli", sys.modules[__name__])  # under -m, verify runs this module
     from .verify import run_suite
 
     results = run_suite(args.suite)
@@ -246,8 +232,7 @@ def _cmd_verify(args) -> tuple:
     if args.report == "json":
         return {"suite": args.suite, "results": [r._asdict() for r in results]}, verdicts
     width = max(len(r.name) for r in results)
-    _write([f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results])
-    return None, verdicts  # the PASS/FAIL table is its own layout
+    return [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}" for r in results], verdicts
 
 
 # The option table: each subcommand's function, help line and options.  An option is (flag, values,
@@ -371,33 +356,44 @@ def _parse(argv: list, command="", extras=()) -> tuple:
     return command, types.SimpleNamespace(command=command, **values)
 
 
-def run(argv=None) -> int:
+def _run(argv: list) -> tuple:
+    """(exit code, lines of the report) of argv; usage and error text go to stderr."""
     try:
-        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        command, args = _parse(argv)
     except _Usage as exc:  # the usage line, then "massdual CMD: error: ..."
         command, message = exc.args
         prog = f"massdual {command}".rstrip()
         print(_help(command).partition("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
-        return 2
+        return 2, []
     if args is None:
-        _write([_help(command)])
-        return 0
+        return 0, [_help(command)]
     try:
         out, verdicts = _COMMANDS[command][0](args)
-        if getattr(args, "eval", None):
-            _eval_report(out, args.eval)
-        if out is not None:
-            _emit(out, args.report)
-        return 0 if all(verdicts) else 1
+        if getattr(args, "eval", None):  # Q0 and R0 are read under the digit limit, which _emit lifts
+            q0, r0 = _frac(args.eval[0]), int(args.eval[1])
+            out.update({f"{key}({q0},{r0})": cf.eval(q0, r0) for key, cf in out.items() if isinstance(cf, ClassFunction)})
+        return 0 if all(verdicts) else 1, _emit(out, args.report)
     except _Divergent as exc:
-        _emit({"divergent": True, "reason": str(exc)}, args.report)
-        return 3
+        return 3, _emit({"divergent": True, "reason": str(exc)}, args.report)
     except _INPUT_ERRORS as exc:
         print(f"error: {_text(exc)}", file=sys.stderr)
-        return 2
+        return 2, []
     except (MemoryError, OverflowError) as exc:  # an input too large to compute, like GroupTooLarge
         print(f"error: input too large to compute: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        return 2, []
+
+
+def run(argv=None) -> int:
+    """Print the report of argv, if any, and return its exit code; a reader that closes the pipe early
+    is not an error."""
+    code, lines = _run(sys.argv[1:] if argv is None else list(argv))
+    try:
+        if lines:
+            print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main() -> None:

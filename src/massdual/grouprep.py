@@ -227,12 +227,10 @@ class FiniteGroup:
         try:
             if gens is None:
                 gens, closure = [], group_closure([self.identity], max_size=n)[0]
-                index = closure.index
                 for g in self.elements:
-                    if g not in index:
+                    if g not in closure:  # answered from its heads, with no tuple view
                         gens.append(g)
                         closure = group_closure(gens, max_size=n)[0]
-                        index = closure.index
             else:
                 closure = group_closure(gens or [self.identity], max_size=n)[0]
             at = [self.index[g] for g in closure.elements]

@@ -9,8 +9,6 @@ oracle before the engines existed; comments next to each fixture say which.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 import random
@@ -157,10 +155,8 @@ def criterion_1_bhargava() -> str:
         masses = bhargava_masses(n)
         _require(masses.mass_v == exp_v and masses.mass_w == exp_w, f"mismatch at n={n}")
         _require(duality_report(masses, 2 * n).strong, f"not strongly dual at n={n}")
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.run(["formula", "bhargava", "--n", str(n), "--report", "json"])
-        emitted = MassPair.from_json(json.loads(buf.getvalue()))
+        code, lines = cli._run(["formula", "bhargava", "--n", str(n), "--report", "json"])
+        emitted = MassPair.from_json(json.loads("\n".join(lines)))
         _require(code == 0 and emitted.mass_v == exp_v and emitted.mass_w == exp_w, f"cli mismatch at n={n}")
     return "N = 1..20, library and cli"
 
@@ -207,9 +203,7 @@ def criterion_4_char2() -> str:
         _require(duality_report(masses, 2 * n).strong, f"not strongly dual at n={n}")
     m1 = profile_total_masses(builtin_profile("quad_char2_sigma", n=1))
     _require(is_infinite(m1.mass_v) and is_infinite(m1.mass_w), "n=1 should be Infinite")
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.run(["profile", "--builtin", "quad_char2_sigma", "--n", "1", "--report", "json"])
+    code, _ = cli._run(["profile", "--builtin", "quad_char2_sigma", "--n", "1", "--report", "json"])
     _require(code == 3, f"n=1 exit code {code}, want 3")
     return "n = 2..10 closed forms; n=1 divergent, exit 3"
 

@@ -670,6 +670,55 @@ def test_exact_eval_past_4300_digits_prints_the_value(capsys):
     assert all(len(line) > 4300 for line in expected)
 
 
+NINES = int("9" * 4300)  # the longest int that str() prints under the default int-to-str limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # as the session began: a run that left it lifted shows
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_residuals_past_4300_digits_print_in_full(tmp_path, capsys, report):
+    # v = 10^4300 - 1 and w = -v: strong = -2v and weak = 4v, of 4301 digits each (exit 2 once, on the limit)
+    for name, c in (("v", NINES), ("w", -NINES)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(ClassFunction.constant(c).to_json()))
+    argv = ["duality", "--mv", str(tmp_path / "v.json"), "--mw", str(tmp_path / "w.json"), "--d", "0"]
+    code, out = run_cli(capsys, *argv, "--report", report)
+    assert code == 1
+    assert getattr(sys, "get_int_max_str_digits", int)() == DIGIT_LIMIT
+    if report == "json":
+        doc = json.loads(out)
+        residuals = [doc[key]["classes"][0]["num"][0][0] for key in ("strong_residual", "weak_residual")]
+    else:
+        residuals = [line.partition(" = ")[2] for line in out.splitlines() if "_residual = " in line]
+    assert residuals == ["-1" + "9" * 4299 + "8", "3" + "9" * 4299 + "6"]
+
+
+def test_a_refused_eval_leaves_the_digit_limit_as_it_was(capsys):
+    assert run(["profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "4", "1000000000001"]) == 2
+    assert capsys.readouterr().err.startswith("error: the exact value at q0=4")
+    assert getattr(sys, "get_int_max_str_digits", int)() == DIGIT_LIMIT
+
+
+@pytest.mark.parametrize(
+    "argv, code, first",
+    [
+        (["formula", "kedlaya", "--n", "1"], 0, "mass_v = 1 + Q^-1"),
+        (["verify", "--suite", "partitions"], 0, "PASS  bhargava reproduction"),
+        (["--help"], 0, "usage: massdual [-h]"),
+        (["formula", "bhargava"], 2, None),  # a usage error: no report, its text on stderr
+    ],
+    ids=["formula", "verify", "help", "usage-error"],
+)
+def test_the_report_is_a_value_that_only_run_prints(capsys, argv, code, first):
+    got, lines = cli._run(argv)
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    if first is None:
+        assert lines == [] and err.startswith("usage: massdual formula ")
+    else:
+        assert lines[0].startswith(first) and err == ""
+        assert run(argv) == code
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_eval_with_a_root_of_order_100000007_in_a_fresh_process(tmp_path):
     # the exact branch tries q0^(1/100000007) as an integer root first
     profile = {"group_order": 1, "strata": [{"count": Q.to_json(), "v": "1/100000007", "w": "0"}]}

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,22 @@ def test_classes_agree_however_the_group_is_built(gens, mats, sizes):
         assert len(group.generators) <= 3
         assert all(group.class_index(g) == k for k, c in enumerate(group.conjugacy_classes()) for g in c)
     assert closed.exponent() == listed.exponent() == regular.exponent()
+
+
+@pytest.mark.parametrize("gens", [s4_gens(), b3_gens()[0]], ids=["S4", "B3"])
+def test_picking_generators_decodes_one_tuple_view(monkeypatch, gens):
+    # each closure so far answers membership from its bytes heads; only the last one's elements are read
+    elements = list(group_closure(gens)[0].elements)
+    random.Random(len(elements)).shuffle(elements)
+    listed, decoded, tuple_view = FiniteGroup(len(gens[0]), elements), [], FiniteGroup._tuple_view
+
+    def counted(group):
+        decoded.extend([len(group)] * (group._views is None))
+        return tuple_view(group)
+
+    monkeypatch.setattr(FiniteGroup, "_tuple_view", counted)
+    assert len(listed.generators) >= 2
+    assert decoded == [len(elements)]
 
 
 def test_classes_refuse_generators_of_a_subgroup():
@@ -855,3 +872,27 @@ def test_tame_weights_match_eigen_exponents(m):
     assert wt.a == sum(1 for x in exps if x)
     assert wt.w == wt.a - wt.v
     assert all(type(x) is F for x in wt)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: perm_from_cycles(3, [[1, 4]]), "out of range", id="cycle-point"),
+        pytest.param(
+            lambda: MonomialMatrix((0,), (0,), 1) * MonomialMatrix((0, 1), (0, 0), 1), "shapes differ", id="product"
+        ),
+        pytest.param(lambda: FiniteGroup(2, [(1, 0)]), "contain the identity", id="no-identity"),
+        pytest.param(lambda: group_closure([]), "at least one generator", id="no-generator"),
+        pytest.param(
+            lambda: group_closure([(1, 0)], [MonomialMatrix((0,), (0,), 1)] * 2), "one matrix per", id="matrix-count"
+        ),
+        pytest.param(
+            lambda: group_closure([(1, 0)] * 2, [MonomialMatrix((0,), (0,), 1), MonomialMatrix((0,), (0,), 2)]),
+            "disagree in shape",
+            id="matrix-shapes",
+        ),
+    ],
+)
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -45,6 +45,7 @@ from massdual.massengine import (
     _is_prime_power,
     _partition_numbers,
     _strong_lucas_probable_prime,
+    _strong_probable_prime,
 )
 from massdual.qsym import Infinite
 from massdual.verify import tame_catalog
@@ -629,3 +630,33 @@ def test_mass_pair_json_with_infinite():
     assert is_infinite(back.mass_v) and is_infinite(back.mass_w)
     finite = bhargava_masses(2)
     assert MassPair.from_json(finite.to_json()) == finite
+
+
+@pytest.mark.parametrize("n", [1093**2, 3511**2])
+def test_bpsw_refuses_the_squares_of_the_wieferich_primes(n):
+    # both pass the strong base-2 test, so only the Lucas test's perfect-square guard refuses them
+    assert _strong_probable_prime(n, 2)
+    assert not _bpsw(n)
+
+
+def test_the_lucas_test_refuses_a_square_before_it_looks_for_d():
+    # no D has (D/n) = -1 for a square n: the search would read about 2^60 Jacobi symbols
+    assert not _strong_lucas_probable_prime((2**61 - 1) ** 2)
+
+
+def test_bpsw_of_5_ends_at_the_jacobi_symbol_0():
+    # (5/5) = 0 at the first D, 5 = |D|
+    assert _bpsw(5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: hilbert_counts(0), "positive integer", id="hilbert-0"),
+        pytest.param(lambda: hilbert_counts(-3), "positive integer", id="hilbert--3"),
+        pytest.param(lambda: builtin_profile("quad_char2_sigma", n=0), "n >= 1", id="char2-sigma-0"),
+    ],
+)
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(InvalidParams, match=message):
+        call()

@@ -123,3 +123,13 @@ def test_a_request_loads_only_the_engines_it_runs(tmp_path, command, modules):
     # verify, whose criteria run it
     argv = [*request(tmp_path, command), "--report", "json"]
     assert loaded('import runpy; runpy.run_module("massdual.cli", run_name="__main__", alter_sys=True)', *argv) == modules
+
+
+def test_verify_under_m_runs_the_one_command_line_module():
+    # verify's criteria call the command line back; run as -m, that is __main__, not a second copy
+    argv = [sys.executable, "-X", "importtime", "-m", "massdual.cli", "verify", "--suite", "partitions"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "massdual.verify" in imported
+    assert "massdual.cli" not in imported

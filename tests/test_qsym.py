@@ -32,6 +32,7 @@ from massdual import (
 from massdual import bhargava_masses, duality_report, qsym
 from massdual.qsym import (
     EXACT_EVAL_MAX_BITS,
+    Infinite,
     LaurentPoly,
     RationalFunctionX,
     _cyclotomic,
@@ -1444,3 +1445,25 @@ def test_printers_and_decimal_eval_match_the_route_through_the_views(ta, tb, op)
         got = [_eval_outcome(x, *p) for p in points]
         with mock.patch.object(qsym, "_sides", _old_sides):
             assert got == [_eval_outcome(x, *p) for p in points]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: ClassFunction(0, 1, []), "must be positive", id="modulus-0"),
+        pytest.param(lambda: cf_ring("scale_pow", Q), "needs an exponent", id="scale_pow"),
+        # refused before the 2^20 + 1 entries are built
+        pytest.param(lambda: cf_geometric_sum(1, 1, 0, 0, qsym.MAX_SUM_TERMS), "exceeds the cap", id="sum-cap"),
+        pytest.param(lambda: Q ** F(1, 2), "unsupported operand", id="fractional-power"),
+        # the fallbacks answer, rather than raise
+        pytest.param(lambda: repr(Infinite) == "Infinite", None, id="repr-Infinite"),
+        pytest.param(lambda: LaurentPoly({0: 1}) != 1 and Q != 1, None, id="eq-other-type"),
+        pytest.param(lambda: hash(LaurentPoly({1: 2})) == hash(LaurentPoly([(1, 1), (1, 1)])), None, id="hash"),
+    ],
+)
+def test_argument_checks_and_fallbacks(call, error):
+    if error is None:
+        assert call()
+    else:
+        with pytest.raises((TypeError, ValueError), match=error):
+            call()

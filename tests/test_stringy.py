@@ -400,3 +400,17 @@ def test_resolution_json_roundtrip():
     assert back.strata == data.strata
     assert back.vertical == data.vertical
     assert stringy_count(back) == stringy_count(data)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: mckay_identity_check(MassPair(Infinite, Q), Q, Q, 2), InfiniteInput, "finite masses", id="mckay"
+        ),
+        pytest.param(lambda: builtin_resolution("a2_cone"), ValueError, "unknown builtin", id="builtin"),
+    ],
+)
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
