@@ -16,6 +16,7 @@ byte-identical JSON output (keys sorted, forms canonical).
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import re
@@ -37,6 +38,8 @@ def _emit(obj, report: str) -> list:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        # an --eval key (name, Q0, R0) becomes name(Q0,R0) here, as Q0 may pass the limit
+        obj = {"%s(%s,%s)" % key if isinstance(key, tuple) else key: val for key, val in obj.items()}
         if report == "json":  # a ClassFunction as its JSON object, a Fraction or Decimal as its text
             return [json.dumps(obj, indent=2, sort_keys=True,
                                default=lambda v: v.to_json() if isinstance(v, ClassFunction) else str(v))]
@@ -371,7 +374,7 @@ def _run(argv: list) -> tuple:
         out, verdicts = _COMMANDS[command][0](args)
         if getattr(args, "eval", None):  # Q0 and R0 are read under the digit limit, which _emit lifts
             q0, r0 = _frac(args.eval[0]), int(args.eval[1])
-            out.update({f"{key}({q0},{r0})": cf.eval(q0, r0) for key, cf in out.items() if isinstance(cf, ClassFunction)})
+            out.update({(key, q0, r0): cf.eval(q0, r0) for key, cf in out.items() if isinstance(cf, ClassFunction)})
         return 0 if all(verdicts) else 1, _emit(out, args.report)
     except _Divergent as exc:
         return 3, _emit({"divergent": True, "reason": str(exc)}, args.report)
@@ -385,19 +388,24 @@ def _run(argv: list) -> tuple:
 
 def run(argv=None) -> int:
     """Print the report of argv, if any, and return its exit code; a reader that closes the pipe early
-    is not an error."""
+    is not an error, and a stdout that cannot be written exits 2."""
     code, lines = _run(sys.argv[1:] if argv is None else list(argv))
     try:
         if lines:
             print(*lines, sep="\n", flush=True)
-    except BrokenPipeError:
-        # what is still buffered goes to devnull, so the flush at exit cannot raise
+    except OSError as exc:
+        # what is still buffered goes to devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
+            return 2
     return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()  # the collections at exit then walk none of the objects the request made
+    sys.exit(code)
 
 
 if __name__ == "__main__":

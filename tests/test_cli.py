@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
@@ -510,6 +511,46 @@ def run_fresh(*argv):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_unwritable_stdout_exits_2_in_a_fresh_process():
+    # the print's OSError ended in a traceback and exit 1; left on fd 1, the flush at exit would fail again (exit 120)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "massdual.cli", "formula", "bhargava", "--n", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the report: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_cli_under_cprofile_prints_the_report_and_the_profile():
+    # main ends through SystemExit, so the profiler's report follows the request's (os._exit would drop it)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "massdual.cli", "formula", "bhargava", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "strong = True" in proc.stdout and "function calls" in proc.stdout
+
+
+def test_only_main_freezes_the_heap():
+    # run also serves in process, whose heap stays collectable; main freezes it once the report is out
+    before = gc.get_freeze_count()
+    assert run(["formula", "bhargava", "--n", "3"]) == 0
+    assert gc.get_freeze_count() == before
+    probe = "import gc\nfrom massdual import cli\ntry:\n    cli.main()\nexcept SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "formula", "bhargava", "--n", "3"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.splitlines()[-1] == "0 True", proc.stderr
+
+
 def test_bhargava_large_n_in_a_fresh_process():
     proc = run_fresh("formula", "bhargava", "--n", "500", "--report", "json")
     assert proc.returncode == 0, proc.stderr
@@ -577,15 +618,19 @@ def test_running_out_of_memory_is_an_input_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, read, code",
+    "argv, read, code",
     [
-        ("1000", 10, 0),  # 230 kB of JSON, more than a pipe holds: the reader leaves mid-write
-        ("1", 0, 3),  # divergent: the pipe is closed before the report is written
+        # 230 kB of JSON, more than a pipe holds: the reader leaves mid-write
+        pytest.param("profile --builtin quad_char2_sigma --n 1000 --report json", 10, 0, id="1000-10-0"),
+        # divergent: the pipe is closed before the report is written
+        pytest.param("profile --builtin quad_char2_sigma --n 1 --report json", 0, 3, id="1-0-3"),
+        # the README's `massdual ... | head -c 10` on 120 kB of text
+        pytest.param("formula hilbert --n 1500", 10, 0, id="hilbert-10-0"),
     ],
 )
-def test_a_reader_that_closes_the_pipe_keeps_the_exit_code(n, read, code):
+def test_a_reader_that_closes_the_pipe_keeps_the_exit_code(argv, read, code):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "massdual.cli", "profile", "--builtin", "quad_char2_sigma", "--n", n, "--report", "json"],
+        [sys.executable, "-m", "massdual.cli", *argv.split()],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -695,6 +740,21 @@ def test_a_refused_eval_leaves_the_digit_limit_as_it_was(capsys):
     assert run(["profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "4", "1000000000001"]) == 2
     assert capsys.readouterr().err.startswith("error: the exact value at q0=4")
     assert getattr(sys, "get_int_max_str_digits", int)() == DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_an_eval_point_past_4300_digits_prints_in_full(report):
+    # q0 = 10^4300 has 4301 digits: _frac admits it, and its key mass_v(Q0,R0) exited 2 on the limit
+    code, lines = cli._run(["formula", "kedlaya", "--n", "1", "--eval", "1e4300", "1", "--report", report])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+    q0, q1 = "1" + "0" * 4300, "1" + "0" * 4299 + "1"  # kedlaya n = 1: mass_v = 1 + Q^-1, mass_w = Q + 1
+    expected = {f"mass_v({q0},1)": f"{q1}/{q0}", f"mass_w({q0},1)": q1}
+    if report == "json":
+        assert {key: val for key, val in json.loads(lines[0]).items() if "(" in key} == expected
+    else:
+        assert lines[3:] == [f"{key} = {val}" for key, val in expected.items()]
 
 
 @pytest.mark.parametrize(
