@@ -15,7 +15,6 @@ byte-identical JSON output (keys sorted, forms canonical).
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import os
@@ -72,19 +71,14 @@ def _read(path: str) -> str:
 
 
 def _load(option: str, text: str, loader):
-    """loader(document in text), an input error prefixed by the option and the
-    JSON path of the value the loader read last.  The path is found by loading
-    once more over traced copies, so a document that loads pays nothing; a
-    MassdualError (a group too large, say) names only the option."""
-    doc, trail = None, [""]
+    """loader(document in text), read once over traced copies: an input error is prefixed by the
+    option and the JSON path of the value the loader read last; a MassdualError (a group too large,
+    say) names only the option."""
+    trail = [""]
     try:
-        doc = json.loads(text)
-        return loader(doc)
+        return loader(_trace(json.loads(text), "", trail))
     except _INPUT_ERRORS as exc:
-        if doc is not None and not isinstance(exc, MassdualError):
-            with contextlib.suppress(Exception):  # the first error is the one reported
-                loader(_trace(doc, "", trail))
-        where = trail[0].lstrip(".")
+        where = "" if isinstance(exc, MassdualError) else trail[0].lstrip(".")
         raise ValueError(f"{option}: {where}{': ' * bool(where)}{_text(exc)}") from None
 
 
@@ -121,6 +115,9 @@ class _TracedList(list):
     def __iter__(self):
         yield from (_trace(v, f"{self.path}[{i}]", self.trail) for i, v in enumerate(list.__iter__(self)))
         self.trail[0] = self.path
+
+
+_TracedDict.__name__, _TracedList.__name__ = "dict", "list"  # as Python's error texts name the JSON types
 
 
 def _payload(doc: dict, kind: str) -> dict:
@@ -366,7 +363,7 @@ def _run(argv: list) -> tuple:
     except _Usage as exc:  # the usage line, then "massdual CMD: error: ..."
         command, message = exc.args
         prog = f"massdual {command}".rstrip()
-        print(_help(command).partition("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        _put(sys.stderr, [_help(command).partition("\n")[0], f"{prog}: error: {message}"])
         return 2, []
     if args is None:
         return 0, [_help(command)]
@@ -379,26 +376,31 @@ def _run(argv: list) -> tuple:
     except _Divergent as exc:
         return 3, _emit({"divergent": True, "reason": str(exc)}, args.report)
     except _INPUT_ERRORS as exc:
-        print(f"error: {_text(exc)}", file=sys.stderr)
+        _put(sys.stderr, [f"error: {_text(exc)}"])
         return 2, []
     except (MemoryError, OverflowError) as exc:  # an input too large to compute, like GroupTooLarge
-        print(f"error: input too large to compute: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _put(sys.stderr, [f"error: input too large to compute: {str(exc) or 'out of memory'}"])
         return 2, []
+
+
+def _put(stream, lines: list):
+    """Print lines to stream and flush it; an OSError is returned, and what is still buffered goes to
+    devnull, so the flush at exit cannot fail again (CPython would exit 120)."""
+    try:
+        print(*lines, sep="\n", file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
 
 
 def run(argv=None) -> int:
     """Print the report of argv, if any, and return its exit code; a reader that closes the pipe early
-    is not an error, and a stdout that cannot be written exits 2."""
+    is not an error, an unwritable stdout exits 2 and an unwritable stderr keeps the exit code."""
     code, lines = _run(sys.argv[1:] if argv is None else list(argv))
-    try:
-        if lines:
-            print(*lines, sep="\n", flush=True)
-    except OSError as exc:
-        # what is still buffered goes to devnull, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
-            return 2
+    exc = _put(sys.stdout, lines) if lines else None
+    if exc and not isinstance(exc, BrokenPipeError):
+        _put(sys.stderr, [f"error: cannot write the report: {exc.strerror}"])
+        return 2
     return code
 
 

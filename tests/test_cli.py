@@ -527,6 +527,28 @@ def test_an_unwritable_stdout_exits_2_in_a_fresh_process():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, full_stdout",
+    [
+        pytest.param("formula bhargava", False, id="missing-n"),
+        pytest.param("formula bhargava --n x", False, id="invalid-n"),
+        pytest.param("formula bhargava --n 3", True, id="stdout-too"),
+    ],
+)
+def test_an_unwritable_stderr_keeps_exit_2_in_a_fresh_process(argv, full_stdout):
+    # an error text that cannot be written must not turn exit 2 into a traceback's exit 1
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "massdual.cli", *argv.split()],
+            stdout=full if full_stdout else subprocess.PIPE,
+            stderr=full,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stdout in (None, b"")
+
+
 def test_the_cli_under_cprofile_prints_the_report_and_the_profile():
     # main ends through SystemExit, so the profiler's report follows the request's (os._exit would drop it)
     proc = subprocess.run(
@@ -857,6 +879,7 @@ STRATA = {"[]": (Q**2).to_json(), "[1]": (Q + 1).to_json()}
 DUALITY = ("duality", "--mv", FILE, "--mw", FILE, "--d", "2")
 TAME = ("tame", "--group", FILE, "--q", "3")
 EVAL_SQRT2 = ("profile", "--builtin", "quad_char0_sigma", "--n", "1", "--eval", "2", "1")
+INT_ARGUMENT = "int() argument must be a string, a bytes-like object or a real number,"
 # the start of stderr where a case checks more than the "error:" prefix
 ERROR_TEXT = {
     "empty-den": "error: --mv: classes[0].den: zero denominator\n",
@@ -864,6 +887,9 @@ ERROR_TEXT = {
     "coefficient-1/0": "error: --mv: classes[0].num[0]: Fraction(1, 0)\n",
     "exponent-1.7": "error: --mv: classes[0].num[0]: expected an integer, got 1.7\n",
     "exponent-true": "error: --mv: classes[0].num[0]: expected an integer, got True\n",
+    # Python's text names the JSON type of the value, not the traced copy the loader read
+    "exponent-{}": f"error: --mv: classes[0].num[0]: {INT_ARGUMENT} not 'dict'\n",
+    "exponent-[]": f"error: --mv: classes[0].num[0]: {INT_ARGUMENT} not 'list'\n",
     "root_order-2.9": "error: --mv: root_order: expected an integer, got 2.9\n",
     "modulus-1.0": "error: --mv: modulus: expected an integer, got 1.0\n",
     "v_exp-1/0": "error: --file: families[0].v_exp[0]: Fraction(1, 0)\n",
@@ -906,6 +932,8 @@ ERROR_TEXT = {
         # int() would truncate these: exponent 1.7 read as Q, root_order 2.9 as 2
         pytest.param(DUALITY, one_class([["1", 1.7]], [["1", 0]]), id="exponent-1.7"),
         pytest.param(DUALITY, one_class([["1", True]], [["1", 0]]), id="exponent-true"),
+        pytest.param(DUALITY, one_class([["1", {}]], [["1", 0]]), id="exponent-{}"),
+        pytest.param(DUALITY, one_class([["1", []]], [["1", 0]]), id="exponent-[]"),
         pytest.param(
             DUALITY, {**one_class([["1", 1]], [["1", 0]]), "root_order": 2.9}, id="root_order-2.9"
         ),
@@ -1045,6 +1073,69 @@ def test_a_decimal_exponent_past_the_digit_limit_exits_2_in_a_fresh_process(tmp_
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "'1e10000000': a decimal exponent beyond" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_refused_document_is_loaded_once(tmp_path, capsys, monkeypatch):
+    # the path in the error line is the trail of the one load, so a slow refusal is paid once
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return profile_from_json(doc)
+
+    monkeypatch.setattr("massdual.massengine.profile_from_json", counted)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"group_order": 1, "strata": [{"count": (-Q - 1).to_json(), "v": "1/2", "w": "0"}]}))
+    assert run(["profile", "--file", str(path)]) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "error: --file: strata[0].count: stratum count is negative at q0=2, r0=1\n"
+
+
+def reachable(root):
+    """Every object reachable from root through record fields, dicts, lists, tuples and sets."""
+    seen, todo = set(), [root]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            yield x
+            if isinstance(x, dict):
+                todo += [*x.keys(), *x.values()]
+            elif isinstance(x, (list, tuple, set, frozenset)):
+                todo += x
+            else:
+                todo += [getattr(x, name) for name in getattr(type(x), "__slots__", ()) if hasattr(x, name)]
+                todo += vars(x).values() if hasattr(x, "__dict__") else ()
+
+
+def mass_side(doc):
+    """The duality loader of --mv: a bare mass, or the mass_v side of a MassPair document."""
+    return mass_from_json(doc["mass_v"] if "mass_v" in doc else doc)
+
+
+Z3 = (perm_from_cycles(3, [[1, 2, 3]]), MonomialMatrix((0, 1), (1, 1), 3))
+# a document of each kind and the loader the CLI gives it
+LOADS = {
+    "tame": ({"kind": "tame", "payload": group_to_json(*group_closure([Z3[0]], [Z3[1]]))},
+             lambda d: group_from_json(cli._payload(d, "tame"))),
+    "profile": (profile_to_json(builtin_profile("quad_char2_sigma", n=3)),
+                lambda d: profile_from_json(cli._payload(d, "profile"))),
+    "stringy": ({role: resolution_to_json(data) for role, data in builtin_resolution("a1_cone").items()},
+                cli._resolutions_from_json),
+    "mass-pair": (bhargava_masses(3).to_json(), mass_side),
+    "bare-mass": (kedlaya_masses(2).mass_w.to_json(), mass_side),
+}
+
+
+@pytest.mark.parametrize("kind", LOADS)
+def test_a_document_that_loads_gives_what_its_loader_gives(kind):
+    # the CLI reads every document over traced copies, whose types must not reach the result
+    doc, loader = LOADS[kind]
+    got, want = cli._load("--file", json.dumps(doc), loader), loader(json.loads(json.dumps(doc)))
+    assert [type(x) for x in reachable(got) if isinstance(x, (dict, list)) and type(x) not in (dict, list)] == []
+    if kind == "tame":  # a group and its representation compare by their elements and matrices
+        got, want = ([(g, rep.matrix(g)) for g in group.elements] for group, rep in (got, want))
+    assert got == want
 
 
 def test_integer_strings_are_accepted_in_every_loader(tmp_path, capsys):
