@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupTooLarge, InconsistentRepresentation
-from .qsym import _json_int
+from .qsym import _json_array, _json_int, _json_object
 
 Perm = tuple[int, ...]
 
@@ -541,18 +541,18 @@ def group_to_json(group: FiniteGroup, rep: MonomialRep, generators: Optional[Seq
 
 
 def group_from_json(obj: Mapping, max_size: int = DEFAULT_MAX_GROUP_SIZE) -> tuple[FiniteGroup, MonomialRep]:
-    degree = _json_int(obj["degree"])
-    gens = [perm_from_cycles(degree, cycles) for cycles in obj["generators"]]
-    rep = obj["rep"]
+    degree = _json_int((obj := _json_object(obj))["degree"])
+    gens = [perm_from_cycles(degree, map(_json_array, _json_array(c))) for c in _json_array(obj["generators"])]
+    rep = _json_object(obj["rep"])
     dim = _json_int(rep["dim"])
     e = _json_int(rep["root_order"])
     mats = [
         MonomialMatrix(
-            tuple(_json_int(p) - 1 for p in m["perm"]),
-            tuple(_json_int(x) for x in m["exps"]),
+            tuple(_json_int(p) - 1 for p in _json_array(m["perm"])),
+            tuple(_json_int(x) for x in _json_array(m["exps"])),
             e,
         )
-        for m in rep["matrices"]
+        for m in map(_json_object, _json_array(rep["matrices"]))
     ]
     if any(m.dim != dim for m in mats):
         raise ValueError("matrix dimension disagrees with declared dim")

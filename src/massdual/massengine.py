@@ -37,8 +37,10 @@ from .qsym import (
     ClassFunction,
     Infinite,
     _frac,
+    _json_array,
     _json_frac,
     _json_int,
+    _json_object,
     cf_geometric_sum,
     frac_str,
     iroot,
@@ -488,6 +490,7 @@ def profile_to_json(profile: RamificationProfile) -> dict:
 
 
 def _stratum_from_json(s: Mapping) -> ProfileStratum:
+    s = _json_object(s)
     v, w, count = _json_frac(s["v"]), _json_frac(s["w"]), ClassFunction.from_json(s["count"])
     s.get("count")  # the count is checked as a whole: read it once more, after its parts
     return ProfileStratum(count, v, w)
@@ -496,14 +499,15 @@ def _stratum_from_json(s: Mapping) -> ProfileStratum:
 def profile_from_json(obj: Mapping) -> RamificationProfile:
     # each record reads the value its constructor checks last (a stratum's count,
     # a family's i1), so an error is reported against that value
-    strata = tuple(map(_stratum_from_json, obj.get("strata", ())))
+    obj = _json_object(obj)
+    strata = tuple(map(_stratum_from_json, _json_array(obj.get("strata", []))))
     families = tuple(
         GeometricFamily(
             coeff=ClassFunction.from_json(f["coeff"]),
-            **{key: tuple(map(_json_frac, f[key])) for key in ("count_exp", "v_exp", "w_exp")},
+            **{key: tuple(map(_json_frac, _json_array(f[key]))) for key in ("count_exp", "v_exp", "w_exp")},
             i0=_json_int(f["i0"]),
             i1=f.get("i1"),
         )
-        for f in obj.get("families", ())
+        for f in map(_json_object, _json_array(obj.get("families", [])))
     )
     return RamificationProfile(group_order=obj["group_order"], strata=strata, families=families)

@@ -36,7 +36,6 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -451,45 +450,32 @@ def _rf_stretch(a: RationalFunctionX, k: int) -> RationalFunctionX:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic helpers for collapsing root-of-unity coefficients
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Phi_n, dense and lowest first: the product over squarefree t | n of
-    (x^(n/t) - 1)^mu(t) (Lang, Algebra, VI §3).  The factors with mu = 1
-    multiply in, then the others divide out exactly from the low end."""
-    primes: list[int] = []
-    for d in _divisors(n)[1:]:  # increasing: a divisor with no smaller prime factor is prime
-        primes += [d] if all(d % p for p in primes) else []
-    ups, downs = [n], []
-    for p in primes:
-        ups, downs = ups + [d // p for d in downs], downs + [d // p for d in ups]
-    poly = [1]
-    for d in ups:
-        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
-    for d in downs:  # poly = q * (x^d - 1), so q[i] = q[i - d] - poly[i]
-        poly = [-c for c in poly[:-d]]
-        for i in range(d, len(poly)):
-            poly[i] += poly[i - d]
-    return tuple(poly)
+# Root-of-unity sums, reduced by the prime-orbit relations
 
 
 def _rational_root_sum(pairs: Iterable[tuple[int, int]], k: int) -> Optional[int]:
-    """sum c * zeta_k^b over int pairs (b, c) if rational, else None.  The
-    dense list acc[b % k], reduced top-down by the monic Phi_k, is the sum in
-    the basis 1, zeta, ..., zeta^(phi(k)-1): rational when only acc[0] is left."""
-    if k == 1:
-        return sum(c for _, c in pairs)
-    acc, phi = [0] * k, _cyclotomic(k)
+    """sum c * zeta_k^b over int pairs (b, c) if rational, else None.  For each p^a || k
+    in turn, zeta_k^b with digit (b mod p^a) // p^(a-1) = p - 1 becomes minus the rest of
+    its orbit {b + i*k/p}, whose sum is 0 (de Bruijn 1953).  The phi(k) exponents with no
+    such digit are a basis like Zumbroich's (Bosma 1990): rational when only acc[0] is left."""
+    acc, n, p = [0] * k, k, 1
     for b, c in pairs:
         acc[b % k] += c
-    deg, low = len(phi) - 1, [(j, f) for j, f in enumerate(phi[:-1]) if f]
-    for i in range(k - 1, deg - 1, -1):
-        if c := acc[i]:  # subtract c * x^(i - deg) * Phi_k, which clears acc[i]
-            for j, f in low:
-                acc[i - deg + j] -= c * f
-    return None if any(acc[1:deg]) else acc[0]
+    while n > 1:
+        p = n if p * p > n else p + 1
+        if n % p:
+            continue
+        pa, step = 1, k // p
+        while n % p == 0:
+            n, pa = n // p, pa * p
+        s = pa // p
+        for r in range(pa - s, pa):
+            for b in range(r, k, pa):
+                if c := acc[b]:
+                    acc[b] = 0
+                    for i in range(1, p):
+                        acc[(b + i * step) % k] -= c
+    return None if any(acc[1:]) else acc[0]
 
 
 def iroot(n: int, k: int) -> int:
@@ -809,12 +795,14 @@ class ClassFunction:
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClassFunction":
         def side(pairs):  # a repeated exponent keeps its last value
-            return LaurentPoly({_json_int(e): _json_frac(c) for c, e in pairs})
+            return LaurentPoly({_json_int(e): _json_frac(c) for c, e in map(_json_array, _json_array(pairs))})
 
         # each value is checked as it is read, classes last, so an error is reported against its key
+        obj = _json_object(obj)
         if (modulus := _json_int(obj["modulus"])) < 1 or (root_order := _json_int(obj["root_order"])) < 1:
             raise ValueError("modulus and root_order must be positive")
-        return cls(modulus, root_order, [ratfun(side(c["num"]), side(c["den"])) for c in obj["classes"]])
+        classes = map(_json_object, _json_array(obj["classes"]))
+        return cls(modulus, root_order, [ratfun(side(c["num"]), side(c["den"])) for c in classes])
 
 
 def _json_int(x) -> int:
@@ -828,6 +816,20 @@ def _json_int(x) -> int:
 def _json_frac(x) -> Fraction:
     """A JSON rational: an int as itself, any other value by its text through _frac (0.5 as "0.5")."""
     return _frac(x if type(x) is int else str(x))
+
+
+def _json_object(x) -> dict:
+    """A JSON object as is; any other value, which .get or .items would misread or crash on, is refused."""
+    if not isinstance(x, dict):
+        raise ValueError(f"expected a JSON object, got {type(x).__name__}")
+    return x
+
+
+def _json_array(x) -> list:
+    """A JSON array as is; any other value, a string read letter by letter say, is refused."""
+    if not isinstance(x, list):
+        raise ValueError(f"expected a JSON array, got {type(x).__name__}")
+    return x
 
 
 def _render_exp(e: int, n: int) -> str:

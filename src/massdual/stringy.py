@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Union
 
 from .errors import InfiniteInput, MalformedStrata
-from .qsym import ClassFunction, Infinite, _frac, _json_frac, _json_int, frac_str, is_infinite
+from .qsym import ClassFunction, Infinite, _frac, _json_array, _json_frac, _json_int, _json_object, frac_str, is_infinite
 
 StrataMap = Mapping[frozenset, ClassFunction]
 StringyCount = Union[ClassFunction, type(Infinite)]
@@ -271,8 +271,8 @@ def _strata_to_json(counts: Mapping) -> dict:
 
 def _strata_from_json(obj: Mapping) -> dict:
     out = {}
-    for key, cf in obj.items():
-        idx = frozenset(_json_int(j) for j in json.loads(key))
+    for key, cf in _json_object(obj).items():
+        idx = frozenset(_json_int(j) for j in _json_array(json.loads(key)))
         out[idx] = ClassFunction.from_json(cf)
     return out
 
@@ -295,13 +295,16 @@ def resolution_to_json(data: ResolutionData) -> dict:
 def resolution_from_json(obj: Mapping) -> ResolutionData:
     # dim, each c and each a are checked where they are read, mode is read last,
     # so an error is reported against its key
+    def records(key):  # the objects of an optional array, each checked as it is read
+        return map(_json_object, _json_array(obj.get(key, [])))
+
+    obj = _json_object(obj)
     return ResolutionData(
         dim=_positive_dim(obj["dim"]),
-        horizontal=tuple(_multiplicity(_json_frac(h["c"])) for h in obj.get("horizontal", ())),
+        horizontal=tuple(_multiplicity(_json_frac(h["c"])) for h in records("horizontal")),
         strata=_strata_from_json(obj.get("strata", {})),
         vertical=tuple(
-            VerticalRow(_json_frac(r["a"]), _strata_from_json(r["strata"]))
-            for r in obj.get("vertical", ())
+            VerticalRow(_json_frac(r["a"]), _strata_from_json(r["strata"])) for r in records("vertical")
         ),
         mode=obj.get("mode", "open"),
     )

@@ -920,6 +920,15 @@ ERROR_TEXT = {
     # int() refuses an exponent of over 4300 digits itself, with a text that does not name the value
     "eval-exponent-of-5000-digits": "error: '1e999",
     "vertical-a-1/0": "error: --file: vertical[0].a: Fraction(1, 0)\n",
+    # a document whose arrays and objects are of the wrong JSON type: once a traceback or a misreading
+    "profile-list": "error: --file: expected a JSON object, got list\n",
+    "profile-string": "error: --file: expected a JSON object, got str\n",
+    "stringy-strata-list": "error: --file: strata: expected a JSON object, got list\n",
+    "num-pair-string": "error: --mv: classes[0].num[1]: expected a JSON array, got str\n",
+    "stratum-key-string": 'error: --file: strata["\\"12\\""]: expected a JSON array, got str\n',
+    "stratum-key-object": 'error: --file: strata["{\\"1\\":0,\\"2\\":5}"]: expected a JSON array, got dict\n',
+    "cycle-string": "error: --group: generators[0][0]: expected a JSON array, got str\n",
+    "perm-string": "error: --group: rep.matrices[0].perm: expected a JSON array, got str\n",
 }
 
 
@@ -1039,6 +1048,34 @@ ERROR_TEXT = {
             ("stringy", "--file", FILE),
             {"dim": 2, "strata": STRATA, "vertical": [{"a": "1/0", "strata": {"[1]": Q.to_json()}}]},
             id="vertical-a-1/0",
+        ),
+        # AttributeError tracebacks with exit 1: .get on a list or a string, .items on a list
+        pytest.param(("profile", "--file", FILE), [1], id="profile-list"),
+        pytest.param(("profile", "--file", FILE), '"x"', id="profile-string"),
+        pytest.param(("stringy", "--file", FILE), {"dim": 1, "strata": []}, id="stringy-strata-list"),
+        # exit 0 on a misreading: the string "32" as the pair ("3", "2"), that is 3*Q^2
+        pytest.param(DUALITY, one_class([["1", 0], "32"], [["1", 0]]), id="num-pair-string"),
+        # the key "12" and the key {"1": 0, "2": 5} both read as the divisors {1, 2}
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "horizontal": [{"c": "1/2"}, {"c": "1/2"}], "strata": {'"12"': Q.to_json()}},
+            id="stratum-key-string",
+        ),
+        pytest.param(
+            ("stringy", "--file", FILE),
+            {"dim": 2, "horizontal": [{"c": "1/2"}, {"c": "1/2"}], "strata": {'{"1":0,"2":5}': Q.to_json()}},
+            id="stratum-key-object",
+        ),
+        # the cycle "123" read as (1 2 3), the perm "1" as [1]: a tame group accepted
+        pytest.param(
+            ("tame", "--group", FILE, "--q", "5"),
+            {"degree": 3, "generators": [["123"]],
+             "rep": {"dim": 1, "root_order": 1, "matrices": [{"perm": "1", "exps": [0]}]}},
+            id="cycle-string",
+        ),
+        pytest.param(
+            TAME, {**z2_group(), "rep": {"dim": 1, "root_order": 2, "matrices": [{"perm": "1", "exps": [1]}]}},
+            id="perm-string",
         ),
     ],
 )

@@ -35,7 +35,6 @@ from massdual.qsym import (
     Infinite,
     LaurentPoly,
     RationalFunctionX,
-    _cyclotomic,
     _divisors,
     _divmod_z,
     _frac,
@@ -162,16 +161,16 @@ def _root_sum_oracle(pairs, m):
     return rem.coeff(0) if rem.terms.keys() <= {0} else None
 
 
-def test_moebius_cyclotomic_matches_the_recursive_definition():
-    for n in range(1, 201):
-        want = _cyclotomic_oracle(n)
-        assert _cyclotomic(n) == tuple(want.coeff(i) for i in range(want.max_exp + 1)), n
+def _oracle_coefficients(m):
+    """Phi_m's integer coefficients, lowest first, from the recursive oracle."""
+    phi = _cyclotomic_oracle(m)
+    return [int(phi.coeff(i)) for i in range(phi.max_exp + 1)]
 
 
 def test_cyclotomic_polynomial_vanishes_at_the_primitive_roots():
     # monic of degree phi(m) with every primitive m-th root as a root
     for m in range(1, 31):
-        phi = _cyclotomic(m)
+        phi = _oracle_coefficients(m)
         roots = primitive_exponents(m)
         assert phi[0] != 0 and len(phi) - 1 == len(roots) and phi[-1] == 1
         for k in roots:
@@ -189,11 +188,58 @@ def test_root_sum_ignores_multiples_of_the_cyclotomic_polynomial():
             for _ in range(rng.randint(1, 3)):
                 c, k = F(rng.randint(-4, 4), rng.randint(1, 3)), rng.randrange(m)
                 pairs += [
-                    (e + k + m * rng.randint(-3, 3), c * b) for e, b in enumerate(_cyclotomic(m))
+                    (e + k + m * rng.randint(-3, 3), c * b) for e, b in enumerate(_oracle_coefficients(m))
                 ]
             rng.shuffle(pairs)
             assert _rational_root_sum([(e, int(c * 60)) for e, c in pairs], m) == v * 60
             assert _root_sum_oracle(pairs, m) == v
+
+
+@st.composite
+def root_sums(draw):
+    """(pairs, k) for k <= 60: loose terms with exponents of either sign, whole orbits
+    {b + i*k/p} of a prime p | k, and shifted multiples of Phi_k."""
+    k = draw(st.integers(1, 60))
+    exponent = st.integers(-3 * k, 3 * k)
+    pairs = draw(st.lists(st.tuples(exponent, st.integers(-5, 5)), max_size=4))
+    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % d for d in range(2, p))]
+    for p in draw(st.lists(st.sampled_from(primes), max_size=2)) if primes else ():
+        b, c = draw(exponent), draw(st.integers(-4, 4))
+        pairs += [(b + i * (k // p), c) for i in range(p)]
+    for _ in range(draw(st.integers(0, 2))):
+        b, c = draw(exponent), draw(st.integers(-4, 4))
+        pairs += [(b + e, c * f) for e, f in enumerate(_oracle_coefficients(k))]
+    return draw(st.permutations(pairs)), k
+
+
+@given(root_sums())
+@example(([(1, 1), (5, 1)], 8))  # zeta_8 + zeta_8^5 = 0
+@example(([(1, 1), (4, 1), (7, 1)], 9))  # the orbit of zeta_9 under the order-3 roots
+@example(([(-1, 2), (8, 2), (17, 2), (0, 3)], 27))  # an orbit at a negative exponent, plus 3
+@example(([(b, 1) for b in range(30) if math.gcd(b, 30) == 1], 30))  # mu(30) = -1
+@example(([(1, 1), (-1, 1)], 42))  # 2 cos(2 pi / 42) is irrational
+@settings(max_examples=300, deadline=None)
+def test_root_sum_matches_the_cyclotomic_oracle(pk):
+    pairs, k = pk
+    assert _rational_root_sum(pairs, k) == _root_sum_oracle(pairs, k)
+
+
+def test_the_primitive_orbit_of_order_2310_sums_to_mu():
+    assert _rational_root_sum([(b, 1) for b in range(2310) if math.gcd(b, 2310) == 1], 2310) == -1
+
+
+def test_an_irrational_pair_of_order_510510_is_refused_in_a_fresh_process():
+    # zeta + zeta^-1 of order 2*3*5*7*11*13*17: a hang detector, so no time is asserted
+    code = (
+        "from massdual import NonRealInput, cf_from_terms\n"
+        "try:\n"
+        "    cf_from_terms([(1, '1/510510', 0), (1, '-1/510510', 0)])\n"
+        "except NonRealInput as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "coefficients on the class r = 1 (mod 510510) are not rational\n"
 
 
 def test_root_sum_with_a_primitive_root_is_irrational():
