@@ -73,6 +73,8 @@ def perm_from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:
     out = list(range(degree))
     seen: set[int] = set()
     for cyc in cycles:
+        if isinstance(cyc, str):  # else "123" would read as the points 1, 2, 3
+            raise ValueError(f"a cycle is a sequence of points, not the string {cyc!r}")
         pts = [_json_int(p) - 1 for p in cyc]
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"cycle point out of range for degree {degree}")
@@ -172,7 +174,6 @@ class FiniteGroup:
         self._representatives: tuple[Perm, ...] = ()
         self._classes: Optional[list[list[Perm]]] = None
         self._class_of: list[int] = []
-        self._exponent: Optional[int] = None
 
     elements = property(lambda self: self._tuple_view()[0], doc="The elements, in order.")
     index = property(lambda self: self._tuple_view()[1], doc="Element -> its place in elements.")
@@ -247,18 +248,22 @@ class FiniteGroup:
         self._tree = [(at[j], at[i], table[id(col)]) for j, i, col in closure._tree]
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = math.lcm(*map(perm_order, self.class_representatives()))
-        return self._exponent
+        return math.lcm(*map(perm_order, self.class_representatives()))
 
     def power(self, g: Perm, m: int) -> Perm:
-        """g^m, each cycle of g (read as ints) rotated by m mod its length; m may be any integer."""
+        """g^m, each cycle of g (read as ints) rotated by m mod its length as one pass over
+        the points walks it; m may be any integer."""
         if g not in self:
             raise ValueError("element not in group")
-        out = list(map(int, g))
-        for cyc in perm_cycles(out):
-            for t, x in enumerate(cyc):
-                out[x] = cyc[(t + m) % len(cyc)]
+        g, out = list(map(int, g)), [-1] * len(g)
+        for start, i in enumerate(g):
+            if out[start] < 0:  # start is on no cycle walked so far
+                cyc = [start]
+                while i != start:
+                    cyc.append(i)
+                    i = g[i]
+                for t, x in enumerate(cyc, m % len(cyc)):
+                    out[x] = cyc[t % len(cyc)]
         return tuple(out)
 
     def _walk(self) -> list[list[int]]:
@@ -321,43 +326,45 @@ class FiniteGroup:
 
 
 class MonomialRep:
-    """A monomial representation of a FiniteGroup, one matrix per element."""
+    """A monomial representation of a FiniteGroup, one matrix per element, each of root order root_order."""
 
     def __init__(self, dim: int, root_order: int, matrices: Mapping[Perm, MonomialMatrix]):
         self.dim = dim
         self.root_order = root_order
-        # closure rows stay encoded until a matrix is asked for
-        self.matrices = matrices if isinstance(matrices, _ClosureMatrices) else dict(matrices)
+        if not isinstance(matrices, _ClosureMatrices):  # closure rows stay encoded until a matrix is asked for
+            matrices = dict(matrices)
+            if any(m.root_order != root_order for m in matrices.values()):  # the weights are read over 2*root_order
+                raise ValueError("every matrix must have the root order of the representation")
+        self.matrices = matrices
 
     def matrix(self, g: Perm) -> MonomialMatrix:
         return self.matrices[g]
 
     def eigen_exponents(self, g: Perm) -> tuple[Fraction, ...]:
         """Multiset of eigenvalue exponents in [0,1), as a sorted tuple."""
-        m = self.matrix(g)
-        e = m.root_order
-        out = []
-        for cyc in perm_cycles(m.perm):
-            c = len(cyc)
-            s = sum(m.exps[j] for j in cyc)
-            for t in range(c):
-                out.append(Fraction((s + e * t) % (c * e), c * e))
-        return tuple(sorted(out))
+        perm, exps, e = self.matrix(g)
+        cycles = [(len(cyc), sum(exps[j] for j in cyc)) for cyc in perm_cycles(perm)]
+        return tuple(sorted(Fraction((s + e * t) % (c * e), c * e) for c, s in cycles for t in range(c)))
 
     def tame_weights(self, g: Perm) -> TameWeights:
-        """Weights (v, w, a) of g: v = sum of eigenvalue exponents,
-        a = number of nonzero exponents, w = a - v.
+        """Weights (v, w, a) of g as Fractions, from _tame_ints: v = sum of
+        eigenvalue exponents, a = number of nonzero exponents, w = a - v."""
+        v, a, n = *self._tame_ints(g), 2 * self.root_order
+        return TameWeights(Fraction(v, n), Fraction(n * a - v, n), Fraction(a))
 
-        Summed per cycle: a c-cycle whose exponents sum to s has the
-        exponents (s mod e + e*u)/(c*e), u = 0..c-1, which add up to
-        (s mod e)/e + (c-1)/2, and exactly one of them is 0 when e | s."""
-        m = self.matrix(g)
-        e, exps = m.root_order, m.exps
-        cycles = perm_cycles(m.perm)
-        residues = [sum([exps[j] for j in cyc]) % e for cyc in cycles]
-        a = len(exps) - residues.count(0)
-        v = 2 * sum(residues) + e * (len(exps) - len(cycles))
-        return TameWeights(Fraction(v, 2 * e), Fraction(2 * e * a - v, 2 * e), Fraction(a))
+    def _tame_ints(self, g: Perm) -> tuple[int, int]:
+        """(V, a) of g with V = 2e*v, e the root order: a c-cycle whose exponents sum to s has
+        the exponents (s mod e + e*u)/(c*e), u = 0..c-1, of sum (s mod e)/e + (c-1)/2, one of
+        them 0 when e | s.  So V = 2*sum(s mod e) + e*(dim - cycles), a = dim - #{cycles: e | s}."""
+        perm, exps, e = self.matrix(g)
+        v, a, seen = e * len(perm), len(perm), [False] * len(perm)
+        for start in range(len(perm)):
+            if not seen[start]:
+                s, i = 0, start
+                while not seen[i]:
+                    seen[i], s, i = True, s + exps[i], perm[i]
+                v, a = v + 2 * (s % e) - e, a - (s % e == 0)
+        return v, a
 
 
 class _LeftAction(dict):

@@ -203,11 +203,9 @@ def _stable_classes(group, q: int) -> list[list[int]]:
 
 def _stable_weights(scenario: TameScenario) -> tuple[int, list[int], list[int], list[list[int]]]:
     """(n, v, w, stable): v and w of each class, read once per class (rho is a homomorphism),
-    as int numerators over n, the lcm of their denominators, and _stable_classes."""
-    weights = [scenario.rep.tame_weights(g)[:2] for g in scenario.group.class_representatives()]
-    n = math.lcm(*(x.denominator for wt in weights for x in wt))
-    v, w = ([x.numerator * (n // x.denominator) for x in side] for side in zip(*weights))
-    return n, v, w, _stable_classes(scenario.group, scenario.q)
+    as int numerators over n = 2e for the root order e, and _stable_classes."""
+    n, ints = 2 * scenario.rep.root_order, list(map(scenario.rep._tame_ints, scenario.group.class_representatives()))
+    return n, [v for v, _ in ints], [n * a - v for v, a in ints], _stable_classes(scenario.group, scenario.q)
 
 
 def _tame_masses(n: int, v: list[int], w: list[int], stable: list[list[int]]) -> MassPair:

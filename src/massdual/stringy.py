@@ -96,6 +96,8 @@ def _normalize_strata(counts: Mapping) -> dict:
     """Freeze keys to frozensets of ints and drop zero counts."""
     out = {}
     for key, cf in counts.items():
+        if isinstance(key, str):  # else "12" would read as the divisors 1 and 2
+            raise ValueError(f"a stratum key is a set of divisor indices, not the string {key!r}")
         key = frozenset(map(_json_int, key))
         if not isinstance(cf, ClassFunction):
             raise TypeError("stratum counts must be ClassFunctions")

@@ -183,10 +183,10 @@ def test_tame_involution_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 def test_tame_check_reads_the_weights_once_per_class(tmp_path, capsys, monkeypatch):
     # the masses and the involution verdict read one table of stable weights;
-    # each read its own, so Z/3's three classes took six weights
+    # each read its own, so Z/3's three classes took six weight readings
     calls = []
-    weights = MonomialRep.tame_weights
-    monkeypatch.setattr(MonomialRep, "tame_weights", lambda self, g: calls.append(g) or weights(self, g))
+    weights = MonomialRep._tame_ints
+    monkeypatch.setattr(MonomialRep, "_tame_ints", lambda self, g: calls.append(g) or weights(self, g))
     code, _ = run_cli(capsys, "tame", "--group", str(z3_group_file(tmp_path)), "--q", "7", "--check-involution")
     assert code == 0
     assert len(calls) == len(set(calls)) == 3

@@ -24,7 +24,7 @@ from massdual import (
 )
 from massdual import TameScenario, tame_involution_check, tame_total_masses
 from massdual.grouprep import perm_inv, perm_mul, perm_order
-from massdual.massengine import _stable_classes
+from massdual.massengine import _involutive, _stable_classes, _stable_weights, _tame_masses
 
 F = Fraction
 
@@ -874,10 +874,51 @@ def test_tame_weights_match_eigen_exponents(m):
     assert all(type(x) is F for x in wt)
 
 
+def fraction_table(scenario):
+    """The stable-weight table from the tame_weights Fractions, as int numerators
+    over the lcm of their denominators: the integer table's independent oracle."""
+    weights = [scenario.rep.tame_weights(g)[:2] for g in scenario.group.class_representatives()]
+    n = math.lcm(*(x.denominator for wt in weights for x in wt))
+    v, w = ([x.numerator * (n // x.denominator) for x in side] for side in zip(*weights))
+    return n, v, w, _stable_classes(scenario.group, scenario.q)
+
+
+@given(closure_inputs())
+@settings(max_examples=150, deadline=None)
+def test_integer_weight_table_matches_the_fraction_table(inputs):
+    # degree <= 6, root order 1..6, and q over the unit residues mod exp(G)
+    try:
+        group, rep = group_closure(*inputs)
+    except InconsistentRepresentation:
+        assume(False)
+    e, n = group.exponent(), 2 * rep.root_order
+    for g in group.class_representatives():
+        v, a = rep._tame_ints(g)
+        assert F(v, n) == sum(rep.eigen_exponents(g), F(0)) == rep.tame_weights(g).v
+        assert F(n * a - v, n) == rep.tame_weights(g).w
+    for r in (r for r in range(e) if math.gcd(r, e) == 1):
+        # the engine reads q only through powers g^q, which depend on q mod exp(G):
+        # the residue stands for every prime power q in its class
+        scenario = TameScenario._make((group, rep, r))
+        table, oracle = _stable_weights(scenario), fraction_table(scenario)
+        assert table[0] == n and table[3] == oracle[3]
+        masses = _tame_masses(*table)
+        assert masses == _tame_masses(*oracle)
+        assert masses.to_json() == _tame_masses(*oracle).to_json()
+        assert _involutive(*table) == _involutive(*oracle)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
         pytest.param(lambda: perm_from_cycles(3, [[1, 4]]), "out of range", id="cycle-point"),
+        # a string cycle read letter by letter made "123" the 3-cycle (1 2 3)
+        pytest.param(lambda: perm_from_cycles(3, ["123"]), "not the string '123'", id="cycle-string"),
+        pytest.param(lambda: perm_from_cycles(3, "12"), "not the string '1'", id="cycles-string"),
+        # a weight read over 2*2 from a matrix of root order 4 would be wrong
+        pytest.param(
+            lambda: MonomialRep(1, 2, {(0,): MonomialMatrix((0,), (1,), 4)}), "root order of the rep", id="root-order"
+        ),
         pytest.param(
             lambda: MonomialMatrix((0,), (0,), 1) * MonomialMatrix((0, 1), (0, 0), 1), "shapes differ", id="product"
         ),

@@ -334,45 +334,60 @@ def cyclic_101():
     )
 
 
-def count_cycle_decompositions(monkeypatch):
-    calls = []
-    cycles = grouprep.perm_cycles
-    monkeypatch.setattr(grouprep, "perm_cycles", lambda g: calls.append(g) or cycles(g))
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call to owner.name (self first for a method)."""
+    calls, f = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or f(*args))
     return calls
+
+
+def count_tame_work(monkeypatch):
+    """Calls of the Frobenius power, the weight reader and the cycle walks that
+    give element orders, each as a list of argument tuples."""
+    return {
+        "power": count_calls(monkeypatch, FiniteGroup, "power"),
+        "weights": count_calls(monkeypatch, MonomialRep, "_tame_ints"),
+        "order": count_calls(monkeypatch, grouprep, "perm_order"),
+        "cycles": count_calls(monkeypatch, grouprep, "perm_cycles"),
+    }
 
 
 def test_tame_engine_takes_one_power_per_class(monkeypatch):
     # C_101 with q = 2, a primitive root mod 101: 101 classes, m0 = 100, and
     # Frobenius moves the 100 nontrivial classes round one cycle; taking a
     # power per class and residue costs m0 * 101 powers and grows as p^3.
-    # Per class an engine call decomposes into cycles its Frobenius image
-    # and its weights; the period is read off the Frobenius cycles
+    # Per class an engine call takes one power, its Frobenius image, and reads
+    # its weights once; the period is read off the Frobenius cycles
     p, q = 101, 2
     group, rep = cyclic_101()
     scenario = TameScenario(group, rep, q)
     m0, expected = per_residue_masses(scenario)
     assert m0 == p - 1 and len(group.conjugacy_classes()) == p
 
-    calls = count_cycle_decompositions(monkeypatch)
-    assert tame_total_masses(scenario) == expected
-    assert len(calls) <= 2 * p
-    calls.clear()
-    assert tame_involution_check(scenario)
-    assert len(calls) <= 2 * p
+    calls = count_tame_work(monkeypatch)
+    for engine in (lambda: tame_total_masses(scenario) == expected, lambda: tame_involution_check(scenario)):
+        assert engine()
+        assert len(calls["power"]) <= p and len(calls["weights"]) <= p
+        assert all(m == q for *_, m in calls["power"])
+        for c in calls.values():
+            c.clear()
 
 
 def test_tame_engine_takes_one_element_order_per_class(monkeypatch):
     # the period is the lcm of the Frobenius cycle lengths, so no engine call on
-    # C_101 (q = 2) decomposes a class for its order: one decomposition for its
-    # power and one for its weights (exp(G) for the period took a third)
+    # C_101 (q = 2) takes the order of a class (exp(G) for the period took one per
+    # class) or decomposes one into a list of cycles: one power and one weight
+    # reading per class, each walking the cycles itself
     group, rep = cyclic_101()
     scenario = TameScenario(group, rep, 2)
-    calls = count_cycle_decompositions(monkeypatch)
-    tame_total_masses(scenario)
-    assert len(calls) <= 2 * len(group.conjugacy_classes())
-    calls.clear()
-    assert tame_involution_check(scenario)
-    assert len(calls) <= 2 * len(group.conjugacy_classes())
+    classes = len(group.conjugacy_classes())
+    calls = count_tame_work(monkeypatch)
+    for engine in (tame_total_masses, tame_involution_check):
+        engine(scenario)
+        assert len(calls["power"]) <= classes and len(calls["weights"]) <= classes
+        assert calls["order"] == calls["cycles"] == []
+        for c in calls.values():
+            c.clear()
 
 
 def hyperoctahedral3():
@@ -425,11 +440,12 @@ def test_tame_masses_are_exact_for_every_residue_of_q(name, start, k):
 
 
 class ShiftedV(MonomialRep):
-    """A representation whose v is 1 too large away from the identity."""
+    """A representation whose v is 1 too large away from the identity: V is
+    2e larger and a is 1 larger, so that w = a - v is unchanged."""
 
-    def tame_weights(self, g):
-        wt = super().tame_weights(g)
-        return wt if g == tuple(range(len(g))) else wt._replace(v=wt.v + 1)
+    def _tame_ints(self, g):
+        v, a = super()._tame_ints(g)
+        return (v, a) if g == tuple(range(len(g))) else (v + 2 * self.root_order, a + 1)
 
 
 @pytest.mark.parametrize(

@@ -409,6 +409,16 @@ def test_resolution_json_roundtrip():
             lambda: mckay_identity_check(MassPair(Infinite, Q), Q, Q, 2), InfiniteInput, "finite masses", id="mckay"
         ),
         pytest.param(lambda: builtin_resolution("a2_cone"), ValueError, "unknown builtin", id="builtin"),
+        # a string key read letter by letter made "12" the stratum {1, 2}
+        pytest.param(
+            lambda: ResolutionData(2, ["1/2", "1/2"], {"12": Q}), ValueError, "not the string '12'", id="key-string"
+        ),
+        pytest.param(
+            lambda: VerticalRow(1, {"1": Q}), ValueError, "not the string '1'", id="vertical-key-string"
+        ),
+        pytest.param(
+            lambda: convert_strata_map({"": Q}, True), ValueError, "not the string ''", id="conversion-key-string"
+        ),
     ],
 )
 def test_malformed_arguments_are_refused(call, error, message):
