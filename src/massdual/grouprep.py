@@ -63,6 +63,21 @@ def perm_cycles(a: Perm) -> list[list[int]]:
     return cycles
 
 
+def _rotate(g: Perm, m: int) -> Perm:
+    """g^m for a permutation g, read as ints: each cycle rotated by m mod its length
+    as one pass over the points walks it."""
+    g, out = list(map(int, g)), [-1] * len(g)
+    for start, i in enumerate(g):
+        if out[start] < 0:  # start is on no cycle walked so far
+            cyc = [start]
+            while i != start:
+                cyc.append(i)
+                i = g[i]
+            for t, x in enumerate(cyc, m % len(cyc)):
+                out[x] = cyc[t % len(cyc)]
+    return tuple(out)
+
+
 def perm_order(a: Perm) -> int:
     return math.lcm(*(len(c) for c in perm_cycles(a))) if a else 1
 
@@ -251,20 +266,16 @@ class FiniteGroup:
         return math.lcm(*map(perm_order, self.class_representatives()))
 
     def power(self, g: Perm, m: int) -> Perm:
-        """g^m, each cycle of g (read as ints) rotated by m mod its length as one pass over
-        the points walks it; m may be any integer."""
+        """g^m, g read as ints, by _rotate; m may be any integer."""
         if g not in self:
             raise ValueError("element not in group")
-        g, out = list(map(int, g)), [-1] * len(g)
-        for start, i in enumerate(g):
-            if out[start] < 0:  # start is on no cycle walked so far
-                cyc = [start]
-                while i != start:
-                    cyc.append(i)
-                    i = g[i]
-                for t, x in enumerate(cyc, m % len(cyc)):
-                    out[x] = cyc[t % len(cyc)]
-        return tuple(out)
+        return _rotate(g, m)
+
+    def _power_classes(self, m: int) -> list[int]:
+        """class_index(power(g, m)) for each g in class_representatives(), in one call."""
+        self._walk()
+        class_of, at = self._class_of, self._at
+        return [class_of[at(_rotate(g, m))] for g in self._representatives]
 
     def _walk(self) -> list[list[int]]:
         """The classes as orbits of element indices under conjugation by the
@@ -395,10 +406,10 @@ class _ClosureMatrices(Mapping):
     def __getitem__(self, g: Perm) -> MonomialMatrix:
         m = self._decoded.get(g)
         if m is None:
-            tail = self._rows[self._group._at(g)][self._degree :]
-            cols = [divmod(c - self._degree, self._root_order) for c in tail]
+            d, e = self._degree, self._root_order
+            tail = self._rows[self._group._at(g)][d:]
             m = self._decoded[g] = MonomialMatrix._make(  # valid by construction: no re-check
-                (tuple(r for r, _ in cols), tuple(x for _, x in cols), self._root_order)
+                (tuple([(c - d) // e for c in tail]), tuple([(c - d) % e for c in tail]), e)
             )
         return m
 
@@ -441,7 +452,7 @@ def group_closure(
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    dim, e, mats = 0, 1, [MonomialMatrix.identity(0)] * len(generators)
+    dim, e, mats = 0, 1, rep_generators or [MonomialMatrix.identity(0)] * len(generators)
     if rep_generators is not None:
         if len(rep_generators) != len(generators):
             raise ValueError("need exactly one matrix per generator")
@@ -449,7 +460,7 @@ def group_closure(
         orders = {m.root_order for m in rep_generators}
         if len(dims) != 1 or len(orders) != 1:
             raise ValueError("generator matrices disagree in shape")
-        dim, e, mats = dims.pop(), orders.pop(), rep_generators
+        dim, e = dims.pop(), orders.pop()
     # s*g is act(g, T_s); left[k] collects the index of s_k*g for each row g in
     # turn, and tree the (j, i, left[k]) that found row j
     small = degree + e * dim <= 256

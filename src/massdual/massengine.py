@@ -80,12 +80,12 @@ _SMALL_BASES_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster 2015
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases up to 41 below 3.3e24, where it is
-    exact (Sorenson-Webster 2015); Baillie-PSW above."""
+    """Trial division by the primes up to 41, exact below 43^2; Miller-Rabin to those
+    bases below 3.3e24, exact there (Sorenson-Webster 2015); Baillie-PSW above."""
     if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
     if n < _SMALL_BASES_EXACT_BELOW:
-        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+        return n < 43 * 43 or all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
     return _bpsw(n)
 
 
@@ -179,7 +179,7 @@ class TameScenario(namedtuple("TameScenario", "group rep q")):
     __slots__ = ()
 
     def __new__(cls, group, rep, q: int):
-        if not _is_prime_power(q):
+        if not _is_prime_power(q := _json_int(q)):
             raise ValueError(f"q = {q} is not a prime power")
         if math.gcd(q, len(group)) != 1:
             raise NotTame(f"residue characteristic of q = {q} divides |G| = {len(group)}")
@@ -191,7 +191,7 @@ def _stable_classes(group, q: int) -> list[list[int]]:
     classes C with C^(q^j) = C, where m is the lcm of the cycle lengths of
     C -> C^q.  That map permutes the classes (one power per class), and
     C^(q^j) = C exactly when the length of C's cycle under it divides j."""
-    frob = [group.class_index(group.power(g, q)) for g in group.class_representatives()]
+    frob = group._power_classes(q)
     length = []  # each cycle is at most m long, so this walk is no longer than the answer
     for i, x in enumerate(frob):
         k = 1
@@ -209,9 +209,11 @@ def _stable_weights(scenario: TameScenario) -> tuple[int, list[int], list[int], 
 
 
 def _tame_masses(n: int, v: list[int], w: list[int], stable: list[list[int]]) -> MassPair:
-    """Q^(-v(C)) and Q^(w(C)) for each stable class C, counted as ints over n."""
-    sides = ([Counter([x[i] for i in s]) for s in stable] for x in ([-y for y in v], w))
-    return MassPair(*(ClassFunction._from_int_polys(len(stable), n, side) for side in sides))
+    """Q^(-v(C)) and Q^(w(C)) for each stable class C, counted as ints over n / g: stable[0]
+    holds every class, so g = gcd(n, all v, all w) leaves the root order minimal."""
+    g = math.gcd(n, *v, *w)
+    sides = ([Counter([x[i] for i in s]) for s in stable] for x in ([-y // g for y in v], [y // g for y in w]))
+    return MassPair(*(ClassFunction._from_int_polys(len(stable), n // g, side) for side in sides))
 
 
 def _involutive(n: int, v: list[int], w: list[int], stable: list[list[int]]) -> bool:

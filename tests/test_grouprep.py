@@ -854,6 +854,30 @@ def test_stable_classes_match_their_definition(inputs, q):
     ]
 
 
+@given(
+    st.one_of(closure_inputs(), st.sampled_from([(s4_gens(), None), (f21_gens(), None), b3_gens()])),
+    st.sampled_from([bytes, tuple, FiniteGroup]),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_frobenius_class_map_is_the_power_of_each_representative(inputs, build, data):
+    # on byte rows, on tuple rows (root order 257 puts every row past 256 entries)
+    # and on the element list shuffled; q negative, 0, 1 and past |G|
+    gens, mats = inputs
+    try:
+        group, _ = group_closure(gens, mats)
+    except InconsistentRepresentation:
+        group, _ = group_closure(gens)
+    if build is tuple:
+        group, rep = group_closure(gens, [permutation_matrix(g, 257) for g in gens])
+        assert type(rep.matrices._rows[0]) is tuple
+    elif build is FiniteGroup:
+        group = FiniteGroup(group.degree, [group.elements[i] for i in data.draw(st.permutations(range(len(group))))])
+    n = len(group)
+    for q in (-n - 1, -1, 0, 1, 2, n, n + 1, 10**30 + 1, data.draw(st.integers(-(10**6), 10**6))):
+        assert group._power_classes(q) == [group.class_index(group.power(g, q)) for g in group.class_representatives()]
+
+
 # -- tame weights summed per cycle against the eigenvalue exponents ----------
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from massdual import (
     ClassFunction,
-    FiniteGroup,
     GeometricFamily,
     InvalidParams,
     MassPair,
@@ -342,10 +342,11 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_tame_work(monkeypatch):
-    """Calls of the Frobenius power, the weight reader and the cycle walks that
+    """Calls of the cycle rotation that takes a power (FiniteGroup.power and the
+    Frobenius class map both use it), the weight reader and the cycle walks that
     give element orders, each as a list of argument tuples."""
     return {
-        "power": count_calls(monkeypatch, FiniteGroup, "power"),
+        "power": count_calls(monkeypatch, grouprep, "_rotate"),
         "weights": count_calls(monkeypatch, MonomialRep, "_tame_ints"),
         "order": count_calls(monkeypatch, grouprep, "perm_order"),
         "cycles": count_calls(monkeypatch, grouprep, "perm_cycles"),
@@ -367,7 +368,7 @@ def test_tame_engine_takes_one_power_per_class(monkeypatch):
     calls = count_tame_work(monkeypatch)
     for engine in (lambda: tame_total_masses(scenario) == expected, lambda: tame_involution_check(scenario)):
         assert engine()
-        assert len(calls["power"]) <= p and len(calls["weights"]) <= p
+        assert 0 < len(calls["power"]) <= p and len(calls["weights"]) <= p
         assert all(m == q for *_, m in calls["power"])
         for c in calls.values():
             c.clear()
@@ -384,7 +385,8 @@ def test_tame_engine_takes_one_element_order_per_class(monkeypatch):
     calls = count_tame_work(monkeypatch)
     for engine in (tame_total_masses, tame_involution_check):
         engine(scenario)
-        assert len(calls["power"]) <= classes and len(calls["weights"]) <= classes
+        assert 0 < len(calls["power"]) <= classes and len(calls["weights"]) <= classes
+        assert all(m == 2 for *_, m in calls["power"])
         assert calls["order"] == calls["cycles"] == []
         for c in calls.values():
             c.clear()
@@ -519,12 +521,45 @@ def test_bpsw_agrees_with_miller_rabin_below_2_90(k):
     assert _bpsw(n) == miller_rabin_13(n) == _is_prime(n)
 
 
+def sieve_primes(limit):
+    """The primes below limit, by the sieve of Eratosthenes."""
+    composite = [False] * limit
+    for p in range(2, limit):
+        for m in range(p * p, limit, p) if not composite[p] else ():
+            composite[m] = True
+    return [n for n in range(2, limit) if not composite[n]]
+
+
+def test_trial_division_decides_below_43_squared():
+    assert [n for n in range(-2, 10**4) if _is_prime(n)] == sieve_primes(10**4)
+    assert _is_prime(1847) and not _is_prime(1849) and _is_prime_power(1849)  # 1849 = 43^2
+    # 2021 = 43 * 47: the first composite past 43^2 with no prime factor up to 41
+    assert next(n for n in range(1850, 10**4) if all(n % p for p in range(2, 42)) and not _is_prime(n)) == 2021
+    assert not _is_prime(2021) and not _is_prime_power(2021)
+    with pytest.raises(ValueError, match="q = 2021 is not a prime power"):
+        TameScenario(*z3_plane(), 2021)
+
+
 def test_tame_scenario_validation():
     group, rep = z3_plane()
     with pytest.raises(NotTame):
         TameScenario(group, rep, 3)
     with pytest.raises(ValueError):
         TameScenario(group, rep, 6)  # not a prime power
+
+
+@pytest.mark.parametrize("q", [7.0, 7.5, "x", True])
+def test_tame_scenario_refuses_a_q_that_is_no_integer(q):
+    # 7.0 used to reach math.gcd (TypeError), 7.5 int.bit_length (AttributeError), "x" a < (TypeError)
+    with pytest.raises(ValueError, match=re.escape(repr(q))):
+        TameScenario(*z3_plane(), q)
+
+
+def test_tame_scenario_reads_an_integer_string_as_its_int():
+    group, rep = z3_plane()
+    scenario = TameScenario(group, rep, "7")
+    assert scenario.q == 7 and type(scenario.q) is int
+    assert tame_total_masses(scenario) == tame_total_masses(TameScenario(group, rep, 7))
 
 
 # -- ramification profiles ---------------------------------------------------
